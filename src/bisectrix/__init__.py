@@ -3,8 +3,10 @@
 Works over the rationals and over odd prime fields GF(p).  Quadratics are
 classified field-relatively (hyperbola / parabola / ellipse by points at
 infinity), factored over the ground field, and assembled into pencils whose
-reducible members form asymptotic pencils; those are exactly the bisector
-fields, and a brute-force oracle machine-checks the whole story over small
+reducible members form asymptotic pencils.  Every nontrivial asymptotic
+pencil is a bisector field (a maximal nontrivial bisector arrangement); the
+converse fails, as the oracle's exhaustive GF(3) search for ``thm-6.3``
+shows.  A brute-force oracle machine-checks the whole story over small
 Galois fields.
 """
 

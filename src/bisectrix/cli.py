@@ -8,6 +8,7 @@ exit 3, failed checks exit 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -253,8 +254,15 @@ def _cmd_desargues(args) -> int:
     return EXIT_OK
 
 
+def _samples(args) -> int:
+    if args.samples < 0:
+        raise ParseError(f"--samples must be >= 0, got {args.samples}")
+    return args.samples
+
+
 def _cmd_check(args) -> int:
     spec = _field(args.field)
+    samples = _samples(args)
     if args.checks == ["all"]:
         # example-3.6 is specific to GF(3); skip it elsewhere.
         ids = [c for c in CHECK_IDS if c != "example-3.6" or spec.p == 3]
@@ -266,7 +274,7 @@ def _cmd_check(args) -> int:
         policy = default_policy(check_id)
         if policy.kind == "randomized":
             policy = Policy.randomized(
-                args.samples if args.samples else policy.count, seed=args.seed
+                samples if samples else policy.count, seed=args.seed
             )
         report = run_check(check_id, spec, policy)
         reports.append(report.to_json(include_wall_time=args.timings))
@@ -279,6 +287,7 @@ def _cmd_render(args) -> int:
     from .svgfig import render_arrangement, render_asymptotic_pencil, render_pencil
 
     spec = _field(args.field)
+    samples = _samples(args)
     if args.kind == "arrangement":
         if not args.pairs:
             raise ParseError("render --kind arrangement needs --pairs")
@@ -289,9 +298,9 @@ def _cmd_render(args) -> int:
         f1 = parse_quadratic(spec, args.conics[0])
         f2 = parse_quadratic(spec, args.conics[1])
         if args.kind == "pencil":
-            svg = render_pencil(f1, f2, args.samples)
+            svg = render_pencil(f1, f2, samples)
         else:
-            svg = render_asymptotic_pencil(f1, f2, args.samples)
+            svg = render_asymptotic_pencil(f1, f2, samples)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(svg)
@@ -374,8 +383,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first dispatch rather than at import, then reused."""
+    return build_parser()
+
+
 def dispatch(argv: list[str]) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

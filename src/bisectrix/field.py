@@ -36,16 +36,35 @@ class InfiniteFieldError(FieldError):
 _SQRT_SCAN_BOUND = 101
 
 
+# Miller-Rabin with the first thirteen prime bases (2 to 41) is exact below
+# this bound (Sorenson & Webster 2015, OEIS A014233); larger p are refused
+# rather than guessed.  Twelve bases would not do: 318665857834031151167461
+# is composite and a strong pseudoprime to every base from 2 to 37.
+_PRIME_BOUND = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality for n < _PRIME_BOUND."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -56,6 +75,10 @@ class FieldSpec:
 
     def __init__(self, p: int | None):
         if p is not None:
+            if p >= _PRIME_BOUND:
+                raise FieldError(
+                    f"GF({p}) is not supported: p must be below {_PRIME_BOUND}"
+                )
             if p < 3 or not _is_prime(p):
                 raise FieldError(f"GF({p}) is not supported: p must be an odd prime >= 3")
         object.__setattr__(self, "p", p)
@@ -147,19 +170,28 @@ def parse_fieldspec(text: str) -> FieldSpec:
 
 
 class Scalar:
-    """An exact element of Q or GF(p), tagged with its field spec."""
+    """An exact element of Q or GF(p), tagged with its field spec.
+
+    Results are built directly through the slot descriptors rather than
+    through ``__init__``; ``_operand`` takes scalars of the very same
+    ``FieldSpec`` object (``GF`` is cached and ``rationals`` is a singleton)
+    on an identity test before any other check.
+    """
 
     __slots__ = ("spec", "value")
 
     def __init__(self, spec: FieldSpec, value):
         # Callers go through FieldSpec.scalar; value is assumed canonical.
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "value", value)
+        _set_spec(self, spec)
+        _set_value(self, value)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
+    def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
     def _operand(self, other):
+        """The value of ``other`` in this field, or None for a foreign type."""
+        if other.__class__ is Scalar and other.spec is self.spec:
+            return other.value
         if isinstance(other, Scalar):
             if other.spec != self.spec:
                 raise FieldMismatchError(
@@ -175,7 +207,10 @@ class Scalar:
         if v is None:
             return NotImplemented
         p = self.spec.p
-        return Scalar(self.spec, (self.value + v) % p if p else self.value + v)
+        r = _new(Scalar)
+        _set_spec(r, self.spec)
+        _set_value(r, (self.value + v) % p if p else self.value + v)
+        return r
 
     __radd__ = __add__
 
@@ -184,7 +219,10 @@ class Scalar:
         if v is None:
             return NotImplemented
         p = self.spec.p
-        return Scalar(self.spec, (self.value - v) % p if p else self.value - v)
+        r = _new(Scalar)
+        _set_spec(r, self.spec)
+        _set_value(r, (self.value - v) % p if p else self.value - v)
+        return r
 
     def __rsub__(self, other):
         v = self._operand(other)
@@ -198,7 +236,10 @@ class Scalar:
         if v is None:
             return NotImplemented
         p = self.spec.p
-        return Scalar(self.spec, (self.value * v) % p if p else self.value * v)
+        r = _new(Scalar)
+        _set_spec(r, self.spec)
+        _set_value(r, (self.value * v) % p if p else self.value * v)
+        return r
 
     __rmul__ = __mul__
 
@@ -210,10 +251,15 @@ class Scalar:
         if p is None:
             if v == 0:
                 raise ZeroDivisionError("division by zero scalar")
-            return Scalar(self.spec, self.value / v)
-        if v % p == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        return Scalar(self.spec, (self.value * pow(v, p - 2, p)) % p)
+            value = self.value / v
+        else:
+            if v % p == 0:
+                raise ZeroDivisionError("division by zero scalar")
+            value = (self.value * pow(v, p - 2, p)) % p
+        r = _new(Scalar)
+        _set_spec(r, self.spec)
+        _set_value(r, value)
+        return r
 
     def __rtruediv__(self, other):
         v = self._operand(other)
@@ -223,7 +269,10 @@ class Scalar:
 
     def __neg__(self):
         p = self.spec.p
-        return Scalar(self.spec, (-self.value) % p if p else -self.value)
+        r = _new(Scalar)
+        _set_spec(r, self.spec)
+        _set_value(r, (-self.value) % p if p else -self.value)
+        return r
 
     def __pow__(self, exponent: int):
         p = self.spec.p
@@ -263,12 +312,18 @@ class Scalar:
         return str(self.value)
 
 
+_new = object.__new__
+_set_spec = Scalar.__dict__["spec"].__set__
+_set_value = Scalar.__dict__["value"].__set__
+
+
 def halve(x: Scalar) -> Scalar:
     """The unique y with 2y = x (total because char != 2)."""
     p = x.spec.p
-    if p is None:
-        return Scalar(x.spec, x.value / 2)
-    return Scalar(x.spec, (x.value * ((p + 1) // 2)) % p)
+    r = _new(Scalar)
+    _set_spec(r, x.spec)
+    _set_value(r, x.value / 2 if p is None else (x.value * ((p + 1) // 2)) % p)
+    return r
 
 
 def _tonelli_shanks(n: int, p: int) -> int:

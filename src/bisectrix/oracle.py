@@ -597,12 +597,15 @@ def _check_prop_4_3(spec, policy, rng):
         d2 = rand_direction()
         while d2 == d1:
             d2 = rand_direction()
-        d3 = rand_direction()
-        d4 = rand_direction()
-        while d4 == d3:
+        # Redraw the second pair until it differs from the first, so every
+        # requested instance is checked.
+        while True:
+            d3 = rand_direction()
             d4 = rand_direction()
-        if {d1, d2} == {d3, d4}:
-            continue
+            while d4 == d3:
+                d4 = rand_direction()
+            if {d1, d2} != {d3, d4}:
+                break
 
         def line_through_center(d):
             return Line(d.y, -d.x, d.x * cy - d.y * cx)

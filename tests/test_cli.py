@@ -166,6 +166,38 @@ class TestErrors:
     def test_unknown_subcommand_is_exit_2(self):
         assert run(["frobnicate"])[0] == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--field", "F5", "--samples", "-5", "thm-6.3"],
+        ["render", "--field", "Q", "--kind", "pencil", "--samples", "-1",
+         "x*y", "x^2-y^2"],
+    ], ids=["check", "render"])
+    def test_negative_samples_is_exit_2(self, argv, capsys):
+        assert run(argv) == (2, "")
+        assert "--samples must be >= 0" in capsys.readouterr().err
+
+    def test_zero_samples_means_default_count(self):
+        code, out = run(["check", "--field", "F5", "--samples", "0",
+                         "prop-4.3-construction"])
+        assert code == 0
+        assert json.loads(out)["policy"]["count"] == 200
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self, monkeypatch):
+        from bisectrix import cli
+
+        calls = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            first = run(["classify", "--field", "Q", "x*y-1"])
+            assert run(["classify", "--field", "Q", "x*y-1"]) == first
+            assert run(["frobnicate"])[0] == 2
+            assert len(calls) == 1
+        finally:
+            cli._parser.cache_clear()
+
 
 class TestDeterminism:
     CASES = [

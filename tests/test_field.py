@@ -1,11 +1,15 @@
 from fractions import Fraction
 
+import operator
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bisectrix.field import (
     FieldError,
     FieldMismatchError,
+    FieldSpec,
     GF,
     InfiniteFieldError,
     enumerate_field,
@@ -155,6 +159,109 @@ class TestSquareRoots:
         x = q(a)
         r = square_root(x * x)
         assert r is not None and r * r == x * x
+
+
+class TestPrimality:
+    def test_large_prime_is_fast(self):
+        start = time.perf_counter()
+        spec = GF(10**14 + 31)
+        assert time.perf_counter() - start < 0.1
+        assert (spec.scalar(2) * spec.scalar(3)).value == 6
+
+    @pytest.mark.parametrize("n", [561, 41041, 2047])
+    def test_pseudoprimes_rejected(self, n):
+        # Carmichael numbers 561 and 41041; 2047 is a strong pseudoprime to base 2.
+        with pytest.raises(FieldError):
+            FieldSpec(n)
+
+    @pytest.mark.parametrize("n,factor", [
+        (3825123056546413051, 149491),
+        (318665857834031151167461, 399165290221),
+    ])
+    def test_strong_pseudoprimes_below_the_bound_rejected(self, n, factor):
+        # Strong pseudoprimes to every prime base up to 31 and up to 37 (OEIS
+        # A014233): only the last bases of the set unmask them.
+        assert n % factor == 0
+        with pytest.raises(FieldError, match="odd prime"):
+            FieldSpec(n)
+
+    def test_above_the_proof_bound_is_refused(self):
+        # 2^89 - 1 is prime but above 3.3e24, where the fixed bases stop being exact.
+        with pytest.raises(FieldError, match="below"):
+            FieldSpec(2**89 - 1)
+        assert GF(2**61 - 1).p == 2**61 - 1
+
+
+BINARY_OPS = [operator.add, operator.sub, operator.mul, operator.truediv, operator.eq]
+
+
+class TestSameSpecFastPath:
+    @pytest.mark.parametrize("op", BINARY_OPS, ids=lambda op: op.__name__)
+    @pytest.mark.parametrize("left,right", [
+        (F5.scalar(2), F7.scalar(3)),
+        (F7.scalar(3), F5.scalar(2)),
+        (Q.scalar(2), F5.scalar(3)),
+        (F5.scalar(3), Q.scalar(2)),
+    ], ids=["F5-F7", "F7-F5", "Q-F5", "F5-Q"])
+    def test_mismatch_raises_for_every_operator(self, op, left, right):
+        with pytest.raises(FieldMismatchError):
+            op(left, right)
+
+    @pytest.mark.parametrize("name", ["__radd__", "__rsub__", "__rmul__", "__rtruediv__"])
+    def test_reflected_forms_raise_on_mismatch(self, name):
+        for left, right in ((F5.scalar(2), F7.scalar(3)), (Q.scalar(2), F5.scalar(3))):
+            with pytest.raises(FieldMismatchError):
+                getattr(left, name)(right)
+
+    @pytest.mark.parametrize("op", BINARY_OPS, ids=lambda op: op.__name__)
+    def test_equal_spec_that_is_another_object(self, op):
+        other = FieldSpec(7)
+        assert other is not F7 and other == F7
+        for a in range(7):
+            for b in range(1, 7):
+                expected = op(F7.scalar(a), F7.scalar(b))
+                assert op(other.scalar(a), F7.scalar(b)) == expected
+                assert op(F7.scalar(a), other.scalar(b)) == expected
+
+    def test_scalars_are_immutable(self):
+        x = F7.scalar(3)
+        for attr in ("value", "spec", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, attr, 1)
+        assert x.value == 3 and x.spec is F7
+
+    def test_foreign_operands_are_not_implemented(self):
+        x = F7.scalar(3)
+        assert x.__add__("1") is NotImplemented
+        assert x.__eq__(None) is NotImplemented
+        assert x != "3"
+        with pytest.raises(TypeError):
+            x * 1.5
+
+    @given(p=st.sampled_from([3, 5, 7, 11, 101]), a=st.integers(-300, 300),
+           b=st.integers(-300, 300))
+    @settings(deadline=None)
+    def test_prime_field_against_int_mod_p(self, p, a, b):
+        spec = GF(p)
+        x, y = spec.scalar(a), spec.scalar(b)
+        assert (x + y).value == (a + b) % p
+        assert (x - y).value == (a - b) % p
+        assert (x * y).value == (a * b) % p
+        assert (x == y) == ((a - b) % p == 0)
+        assert (x == b) == ((a - b) % p == 0)
+        if b % p:
+            assert (x / y).value * b % p == a % p
+
+    @given(a=rational_values, b=rational_values)
+    @settings(deadline=None)
+    def test_rationals_against_fraction(self, a, b):
+        x, y = q(a), q(b)
+        assert (x + y).value == a + b
+        assert (x - y).value == a - b
+        assert (x * y).value == a * b
+        assert (x == y) == (a == b)
+        if b:
+            assert (x / y).value == a / b
 
 
 def test_enumerate_field():

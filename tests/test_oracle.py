@@ -126,6 +126,15 @@ def test_gf11_soak(check_id, policy):
     assert report.passed, report.witnesses
 
 
+def test_prop_4_3_checks_every_requested_instance():
+    # Draws whose two direction pairs coincide are redrawn, not skipped.
+    policy = Policy.randomized(200, seed=0)
+    report = run_check("prop-4.3-construction", F7, policy)
+    assert report.passed
+    summary = report.witnesses[-1]
+    assert summary["solvable"] + summary["unsolvable"] == policy.count
+
+
 class TestKnownCounterexamples:
     """Two source claims fail as literally stated; the oracle documents them.
 
