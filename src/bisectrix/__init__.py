@@ -17,7 +17,6 @@ from .field import (
     GF,
     InfiniteFieldError,
     Scalar,
-    enumerate_field,
     halve,
     is_square,
     parse_fieldspec,
@@ -63,7 +62,6 @@ from .conic import (
     meets,
     pairs_are_translates,
     points_at_infinity,
-    product_quadratic,
     pullback,
     restrict_to_line,
 )
@@ -75,7 +73,6 @@ from .pencil import (
     PencilError,
     TrivialPencilError,
     are_independent,
-    asymptotic_pencil,
     degeneracy_cubic,
     find_hyperbolas,
     net_contains,
@@ -103,7 +100,6 @@ from .bisector import (
     bisects_set,
     classify_trivial_arrangement,
     desargues_involution,
-    field_contains,
     is_bisector_arrangement,
     pair_through_line,
 )

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 from .conic import (
     LinePair,
     Quadratic,
+    distinct_lines,
     linear_combination,
     mid,
     pairs_are_translates,
@@ -142,22 +143,13 @@ class ArrangementReport:
         return f"ArrangementReport(ok={self.ok})"
 
 
-def _arrangement_lines(pairs: Sequence[LinePair]) -> list[Line]:
-    lines: list[Line] = []
-    for pair in pairs:
-        for line in pair.lines():
-            if line not in lines:
-                lines.append(line)
-    return lines
-
-
 def is_bisector_arrangement(pairs: Sequence[LinePair]) -> ArrangementReport:
     """Whether every line of every pair bisects all the product quadratics."""
     pairs = list(pairs)
     products = [pair.product() for pair in pairs]
     midpoints: dict[Line, Midpoint | None] = {}
     ok = True
-    for line in _arrangement_lines(pairs):
+    for line in distinct_lines(pairs):
         m = bisects_set(line, products)
         midpoints[line] = m
         if m is None:
@@ -176,7 +168,7 @@ def classify_trivial_arrangement(pairs: Sequence[LinePair]) -> str:
     pairs = list(pairs)
     if all(pairs_are_translates(p, q) for p, q in combinations(pairs, 2)):
         return ALL_TRANSLATES
-    lines = _arrangement_lines(pairs)
+    lines = distinct_lines(pairs)
     if all(line.is_parallel_to(lines[0]) for line in lines[1:]):
         return ALL_PARALLEL
     distinct = [line for line in lines[1:] if line != lines[0]]
@@ -221,11 +213,6 @@ def bisector_field_of(pencil: Pencil) -> BisectorField:
             "sharing one center), so it is not a bisector field"
         )
     return BisectorField(ap)
-
-
-def field_contains(field: BisectorField, pair: LinePair) -> bool:
-    """Membership of a line pair, decided by net membership of its product."""
-    return field.contains(pair)
 
 
 class Involution:

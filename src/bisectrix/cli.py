@@ -221,13 +221,13 @@ def _cmd_bisect(args) -> int:
 
 
 def _cmd_field_membership(args) -> int:
-    from .bisector import bisector_field_of, field_contains
+    from .bisector import bisector_field_of
 
     spec = _field(args.field)
     pencil = _parse_pencil(spec, args)
     field = bisector_field_of(pencil)
     pair = parse_pair(spec, args.pair)
-    contained = field_contains(field, pair)
+    contained = field.contains(pair)
     coords = net_contains(pencil, pair.product())
     payload = {
         "nontrivial": True,
@@ -319,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, conics=0):
         p.add_argument("--field", required=True, help="Q or F<p>, e.g. F5")
-        p.add_argument("--json", action="store_true",
-                       help="JSON output (the default)")
         p.add_argument("--pretty", action="store_true",
                        help="human-readable output instead of JSON")
         p.add_argument("--seed", type=int, default=0,

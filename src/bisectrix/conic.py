@@ -13,6 +13,8 @@ projective line of directions over the ground field.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .field import FieldSpec, Scalar, halve, square_root
 from .geometry import (
     AffineMap,
@@ -292,13 +294,6 @@ class LinePair:
     def contains_line(self, line: Line) -> bool:
         return line == self.first or line == self.second
 
-    def other_line(self, line: Line) -> Line:
-        if line == self.first:
-            return self.second
-        if line == self.second:
-            return self.first
-        raise ConicError("line is not a component of the pair")
-
     def product(self) -> Quadratic:
         """The product of the two linear forms, in canonical scaling."""
         l1, l2 = self.first, self.second
@@ -319,8 +314,14 @@ class LinePair:
         return (self.first.sort_key(), self.second.sort_key())
 
 
-def product_quadratic(pair: LinePair) -> Quadratic:
-    return pair.product()
+def distinct_lines(pairs: Iterable[LinePair]) -> list[Line]:
+    """The lines of the pairs, each once, in order of first appearance."""
+    lines: list[Line] = []
+    for pair in pairs:
+        for line in pair.lines():
+            if line not in lines:
+                lines.append(line)
+    return lines
 
 
 def pairs_are_translates(p1: LinePair, p2: LinePair) -> bool:

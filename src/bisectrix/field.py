@@ -387,8 +387,3 @@ def square_root(x: Scalar) -> Scalar | None:
 
 def is_square(x: Scalar) -> bool:
     return square_root(x) is not None
-
-
-def enumerate_field(spec: FieldSpec) -> list[Scalar]:
-    """All elements of a finite field, as a list in residue order."""
-    return list(spec.elements())

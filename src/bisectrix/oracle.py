@@ -38,12 +38,13 @@ from .conic import (
     center,
     classify,
     degenerations,
+    distinct_lines,
     is_reducible,
     meets,
     mid,
     restrict_to_line,
 )
-from .field import FieldSpec, InfiniteFieldError, halve, square_root
+from .field import FieldSpec, InfiniteFieldError, square_root
 from .geometry import Line, intersect
 from .pencil import (
     AsymptoticPencil,
@@ -58,6 +59,7 @@ from .pencil import (
     _directions,
 )
 from .quad import (
+    Quadrilateral,
     QuadrilateralError,
     bisects_quadrilateral,
     pencil_of,
@@ -307,73 +309,98 @@ def _rand_quadrilateral(rng: random.Random, spec: FieldSpec) -> Quadrilateral:
             continue
 
 
-# --- fast same-line midpoint records ------------------------------------------
+# --- the integer arrangement engine -------------------------------------------
+
+# Per-line demands besides a finite midpoint, which is an int >= 0.
+_FREE, _INF, _CONFLICT = -1, -2, -3
 
 
-class _FastPlane:
-    """Cached line-line intersection parameters for pair-midpoint records.
+class _Plane:
+    """The oracle's one arrangement test, on line and pair ids over GF(p).
 
-    The midpoint of a line against a line-pair product only needs the two
-    intersection parameters, so arrangement scans reduce to table lookups.
-    Records: None = imposes no constraint; ("inf",) = infinite midpoint;
-    ("fin", v) = finite midpoint at parameter value v.
+    Line ids index ``enumerate_lines`` and pair ids ``enumerate_line_pairs``.
+    ``param[i][j]`` is the parameter on line i of its crossing with line j,
+    as an int, or None when the lines are parallel or equal.  The demand of
+    pair k on line i is the midpoint of i's two crossings with it: _FREE
+    when i misses both or is a line of pair k, _INF when i misses one, else
+    the residue t1 + t2 (twice the midpoint parameter; halving is one to
+    one, so equal residues mean equal midpoints).
+
+    A state holds one merged demand per line for a set of pairs: _FREE,
+    _INF, a finite residue, or _CONFLICT once two pairs disagree.  The set
+    is an arrangement when none of its own lines is in conflict.
     """
 
     def __init__(self, spec: FieldSpec):
-        self.spec = spec
+        self.p = spec.p
         self.lines = enumerate_lines(spec)
         self.pairs = enumerate_line_pairs(spec)
         self.index = {line: i for i, line in enumerate(self.lines)}
-        self._param: dict[tuple[int, int], object] = {}
+        self.param = [
+            [None if li.is_parallel_to(lj) else li.param_of(intersect(li, lj)).value
+             for lj in self.lines]
+            for li in self.lines
+        ]
+        self.pair_lines = [(self.index[pr.first], self.index[pr.second])
+                           for pr in self.pairs]
+        n = len(self.lines)
+        self.pair_id = [[0] * n for _ in range(n)]
+        for k, (i, j) in enumerate(self.pair_lines):
+            self.pair_id[i][j] = self.pair_id[j][i] = k
+        self.empty = [_FREE] * n
 
-    def param(self, i: int, j: int):
-        key = (i, j)
-        if key not in self._param:
-            li, lj = self.lines[i], self.lines[j]
-            if li.is_parallel_to(lj):
-                self._param[key] = None
-            else:
-                self._param[key] = li.param_of(intersect(li, lj))
-        return self._param[key]
+    def pair_of(self, pair: LinePair) -> int:
+        return self.pair_id[self.index[pair.first]][self.index[pair.second]]
 
-    def pair_mid(self, i: int, pair: LinePair):
-        j1 = self.index[pair.first]
-        j2 = self.index[pair.second]
+    def line_ids(self, pairs) -> list[int]:
+        return [self.index[line] for line in distinct_lines(pairs)]
+
+    def demand(self, i: int, k: int) -> int:
+        j1, j2 = self.pair_lines[k]
         if i == j1 or i == j2:
-            return None
-        t1, t2 = self.param(i, j1), self.param(i, j2)
-        if t1 is None and t2 is None:
-            return None
-        if t1 is None or t2 is None:
-            return ("inf",)
-        return ("fin", halve(t1 + t2).value)
+            return _FREE
+        row = self.param[i]
+        t1, t2 = row[j1], row[j2]
+        if t1 is None:
+            return _FREE if t2 is None else _INF
+        if t2 is None:
+            return _INF
+        return (t1 + t2) % self.p
 
-    def arrangement_ok(self, pairs) -> bool:
-        seen = []
-        for pair in pairs:
-            for line in pair.lines():
-                i = self.index[line]
-                if i not in seen:
-                    seen.append(i)
-        for i in seen:
-            common = None
-            for pair in pairs:
-                m = self.pair_mid(i, pair)
-                if m is None:
-                    continue
-                if common is None:
-                    common = m
-                elif m != common:
-                    return False
+    def add(self, state: list[int], k: int) -> list[int]:
+        """The state with pair k merged into every line's demand."""
+        out = list(state)
+        for i, s in enumerate(out):
+            d = self.demand(i, k)
+            if d != _FREE and s != d:
+                out[i] = d if s == _FREE else _CONFLICT
+        return out
+
+    def extends(self, state: list[int], lines: list[int], k: int) -> bool:
+        """Whether adding pair k to the arrangement (state, lines) keeps it one.
+
+        ``lines`` are the line ids of the arrangement; pair k constrains
+        those, and its own two lines must not already be in conflict.
+        """
+        j1, j2 = self.pair_lines[k]
+        if state[j1] == _CONFLICT or state[j2] == _CONFLICT:
+            return False
+        for i in lines:
+            s = state[i]
+            if s == _FREE:
+                continue
+            d = self.demand(i, k)
+            if s == _CONFLICT or (d != _FREE and d != s):
+                return False
         return True
 
 
-_PLANE_CACHE: dict[int, _FastPlane] = {}
+_PLANE_CACHE: dict[int, _Plane] = {}
 
 
-def _plane(spec: FieldSpec) -> _FastPlane:
+def _plane(spec: FieldSpec) -> _Plane:
     if spec.p not in _PLANE_CACHE:
-        _PLANE_CACHE[spec.p] = _FastPlane(spec)
+        _PLANE_CACHE[spec.p] = _Plane(spec)
     return _PLANE_CACHE[spec.p]
 
 
@@ -963,36 +990,35 @@ def _check_cor_5_7(spec, policy, rng):
 def _check_lemma_6_2(spec, policy, rng):
     plane = _plane(spec)
     pairs = plane.pairs
-    lines = plane.lines
+    nlines = len(plane.lines)
     fails = []
     instances = 0
     attempts = 0
     while instances < policy.count and attempts < 500 * policy.count:
         attempts += 1
-        p1 = pairs[rng.randrange(len(pairs))]
-        p2 = pairs[rng.randrange(len(pairs))]
-        if p1 == p2:
+        k1 = rng.randrange(len(pairs))
+        k2 = rng.randrange(len(pairs))
+        if k1 == k2:
             continue
-        base = [p1, p2]
+        base = [pairs[k1], pairs[k2]]
         if classify_trivial_arrangement(base) != NONTRIVIAL:
             continue
-        if not plane.arrangement_ok(base):
-            continue
+        # Any two pairs form an arrangement: each line sees only the other pair.
+        state = plane.add(plane.add(plane.empty, k1), k2)
+        lines = plane.line_ids(base)
         extenders = [
-            p for p in pairs
-            if p != p1 and p != p2 and plane.arrangement_ok(base + [p])
+            k for k in range(len(pairs))
+            if k != k1 and k != k2 and plane.extends(state, lines, k)
         ]
-        for p in extenders:
+        for k in extenders:
             pinned = False
             partner_lists = {}
-            for line in p.lines():
-                partners = [
-                    l2 for l2 in lines
-                    if plane.arrangement_ok(base + [LinePair(line, l2)])
-                ]
-                partner_lists[line] = partners
+            for i in plane.pair_lines[k]:
+                row = plane.pair_id[i]
+                partners = [j for j in range(nlines) if plane.extends(state, lines, row[j])]
+                partner_lists[i] = partners
                 if len(partners) == 1:
-                    if LinePair(line, partners[0]) != p:
+                    if row[partners[0]] != k:
                         raise AssertionError("unique partner must recover the pair")
                     pinned = True
                     break
@@ -1000,16 +1026,16 @@ def _check_lemma_6_2(spec, policy, rng):
                 # Confirm through the honest midpoint path before reporting:
                 # the base, the extension, and each listed partner pair must
                 # truly be bisector arrangements.
-                honest = is_bisector_arrangement(base + [p]).ok and all(
-                    is_bisector_arrangement(base + [LinePair(line, l2)]).ok
-                    for line, ls in partner_lists.items() for l2 in ls
+                honest = is_bisector_arrangement(base + [pairs[k]]).ok and all(
+                    is_bisector_arrangement(base + [pairs[plane.pair_id[i][j]]]).ok
+                    for i, js in partner_lists.items() for j in js
                 )
                 fails.append({
-                    "arrangement": format_pair(p1) + "|" + format_pair(p2),
-                    "extension": format_pair(p),
+                    "arrangement": format_pair(base[0]) + "|" + format_pair(base[1]),
+                    "extension": format_pair(pairs[k]),
                     "partner_counts": {
-                        format_line_triple(line): len(ls)
-                        for line, ls in partner_lists.items()
+                        format_line_triple(plane.lines[i]): len(js)
+                        for i, js in partner_lists.items()
                     },
                     "confirmed_by_midpoint_path": honest,
                 })
@@ -1026,8 +1052,10 @@ def exhaustive_maximal_arrangements(spec: FieldSpec) -> list[frozenset[LinePair]
 
     Seeds are all nontrivial two-pair arrangements; each is grown by adding
     any pair that keeps the arrangement property, branching over all
-    choices, until no pair extends.  Larger fields are refused: the search
-    is only feasible over the 78 line pairs of GF(3).
+    choices, until no pair extends.  Each stack entry carries its merged
+    per-line state, so one extension test costs one pass over the set's
+    lines.  Larger fields are refused: the search is only feasible over
+    the 78 line pairs of GF(3).
     """
     if not spec.is_finite or spec.p != 3:
         raise OracleError(
@@ -1037,36 +1065,32 @@ def exhaustive_maximal_arrangements(spec: FieldSpec) -> list[frozenset[LinePair]
     plane = _plane(spec)
     pairs = plane.pairs
     npairs = len(pairs)
-
-    def is_arr(idx_set) -> bool:
-        return plane.arrangement_ok([pairs[k] for k in idx_set])
-
     results: set[frozenset[int]] = set()
     visited: set[frozenset[int]] = set()
     all_idx = tuple(range(npairs))
     for i, j in combinations(range(npairs), 2):
-        seed = frozenset((i, j))
         if classify_trivial_arrangement([pairs[i], pairs[j]]) != NONTRIVIAL:
             continue
-        if not is_arr(seed):
-            continue
-        stack = [(seed, all_idx)]
+        state = plane.add(plane.add(plane.empty, i), j)
+        stack = [(frozenset((i, j)), state, plane.line_ids([pairs[i], pairs[j]]), all_idx)]
         while stack:
-            state, cands = stack.pop()
-            if state in visited:
+            members, state, lines, cands = stack.pop()
+            if members in visited:
                 continue
-            visited.add(state)
+            visited.add(members)
             ext = tuple(
-                k for k in cands if k not in state and is_arr(state | {k})
+                k for k in cands
+                if k not in members and plane.extends(state, lines, k)
             )
             if not ext:
-                results.add(state)
-            else:
-                for k in ext:
-                    nxt = state | {k}
-                    if nxt not in visited:
-                        stack.append((nxt, ext))
-    out = [frozenset(pairs[k] for k in state) for state in results]
+                results.add(members)
+                continue
+            for k in ext:
+                nxt = members | {k}
+                if nxt not in visited:
+                    grown = lines + [i for i in set(plane.pair_lines[k]) if i not in lines]
+                    stack.append((nxt, plane.add(state, k), grown, ext))
+    out = [frozenset(pairs[k] for k in members) for members in results]
     out.sort(key=lambda s: sorted(p.sort_key() for p in s))
     return out
 
@@ -1084,59 +1108,30 @@ def _check_thm_6_3(spec, policy, rng):
             if len(fails) >= 10:
                 break
             continue
-        member_set = set(member_pairs)
-        nlines = len(plane.lines)
-        coherent = []
-        for i in range(nlines):
-            common = None
-            ok = True
-            for pair in member_pairs:
-                m = plane.pair_mid(i, pair)
-                if m is None:
-                    continue
-                if common is None:
-                    common = m
-                elif m != common:
-                    ok = False
-                    break
-            coherent.append((ok, common))
-        lines_a = []
-        for pair in member_pairs:
-            for line in pair.lines():
-                i = plane.index[line]
-                if i not in lines_a:
-                    lines_a.append(i)
-        if not all(coherent[i][0] for i in lines_a):
+        members = [plane.pair_of(pair) for pair in member_pairs]
+        state = plane.empty
+        for k in members:
+            state = plane.add(state, k)
+        lines = plane.line_ids(member_pairs)
+        if any(state[i] == _CONFLICT for i in lines):
             fails.append({**_pencil_witness(ap.pencil),
                           "issue": "fast path disagrees with arrangement check"})
             if len(fails) >= 10:
                 break
             continue
-
-        def extends(pair: LinePair) -> bool:
-            i1, i2 = plane.index[pair.first], plane.index[pair.second]
-            if not (coherent[i1][0] and coherent[i2][0]):
-                return False
-            for il in lines_a:
-                m = plane.pair_mid(il, pair)
-                if m is None:
-                    continue
-                cm = coherent[il][1]
-                if cm is not None and m != cm:
-                    return False
-            return True
-
-        if not all(extends(pair) for pair in member_pairs):
+        if not all(plane.extends(state, lines, k) for k in members):
             fails.append({**_pencil_witness(ap.pencil),
                           "issue": "a member failed its own extension test"})
             if len(fails) >= 10:
                 break
             continue
+        member_set = set(members)
         survivors = [
-            pair for pair in plane.pairs
-            if pair not in member_set and extends(pair)
+            k for k in range(len(plane.pairs))
+            if k not in member_set and plane.extends(state, lines, k)
         ]
-        for pair in survivors:
+        for k in survivors:
+            pair = plane.pairs[k]
             verdict = is_bisector_arrangement(member_pairs + [pair]).ok
             fails.append({
                 **_pencil_witness(ap.pencil),

@@ -524,10 +524,6 @@ class AsymptoticPencil:
         return line
 
 
-def asymptotic_pencil(f1: Quadratic, f2: Quadratic) -> AsymptoticPencil:
-    return AsymptoticPencil(Pencil(f1, f2))
-
-
 def nets_equal(p1: Pencil, p2: Pencil) -> bool:
     """Whether two pencils span the same affine net (mutual membership)."""
     return (

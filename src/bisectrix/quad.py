@@ -13,6 +13,7 @@ from .conic import (
     DOUBLE,
     PARALLEL,
     LinePair,
+    distinct_lines,
     pairs_are_translates,
 )
 from .geometry import GeometryError, Line, Midpoint, ProjectivePoint, intersect
@@ -75,10 +76,7 @@ def validate(pair1: LinePair, pair2: LinePair) -> Quadrilateral:
         )
     if pair1.line_set() & pair2.line_set():
         raise QuadrilateralError(SHARED_LINE, "the opposite-side pairs share a line")
-    lines = []
-    for line in [*pair1.lines(), *pair2.lines()]:
-        if line not in lines:
-            lines.append(line)
+    lines = distinct_lines([pair1, pair2])
     if all(line.is_parallel_to(lines[0]) for line in lines[1:]):
         raise QuadrilateralError(ALL_PARALLEL, "all four sides are parallel")
     pt = intersect(lines[0], lines[1])

@@ -16,7 +16,6 @@ from bisectrix.bisector import (
     bisects_set,
     classify_trivial_arrangement,
     desargues_involution,
-    field_contains,
     is_bisector_arrangement,
     pair_through_line,
 )
@@ -166,9 +165,9 @@ class TestArrangements:
 class TestBisectorField:
     def test_contains_generator_pairs(self):
         field = bisector_field_of(STANDARD)
-        assert field_contains(field, LinePair(line(1, 0, 0), line(0, 1, 0)))
-        assert field_contains(field, LinePair(line(1, 1, -1), line(1, -1, -3)))
-        assert not field_contains(field, LinePair(line(1, 0, 0), line(0, 1, -1)))
+        assert field.contains(LinePair(line(1, 0, 0), line(0, 1, 0)))
+        assert field.contains(LinePair(line(1, 1, -1), line(1, -1, -3)))
+        assert not field.contains(LinePair(line(1, 0, 0), line(0, 1, -1)))
 
     def test_trivial_pencil_rejected(self):
         with pytest.raises(TrivialPencilError):

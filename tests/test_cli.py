@@ -166,6 +166,11 @@ class TestErrors:
     def test_unknown_subcommand_is_exit_2(self):
         assert run(["frobnicate"])[0] == 2
 
+    def test_removed_json_flag_is_exit_2(self, capsys):
+        # JSON is the only machine output; the old no-op --json flag is gone.
+        assert run(["classify", "--field", "Q", "--json", "x*y-1"]) == (2, "")
+        assert "--json" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["check", "--field", "F5", "--samples", "-5", "thm-6.3"],
         ["render", "--field", "Q", "--kind", "pencil", "--samples", "-1",

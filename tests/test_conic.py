@@ -22,7 +22,6 @@ from bisectrix.conic import (
     mid,
     pairs_are_translates,
     points_at_infinity,
-    product_quadratic,
     pullback,
 )
 from bisectrix.field import GF, rationals
@@ -359,7 +358,7 @@ class TestProduct:
         assert LinePair(line(1, 0, 0), line(0, 1, 0)).product() == XY
         assert LinePair(line(1, 0, -1), line(1, 0, -3)).product() == quad("x^2-4*x+3")
         dbl = LinePair(line(1, 0, -2), line(1, 0, -2))
-        assert product_quadratic(dbl) == quad("x^2-4*x+4")
+        assert dbl.product() == quad("x^2-4*x+4")
 
 
 class TestTranslates:

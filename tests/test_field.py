@@ -12,7 +12,6 @@ from bisectrix.field import (
     FieldSpec,
     GF,
     InfiniteFieldError,
-    enumerate_field,
     halve,
     is_square,
     parse_fieldspec,
@@ -265,7 +264,8 @@ class TestSameSpecFastPath:
 
 
 def test_enumerate_field():
-    assert [x.value for x in enumerate_field(GF(3))] == [0, 1, 2]
-    assert len(enumerate_field(F5)) == 5
+    assert [x.value for x in GF(3).elements()] == [0, 1, 2]
+    assert len(list(F5.elements())) == 5
+    # elements() is a generator: the refusal comes when it is consumed.
     with pytest.raises(InfiniteFieldError):
-        enumerate_field(Q)
+        list(Q.elements())

@@ -1,12 +1,21 @@
+import inspect
 import json
+import random
+import typing
 
 import pytest
 
-from bisectrix.bisector import is_bisector_arrangement
+from bisectrix import oracle
+from bisectrix.bisector import (
+    NONTRIVIAL,
+    classify_trivial_arrangement,
+    is_bisector_arrangement,
+)
 from bisectrix.field import GF, rationals
 from bisectrix.oracle import (
     OracleError,
     Policy,
+    _plane,
     enumerate_line_pairs,
     enumerate_lines,
     enumerate_quadratics,
@@ -172,3 +181,35 @@ class TestMaximalSearch:
             assert is_bisector_arrangement(pairs).ok
             others = [p for p in enumerate_line_pairs(F3) if p not in pairs]
             assert not any(is_bisector_arrangement(pairs + [p]).ok for p in others)
+
+
+@pytest.mark.parametrize("spec,bases", [(F3, 8), (F5, 3)], ids=["F3", "F5"])
+def test_engine_agrees_with_midpoint_path(spec, bases):
+    # For seeded random nontrivial two-pair bases, the integer engine says a
+    # pair extends the base exactly when the plain midpoint path agrees.
+    plane = _plane(spec)
+    pairs = plane.pairs
+    rng = random.Random(2)
+    verdicts = {True: 0, False: 0}
+    done = 0
+    while done < bases:
+        k1, k2 = rng.randrange(len(pairs)), rng.randrange(len(pairs))
+        base = [pairs[k1], pairs[k2]]
+        if k1 == k2 or classify_trivial_arrangement(base) != NONTRIVIAL:
+            continue
+        done += 1
+        state = plane.add(plane.add(plane.empty, k1), k2)
+        lines = plane.line_ids(base)
+        for k, pair in enumerate(pairs):
+            if k in (k1, k2):
+                continue
+            fast = plane.extends(state, lines, k)
+            assert fast == is_bisector_arrangement(base + [pair]).ok, (base, pair)
+            verdicts[fast] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_oracle_annotations_resolve():
+    for _, func in inspect.getmembers(oracle, inspect.isfunction):
+        if func.__module__ == oracle.__name__:
+            typing.get_type_hints(func)
