@@ -121,14 +121,21 @@ def _cmd_asymptotes(args) -> int:
             "lambda": str(d.shift),
         }
     elif d.kind == DEGEN_FAMILY:
+        # r and the mirror component s give the same pair, so step r until
+        # three distinct pairs are found or the field runs out of them.
         samples = []
-        for r in range(3):
+        seen = set()
+        r = 0
+        while len(samples) < 3 and (spec.p is None or r < spec.p):
             pair = d.family.pair_at(spec.scalar(r))
-            quad = d.family.quadratic_at(spec.scalar(r))
-            samples.append({
-                "lines": [format_line_equation(line) for line in pair.lines()],
-                "lambda": str(quad.g - f.g),
-            })
+            if pair not in seen:
+                seen.add(pair)
+                quad = d.family.quadratic_at(spec.scalar(r))
+                samples.append({
+                    "lines": [format_line_equation(line) for line in pair.lines()],
+                    "lambda": str(quad.g - f.g),
+                })
+            r += 1
         payload = {
             "kind": "parallel-family",
             "midline": format_line_equation(d.family.midline),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 from .bisector import (
     BisectorError,
@@ -41,11 +41,10 @@ from .conic import (
     distinct_lines,
     is_reducible,
     meets,
-    mid,
     restrict_to_line,
 )
 from .field import FieldSpec, InfiniteFieldError, square_root
-from .geometry import Line, intersect
+from .geometry import Line, Midpoint, intersect
 from .pencil import (
     AsymptoticPencil,
     NetCoords,
@@ -189,7 +188,7 @@ def default_policy(check_id: str) -> Policy:
 _LINE_CACHE: dict[int, list[Line]] = {}
 _PAIR_CACHE: dict[int, list[LinePair]] = {}
 _TABLE_CACHE: dict[int, dict] = {}
-_QUAD_CACHE: dict[int, list[Quadratic]] = {}
+_KEY_CACHE: dict[int, list[tuple[int, ...]]] = {}
 
 
 def enumerate_lines(spec: FieldSpec) -> list[Line]:
@@ -218,7 +217,8 @@ def reducible_table(spec: FieldSpec) -> dict:
     """Canonical coefficient tuple of every line-pair product -> its pair.
 
     This is the independent reducibility oracle: membership in the table is
-    reducibility over GF(p), with the factorization attached.
+    reducibility over GF(p), with the factorization attached.  Keys are int
+    tuples, the form of ``Quadratic.key`` and ``quadratic_keys``.
     """
     if spec.p not in _TABLE_CACHE:
         table = {}
@@ -228,35 +228,127 @@ def reducible_table(spec: FieldSpec) -> dict:
     return _TABLE_CACHE[spec.p]
 
 
-def enumerate_quadratics(spec: FieldSpec) -> list[Quadratic]:
-    """All quadratics over GF(p) up to scalar (first nonzero coefficient 1)."""
+def quadratic_keys(spec: FieldSpec) -> list[tuple[int, ...]]:
+    """Every quadratic over GF(p) up to scalar, as int tuples (a, b, c, d, e, g).
+
+    The first nonzero coefficient is 1, and it is one of a, b, c.  This is
+    the oracle's one quadratic enumeration; the brute-force scans read it
+    in ints, and only the quadratics handed to the library become objects.
+    """
     if not spec.is_finite:
         raise InfiniteFieldError("cannot enumerate quadratics over an infinite field")
-    if spec.p not in _QUAD_CACHE:
-        one, zero = spec.one, spec.zero
-        elems = list(spec.elements())
-        out = []
+    if spec.p not in _KEY_CACHE:
+        keys = []
         for lead in range(3):
-            head = [zero] * lead + [one]
-            free = 5 - lead
-            stack = [[]]
-            for _ in range(free):
-                stack = [s + [v] for s in stack for v in elems]
-            for tail in stack:
-                out.append(Quadratic(*(head + tail)))
-        _QUAD_CACHE[spec.p] = out
-    return _QUAD_CACHE[spec.p]
+            head = (0,) * lead + (1,)
+            keys += [head + tail for tail in product(range(spec.p), repeat=5 - lead)]
+        _KEY_CACHE[spec.p] = keys
+    return _KEY_CACHE[spec.p]
 
 
-def _count_infinity_directions(f: Quadratic) -> int:
-    """Points at infinity counted by scanning all p + 1 directions."""
-    spec = f.spec
-    one, zero = spec.one, spec.zero
-    n = 1 if f.homogeneous_at(one, zero).is_zero else 0
-    for t in spec.elements():
-        if f.homogeneous_at(t, one).is_zero:
-            n += 1
-    return n
+def enumerate_quadratics(spec: FieldSpec) -> list[Quadratic]:
+    """All quadratics over GF(p) up to scalar, in ``quadratic_keys`` order."""
+    return [Quadratic.from_ints(spec, key) for key in quadratic_keys(spec)]
+
+
+# --- integer kernels ----------------------------------------------------------
+#
+# The brute-force scans below work on int coefficient tuples mod p, not on
+# Scalar objects.  They are the oracle's own route: conic.mid, the
+# zero-at-infinity count and the vertex test are re-derived here in ints,
+# and the library is called only on the instances under test.
+
+# Per-line demands besides a finite midpoint, which is an int >= 0.  The
+# arrangement engine and the midpoint kernel share them.
+_FREE, _INF, _CONFLICT = -1, -2, -3
+
+
+def _infinity_directions(key: tuple[int, ...], p: int) -> int:
+    """How many of the p + 1 directions [1:0], [t:1] the quadratic vanishes at."""
+    a, b, c = key[0], key[1], key[2]
+    return (a == 0) + sum((a * t * t + b * t + c) % p == 0 for t in range(p))
+
+
+def _through_points(keys: list[tuple[int, ...]], points, p: int) -> list[tuple[int, ...]]:
+    """The keys of the quadratics that vanish at every affine int point (x, y)."""
+    for x, y in points:
+        xx, xy, yy = x * x % p, x * y % p, y * y % p
+        keys = [k for k in keys
+                if (k[0] * xx + k[1] * xy + k[2] * yy + k[3] * x + k[4] * y + k[5]) % p == 0]
+    return keys
+
+
+def _net_keys(pencil: Pencil) -> list[tuple[int, ...]]:
+    """The (p + 1) * p net members alpha f1 + beta f2 + shift as int tuples.
+
+    Directions [1:t] for t in residue order, then [0:1]; shifts in residue
+    order within each direction, the order of ``_directions`` and
+    ``spec.elements()``.
+    """
+    p = pencil.spec.p
+    f1, f2 = pencil.f1.key(), pencil.f2.key()
+    out = []
+    for alpha, beta in [(1, t) for t in range(p)] + [(0, 1)]:
+        a, b, c, d, e, g = ((alpha * x + beta * y) % p for x, y in zip(f1, f2))
+        out += [(a, b, c, d, e, (g + lam) % p) for lam in range(p)]
+    return out
+
+
+class _Crossings:
+    """``conic.mid`` in ints on every line of GF(p).
+
+    ``frames[i]`` is line i's parameterization t -> (bx + t dx, by + t dy)
+    from ``Line.parameterization``, as ints, in ``enumerate_lines`` order.
+    A result is the crossing midpoint's parameter t >= 0, _INF for an
+    infinite midpoint, or _FREE when the line does not cross (it misses
+    the conic, or meets it without crossing): a member that is not
+    crossed imposes nothing, as in the arrangement engine's demands.
+    """
+
+    def __init__(self, spec: FieldSpec):
+        p = self.p = spec.p
+        self.lines = enumerate_lines(spec)
+        self.frames = []
+        for line in self.lines:
+            (bx, by), (dx, dy) = line.parameterization()
+            self.frames.append((bx.value, by.value, dx.value, dy.value))
+        self.is_square = [False] * p
+        for x in range(p):
+            self.is_square[x * x % p] = True
+        self.half_inverse = [0] + [pow(2 * x, -1, p) for x in range(1, p)]
+
+    def mid(self, key: tuple[int, ...], i: int) -> int:
+        """Restrict the quadratic to line i as A t^2 + B t + C; midpoint -B/2A."""
+        a, b, c, d, e, g = key
+        bx, by, dx, dy = self.frames[i]
+        p = self.p
+        A = (a * dx * dx + b * dx * dy + c * dy * dy) % p
+        B = ((2 * a * bx + b * by + d) * dx + (b * bx + 2 * c * by + e) * dy) % p
+        if not A:
+            return _INF if B else _FREE
+        C = (a * bx * bx + b * bx * by + c * by * by + d * bx + e * by + g) % p
+        if not self.is_square[(B * B - 4 * A * C) % p]:
+            return _FREE
+        return -B * self.half_inverse[A] % p
+
+    def crossings(self, keys: list[tuple[int, ...]], i: int) -> set[int]:
+        """The distinct midpoints of the quadratics that line i crosses."""
+        return {self.mid(key, i) for key in keys} - {_FREE}
+
+    def midpoint(self, m: Midpoint, i: int) -> int:
+        """A library midpoint on line i in the same words; undetermined is _FREE."""
+        if m.is_finite:
+            return self.lines[i].param_of(m.point).value
+        return _INF if m.is_infinite else _FREE
+
+
+_CROSSINGS_CACHE: dict[int, _Crossings] = {}
+
+
+def _crossings(spec: FieldSpec) -> _Crossings:
+    if spec.p not in _CROSSINGS_CACHE:
+        _CROSSINGS_CACHE[spec.p] = _Crossings(spec)
+    return _CROSSINGS_CACHE[spec.p]
 
 
 # --- randomized generators ----------------------------------------------------
@@ -310,9 +402,6 @@ def _rand_quadrilateral(rng: random.Random, spec: FieldSpec) -> Quadrilateral:
 
 
 # --- the integer arrangement engine -------------------------------------------
-
-# Per-line demands besides a finite midpoint, which is an int >= 0.
-_FREE, _INF, _CONFLICT = -1, -2, -3
 
 
 class _Plane:
@@ -414,16 +503,21 @@ def _pencil_witness(pencil: Pencil) -> dict:
 
 def _check_prop_2_2(spec, policy, rng):
     table = reducible_table(spec)
+    p = spec.p
     elems = list(spec.elements())
+    keys = quadratic_keys(spec)
     fails = []
     counts = {"unique": 0, "family": 0, "none": 0}
-    for f in enumerate_quadratics(spec):
+    for key in keys:
+        # f + lam stays canonical: the leading 1 is in a, b or c.
+        head, g = key[:5], key[5]
         brute = {}
-        for lam in elems:
-            pair = table.get(f.add_constant(lam).canonical().key())
+        for lam in range(p):
+            pair = table.get(head + ((g + lam) % p,))
             if pair is not None:
-                brute[lam.value] = pair
-        n_inf = _count_infinity_directions(f)
+                brute[lam] = pair
+        n_inf = _infinity_directions(key, p)
+        f = Quadratic.from_ints(spec, key)
         d = degenerations(f)
         ok = True
         if n_inf == 2:
@@ -445,7 +539,7 @@ def _check_prop_2_2(spec, policy, rng):
                     and d.family.midline in midlines
                     and {d.family.pair_at(r) for r in elems} == set(brute.values())
                 )
-                own = table.get(f.canonical().key())
+                own = table.get(key)
                 if ok and own is not None:
                     ok = own.midline in midlines
                 counts["family"] += 1
@@ -461,7 +555,7 @@ def _check_prop_2_2(spec, policy, rng):
                 break
     if fails:
         return False, fails
-    return True, [{"classes_checked": len(enumerate_quadratics(spec)), **counts}]
+    return True, [{"classes_checked": len(keys), **counts}]
 
 
 def _check_prop_3_4(spec, policy, rng):
@@ -472,7 +566,7 @@ def _check_prop_3_4(spec, policy, rng):
         hyps = find_hyperbolas(pencil)
         ok = len(hyps) >= need
         for _, h in hyps:
-            ok = ok and _count_infinity_directions(h) == 2
+            ok = ok and _infinity_directions(h.key(), spec.p) == 2
         if len(hyps) == 2:
             ok = ok and are_independent(hyps[0][1], hyps[1][1])
         if not ok:
@@ -803,8 +897,10 @@ def _check_prop_4_6(spec, policy, rng):
 def _check_lemma_5_2(spec, policy, rng):
     fails = []
     lines = enumerate_lines(spec)
+    checked = 0
     for _ in range(policy.count):
         pencil = _rand_reducible_pencil(rng, spec)
+        checked += 1
         for line in lines:
             by_roots = bisects_set(line, [pencil.f1, pencil.f2])
             by_algebra = pair_through_line(line, pencil)
@@ -820,84 +916,61 @@ def _check_lemma_5_2(spec, policy, rng):
                 break
         if len(fails) >= 10:
             break
-    return (not fails), fails or [{"pencils_checked": policy.count,
+    return (not fails), fails or [{"pencils_checked": checked,
                                    "lines_each": len(lines)}]
 
 
 def _check_thm_5_4(spec, policy, rng):
+    kernel = _crossings(spec)
     fails = []
-    lines = enumerate_lines(spec)
     bisector_cases = 0
+    checked = 0
     for _ in range(policy.count):
         pencil = _rand_pencil(rng, spec)
-        for line in lines:
+        checked += 1
+        members = _net_keys(pencil)
+        for i, line in enumerate(kernel.lines):
             if not (meets(pencil.f1, line) and meets(pencil.f2, line)):
                 continue
             m = bisects_set(line, [pencil.f1, pencil.f2])
             if m is None:
                 continue
             bisector_cases += 1
-            ok = True
-            for coords in _directions(spec):
-                for lam in spec.elements():
-                    g = net_member(pencil, NetCoords(coords.alpha, coords.beta, lam))
-                    r = mid(g, line)
-                    if not r.crosses:
-                        continue
-                    if m.is_undetermined or r.midpoint != m:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
+            # Every crossed member must have m's midpoint; none may be
+            # crossed when m is undetermined.
+            if not kernel.crossings(members, i) <= {kernel.midpoint(m, i)}:
                 fails.append({**_pencil_witness(pencil),
                               "line": format_line_triple(line)})
                 break
         if len(fails) >= 10:
             break
-    return (not fails), fails or [{"pencils_checked": policy.count,
+    return (not fails), fails or [{"pencils_checked": checked,
                                    "bisector_cases": bisector_cases}]
 
 
 def _check_cor_5_5(spec, policy, rng):
+    kernel = _crossings(spec)
     fails = []
-    lines = enumerate_lines(spec)
+    checked = 0
     for _ in range(policy.count):
         q = _rand_quadrilateral(rng, spec)
-        pencil = pencil_of(q)
-        for line in lines:
+        checked += 1
+        members = _net_keys(pencil_of(q))
+        for i, line in enumerate(kernel.lines):
             lhs = bisects_quadrilateral(line, q)
-            common = None
-            agree = True
-            crossed = False
-            for coords in _directions(spec):
-                for lam in spec.elements():
-                    g = net_member(pencil, NetCoords(coords.alpha, coords.beta, lam))
-                    r = mid(g, line)
-                    if not r.crosses:
-                        continue
-                    crossed = True
-                    if common is None:
-                        common = r.midpoint
-                    elif r.midpoint != common:
-                        agree = False
-                        break
-                if not agree:
-                    break
-            ok = (lhs is not None) == agree
-            if ok and lhs is not None:
-                if lhs.is_undetermined:
-                    ok = not crossed
-                else:
-                    ok = crossed and common == lhs
+            crossings = kernel.crossings(members, i)
+            if lhs is None:
+                ok = len(crossings) > 1
+            else:
+                ok = crossings == {kernel.midpoint(lhs, i)} - {_FREE}
             if not ok:
                 fails.append({"pairs": format_pair(q.first) + "|" + format_pair(q.second),
                               "line": format_line_triple(line)})
                 break
         if len(fails) >= 10:
             break
-    return (not fails), fails or [{"quadrilaterals_checked": policy.count,
-                                   "lines_each": len(lines)}]
+    return (not fails), fails or [{"quadrilaterals_checked": checked,
+                                   "lines_each": len(kernel.lines)}]
 
 
 def _check_cor_5_6(spec, policy, rng):
@@ -912,10 +985,9 @@ def _check_cor_5_6(spec, policy, rng):
         if any(v.is_infinite for v in vs) or len(set(vs)) != 4:
             continue
         checked += 1
-        through = [
-            f for f in enumerate_quadratics(spec)
-            if all(f.evaluate(*v.affine_xy()).is_zero for v in vs)
-        ]
+        points = [(v.x.value, v.y.value) for v in vs]
+        through = [Quadratic.from_ints(spec, key)
+                   for key in _through_points(quadratic_keys(spec), points, spec.p)]
         for line in lines:
             m = bisects_quadrilateral(line, q)
             if m is None:

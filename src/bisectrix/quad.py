@@ -52,9 +52,6 @@ class Quadrilateral:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Quadrilateral is immutable")
 
-    def pair_list(self) -> list[LinePair]:
-        return [self.first, self.second]
-
     def all_lines(self) -> list[Line]:
         return [*self.first.lines(), *self.second.lines()]
 

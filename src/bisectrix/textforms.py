@@ -20,10 +20,6 @@ class ParseError(ValueError):
     """Malformed text input."""
 
 
-def format_scalar(x: Scalar) -> str:
-    return str(x.value)
-
-
 def parse_scalar(spec: FieldSpec, text: str) -> Scalar:
     try:
         return spec.parse(text)

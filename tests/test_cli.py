@@ -58,6 +58,16 @@ class TestAsymptotes:
         _, out = run(["asymptotes", "--field", "Q", "x^2-y"])
         assert json.loads(out) == {"degenerations": "none"}
 
+    @pytest.mark.parametrize("field,conic,count", [
+        ("F3", "x^2", 2),      # GF(3) has only (p + 1) / 2 = 2 distinct pairs
+        ("Q", "x^2-x", 3),     # r = 0 and r = 1 give the same pair
+    ])
+    def test_family_samples_are_distinct(self, field, conic, count):
+        _, out = run(["asymptotes", "--field", field, "--", conic])
+        pairs = [tuple(s["lines"]) for s in json.loads(out)["samples"]]
+        assert len(pairs) == count
+        assert len(set(pairs)) == count
+
 
 class TestPencil:
     def test_finite_members(self):
@@ -149,6 +159,16 @@ class TestCheck:
         code, out = run(["check", "--field", "F5", "--samples", "40", "lemma-6.2"])
         assert code == 1
         assert json.loads(out)["verdict"] == "fail"
+
+    @pytest.mark.parametrize("check_id,counter", [
+        ("lemma-5.2", "pencils_checked"),
+        ("thm-5.4", "pencils_checked"),
+        ("cor-5.5", "quadrilaterals_checked"),
+    ])
+    def test_reports_instances_checked(self, check_id, counter):
+        code, out = run(["check", "--field", "F5", "--samples", "7", check_id])
+        assert code == 0
+        assert json.loads(out)["witnesses"][-1][counter] == 7
 
     def test_multiple_checks(self):
         code, out = run(["check", "--field", "F5", "--samples", "10",

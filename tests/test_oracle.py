@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import json
 import random
 import typing
@@ -11,18 +12,28 @@ from bisectrix.bisector import (
     classify_trivial_arrangement,
     is_bisector_arrangement,
 )
+from bisectrix.conic import Quadratic, mid
 from bisectrix.field import GF, rationals
 from bisectrix.oracle import (
+    _FREE,
+    _INF,
     OracleError,
     Policy,
+    _crossings,
+    _infinity_directions,
+    _net_keys,
     _plane,
+    _rand_pencil,
+    _through_points,
     enumerate_line_pairs,
     enumerate_lines,
     enumerate_quadratics,
     exhaustive_maximal_arrangements,
+    quadratic_keys,
     reducible_table,
     run_check,
 )
+from bisectrix.pencil import NetCoords, _directions, net_member
 from bisectrix.textforms import parse_quadratic
 
 F3 = GF(3)
@@ -51,6 +62,19 @@ class TestEnumeration:
     def test_rationals_refused(self):
         with pytest.raises(Exception):
             enumerate_lines(rationals())
+        with pytest.raises(Exception):
+            quadratic_keys(rationals())
+
+    @pytest.mark.parametrize("spec", [F3, F5], ids=["F3", "F5"])
+    def test_int_keys_follow_quadratic_enumeration(self, spec):
+        keys = quadratic_keys(spec)
+        assert keys == [f.key() for f in enumerate_quadratics(spec)]
+        # One key per class up to scalar, by leading position, then in order.
+        classes = {
+            Quadratic.from_ints(spec, c).canonical().key()
+            for c in itertools.product(range(spec.p), repeat=6) if any(c[:3])
+        }
+        assert keys == sorted(classes, key=lambda k: (k.index(1), k))
 
     def test_reducible_table(self):
         table = reducible_table(F5)
@@ -213,3 +237,57 @@ def test_oracle_annotations_resolve():
     for _, func in inspect.getmembers(oracle, inspect.isfunction):
         if func.__module__ == oracle.__name__:
             typing.get_type_hints(func)
+
+
+class TestIntKernels:
+    """The oracle's int kernels against the same quantities in Scalar."""
+
+    @pytest.mark.parametrize("spec", [F3, F5], ids=["F3", "F5"])
+    def test_infinity_directions(self, spec):
+        one, zero = spec.one, spec.zero
+        for f in enumerate_quadratics(spec):
+            want = f.homogeneous_at(one, zero).is_zero + sum(
+                f.homogeneous_at(t, one).is_zero for t in spec.elements())
+            assert _infinity_directions(f.key(), spec.p) == want, f
+
+    @pytest.mark.parametrize("spec", [F3, F5], ids=["F3", "F5"])
+    def test_midpoint_agrees_with_conic_mid(self, spec):
+        kernel = _crossings(spec)
+        quads = enumerate_quadratics(spec)
+        sample = random.Random(5).sample(quads, min(len(quads), 300))
+        seen = set()
+        for i, line in enumerate(enumerate_lines(spec)):
+            for f in sample:
+                r = mid(f, line)
+                if not r.crosses:
+                    want = _FREE
+                elif r.midpoint.is_infinite:
+                    want = _INF
+                else:
+                    want = line.param_of(r.midpoint.point).value
+                assert kernel.mid(f.key(), i) == want, (f, line)
+                if r.crosses:
+                    assert kernel.midpoint(r.midpoint, i) == want
+                seen.add(min(want, 0))
+        assert seen == {_FREE, _INF, 0}
+
+    @pytest.mark.parametrize("spec", [F3, F5], ids=["F3", "F5"])
+    def test_vertex_filter_agrees_with_evaluate(self, spec):
+        rng = random.Random(3)
+        quads = enumerate_quadratics(spec)
+        for npoints in (1, 2, 3, 4, 4, 4, 5):
+            cells = rng.sample([(x, y) for x in range(spec.p) for y in range(spec.p)],
+                               npoints)
+            points = [(spec.scalar(x), spec.scalar(y)) for x, y in cells]
+            want = [f.key() for f in quads
+                    if all(f.evaluate(x, y).is_zero for x, y in points)]
+            assert _through_points(quadratic_keys(spec), cells, spec.p) == want
+
+    @pytest.mark.parametrize("spec", [F3, F5], ids=["F3", "F5"])
+    def test_net_keys_agree_with_net_member(self, spec):
+        rng = random.Random(4)
+        for _ in range(5):
+            pencil = _rand_pencil(rng, spec)
+            want = [net_member(pencil, NetCoords(c.alpha, c.beta, lam)).key()
+                    for c in _directions(spec) for lam in spec.elements()]
+            assert _net_keys(pencil) == want
