@@ -44,7 +44,7 @@ from .conic import (
     restrict_to_line,
 )
 from .field import FieldSpec, InfiniteFieldError, square_root
-from .geometry import Line, Midpoint, intersect
+from .geometry import AffineMap, Line, Midpoint, intersect
 from .pencil import (
     AsymptoticPencil,
     NetCoords,
@@ -190,6 +190,18 @@ _PAIR_CACHE: dict[int, list[LinePair]] = {}
 _TABLE_CACHE: dict[int, dict] = {}
 _KEY_CACHE: dict[int, list[tuple[int, ...]]] = {}
 
+# Size budgets: past them a structure would take minutes and gigabytes (at
+# GF(101) a 10,302 x 10,302 line table, about 10^10 quadratics), so its
+# builder refuses with OracleError, which the CLI reports as exit 3.
+PLANE_LINE_BUDGET = 400        # lines scanned by _Plane and _Crossings: p <= 19
+QUADRATIC_BUDGET = 200_000     # quadratic classes (p <= 11) or line pairs (p <= 23)
+SEARCH_PAIR_BUDGET = 500       # line pairs in the maximal-arrangement search: p <= 5
+
+
+def _within_budget(spec: FieldSpec, size: int, what: str, budget: int) -> None:
+    if size > budget:
+        raise OracleError(f"{size:,} {what} over {spec.name} exceed the budget of {budget:,}")
+
 
 def enumerate_lines(spec: FieldSpec) -> list[Line]:
     """All p^2 + p affine lines over GF(p), canonically scaled, each once."""
@@ -207,6 +219,8 @@ def enumerate_line_pairs(spec: FieldSpec) -> list[LinePair]:
     """All unordered pairs of lines, doubles included."""
     if spec.p not in _PAIR_CACHE:
         lines = enumerate_lines(spec)
+        n = len(lines)
+        _within_budget(spec, n * (n + 1) // 2, "line pairs", QUADRATIC_BUDGET)
         pairs = [LinePair(l, l) for l in lines]
         pairs += [LinePair(a, b) for a, b in combinations(lines, 2)]
         _PAIR_CACHE[spec.p] = pairs
@@ -238,6 +252,8 @@ def quadratic_keys(spec: FieldSpec) -> list[tuple[int, ...]]:
     if not spec.is_finite:
         raise InfiniteFieldError("cannot enumerate quadratics over an infinite field")
     if spec.p not in _KEY_CACHE:
+        p = spec.p
+        _within_budget(spec, p**5 + p**4 + p**3, "quadratic classes", QUADRATIC_BUDGET)
         keys = []
         for lead in range(3):
             head = (0,) * lead + (1,)
@@ -308,6 +324,7 @@ class _Crossings:
     def __init__(self, spec: FieldSpec):
         p = self.p = spec.p
         self.lines = enumerate_lines(spec)
+        _within_budget(spec, len(self.lines), "kernel lines", PLANE_LINE_BUDGET)
         self.frames = []
         for line in self.lines:
             (bx, by), (dx, dy) = line.parameterization()
@@ -421,8 +438,9 @@ class _Plane:
     """
 
     def __init__(self, spec: FieldSpec):
-        self.p = spec.p
+        self.spec, self.p = spec, spec.p
         self.lines = enumerate_lines(spec)
+        _within_budget(spec, len(self.lines), "engine lines", PLANE_LINE_BUDGET)
         self.pairs = enumerate_line_pairs(spec)
         self.index = {line: i for i, line in enumerate(self.lines)}
         self.param = [
@@ -482,6 +500,21 @@ class _Plane:
             if s == _CONFLICT or (d != _FREE and d != s):
                 return False
         return True
+
+    def affine_generators(self) -> list[list[int]]:
+        """Line-id permutations, by ``pull_line``, of maps generating AGL(2,p):
+        (x+1, y), (x+y, y), (y, x) and (a x, y) for a = 2 .. p-1."""
+        one, zero = self.spec.one, self.spec.zero
+        maps = [AffineMap(one, zero, zero, one, one, zero),
+                AffineMap(one, one, zero, one, zero, zero),
+                AffineMap(zero, one, one, zero, zero, zero)]
+        maps += [AffineMap(self.spec.scalar(a), zero, zero, one, zero, zero)
+                 for a in range(2, self.p)]
+        return [[self.index[g.pull_line(line)] for line in self.lines] for g in maps]
+
+    def pair_permutation(self, perm: list[int]) -> list[int]:
+        """The permutation of pair ids that a line-id permutation induces."""
+        return [self.pair_id[perm[i]][perm[j]] for i, j in self.pair_lines]
 
 
 _PLANE_CACHE: dict[int, _Plane] = {}
@@ -700,7 +733,7 @@ def _check_prop_3_7(spec, policy, rng):
 
 def _check_prop_4_3(spec, policy, rng):
     from .conic import pullback
-    from .geometry import AffineMap, ProjectivePoint
+    from .geometry import ProjectivePoint
 
     fails = []
     solvable = unsolvable = 0
@@ -1119,41 +1152,56 @@ def _check_lemma_6_2(spec, policy, rng):
     return (not fails), fails or [{"extension_instances": instances}]
 
 
-def exhaustive_maximal_arrangements(spec: FieldSpec) -> list[frozenset[LinePair]]:
-    """Every maximal nontrivial bisector arrangement over GF(3).
+def _orbit(perms: list[list[int]], members: frozenset[int]) -> set[frozenset[int]]:
+    """The images of a set of pair ids under the group the permutations generate."""
+    orbit, todo = {members}, [members]
+    while todo:
+        s = todo.pop()
+        for perm in perms:
+            image = frozenset([perm[k] for k in s])
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
 
-    Seeds are all nontrivial two-pair arrangements; each is grown by adding
-    any pair that keeps the arrangement property, branching over all
-    choices, until no pair extends.  Each stack entry carries its merged
-    per-line state, so one extension test costs one pass over the set's
-    lines.  Larger fields are refused: the search is only feasible over
-    the 78 line pairs of GF(3).
+
+def _maximal_orbits(spec: FieldSpec) -> tuple[list[LinePair], list[list[tuple[int, ...]]]]:
+    """The AGL(2,p) orbits of maximal nontrivial bisector arrangements.
+
+    Seeds are one representative per orbit of nontrivial two-pair sets,
+    grown by every pair that keeps the arrangement property until none
+    does; a stack entry carries its merged per-line state.  Affine maps
+    keep midpoints, so every maximal set is the image of one grown from a
+    seed: the orbits of the sets found hold them all.  Returns the pairs
+    in ``LinePair.sort_key`` order and the sorted orbits of sorted index
+    tuples into them.
     """
-    if not spec.is_finite or spec.p != 3:
-        raise OracleError(
-            "exhaustive maximal-arrangement search is limited to GF(3) "
-            "(78 line pairs); larger fields are refused"
-        )
+    if not spec.is_finite:
+        raise OracleError("the maximal-arrangement search needs a finite field")
+    n = spec.p * spec.p + spec.p
+    _within_budget(spec, n * (n + 1) // 2, "search line pairs", SEARCH_PAIR_BUDGET)
     plane = _plane(spec)
     pairs = plane.pairs
-    npairs = len(pairs)
+    perms = [plane.pair_permutation(g) for g in plane.affine_generators()]
     results: set[frozenset[int]] = set()
     visited: set[frozenset[int]] = set()
-    all_idx = tuple(range(npairs))
-    for i, j in combinations(range(npairs), 2):
+    seeded: set[frozenset[int]] = set()
+    all_idx = tuple(range(len(pairs)))
+    for i, j in combinations(all_idx, 2):
+        seed = frozenset((i, j))
+        if seed in seeded:
+            continue
+        seeded |= _orbit(perms, seed)
         if classify_trivial_arrangement([pairs[i], pairs[j]]) != NONTRIVIAL:
             continue
         state = plane.add(plane.add(plane.empty, i), j)
-        stack = [(frozenset((i, j)), state, plane.line_ids([pairs[i], pairs[j]]), all_idx)]
+        stack = [(seed, state, plane.line_ids([pairs[i], pairs[j]]), all_idx)]
         while stack:
             members, state, lines, cands = stack.pop()
             if members in visited:
                 continue
             visited.add(members)
-            ext = tuple(
-                k for k in cands
-                if k not in members and plane.extends(state, lines, k)
-            )
+            ext = tuple(k for k in cands if k not in members and plane.extends(state, lines, k))
             if not ext:
                 results.add(members)
                 continue
@@ -1162,9 +1210,31 @@ def exhaustive_maximal_arrangements(spec: FieldSpec) -> list[frozenset[LinePair]
                 if nxt not in visited:
                     grown = lines + [i for i in set(plane.pair_lines[k]) if i not in lines]
                     stack.append((nxt, plane.add(state, k), grown, ext))
-    out = [frozenset(pairs[k] for k in members) for members in results]
-    out.sort(key=lambda s: sorted(p.sort_key() for p in s))
-    return out
+    orbits: list[set[frozenset[int]]] = []
+    for members in results:
+        if not any(members in orbit for orbit in orbits):
+            orbits.append(_orbit(perms, members))
+    by_key = sorted(all_idx, key=lambda k: pairs[k].sort_key())
+    rank = {k: r for r, k in enumerate(by_key)}
+    ranked = [sorted(tuple(sorted(rank[k] for k in s)) for s in orbit) for orbit in orbits]
+    return [pairs[k] for k in by_key], sorted(ranked)
+
+
+def exhaustive_maximal_arrangements(spec: FieldSpec) -> list[frozenset[LinePair]]:
+    """Every maximal nontrivial bisector arrangement over GF(p), sorted: the
+    flattened ``_maximal_orbits``.  GF(5) has 465 line pairs; GF(7) is refused."""
+    pairs, orbits = _maximal_orbits(spec)
+    return [frozenset(pairs[r] for r in s) for s in sorted(s for orbit in orbits for s in orbit)]
+
+
+def _is_asymptotic_pencil(pairs: list[LinePair]) -> bool:
+    """Whether the pairs are all members of the nontrivial asymptotic pencil
+    that their first two independent products span."""
+    for pa, pb in combinations(pairs, 2):
+        if are_independent(pa.product(), pb.product()):
+            ap = AsymptoticPencil(Pencil(pa.product(), pb.product()))
+            return {p for _, p in ap.members()} == set(pairs) and not ap.is_trivial()
+    return False
 
 
 def _check_thm_6_3(spec, policy, rng):
@@ -1218,38 +1288,29 @@ def _check_thm_6_3(spec, policy, rng):
 
 
 def _check_thm_6_3_gf3(spec):
+    # Affine maps keep asymptotic pencils, so one verdict holds for an orbit.
+    by_key, orbits = _maximal_orbits(spec)
+    verdicts = [_is_asymptotic_pencil([by_key[r] for r in orbit[0]]) for orbit in orbits]
+    found = sum(len(orbit) for orbit in orbits)
+    matched = sum(len(orbit) for orbit, ok in zip(orbits, verdicts) if ok)
     fails = []
-    found = exhaustive_maximal_arrangements(spec)
-    matched = 0
-    for arrangement in found:
-        pairs = sorted(arrangement, key=LinePair.sort_key)
-        generators = None
-        for pa, pb in combinations(pairs, 2):
-            if are_independent(pa.product(), pb.product()):
-                generators = (pa, pb)
-                break
-        ok = generators is not None
-        if ok:
-            ap = AsymptoticPencil(Pencil(generators[0].product(),
-                                         generators[1].product()))
-            ok = {p for _, p in ap.members()} == set(pairs) and not ap.is_trivial()
-        if ok:
-            matched += 1
-        elif len(fails) < 5:
-            fails.append({
-                "arrangement": "|".join(format_pair(p) for p in pairs),
-                "confirmed_by_midpoint_path": bool(
-                    is_bisector_arrangement(pairs).ok
-                    and not any(
-                        is_bisector_arrangement(pairs + [q]).ok
-                        for q in enumerate_line_pairs(spec) if q not in pairs
-                    )
-                ),
-            })
+    escaping = sorted(s for orbit, ok in zip(orbits, verdicts) if not ok for s in orbit)
+    for s in escaping[:5]:
+        pairs = [by_key[r] for r in s]
+        fails.append({
+            "arrangement": "|".join(format_pair(p) for p in pairs),
+            "confirmed_by_midpoint_path": bool(
+                is_bisector_arrangement(pairs).ok
+                and not any(
+                    is_bisector_arrangement(pairs + [q]).ok
+                    for q in enumerate_line_pairs(spec) if q not in pairs
+                )
+            ),
+        })
     if fails:
-        fails.append({"maximal_nontrivial_arrangements": len(found),
+        fails.append({"maximal_nontrivial_arrangements": found,
                       "asymptotic_pencils_among_them": matched})
-    return (not fails), fails or [{"maximal_nontrivial_arrangements": len(found),
+    return (not fails), fails or [{"maximal_nontrivial_arrangements": found,
                                    "asymptotic_pencils_among_them": matched}]
 
 

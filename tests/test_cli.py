@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -199,6 +200,18 @@ class TestErrors:
     def test_negative_samples_is_exit_2(self, argv, capsys):
         assert run(argv) == (2, "")
         assert "--samples must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check_id,size", [
+        ("lemma-6.2", "10,302 engine lines"),
+        ("prop-2.2", "53,070,753 line pairs"),
+    ])
+    def test_oversized_check_is_exit_3(self, check_id, size, capsys):
+        # Past its size budget a table is refused before it is built.
+        started = time.perf_counter()
+        assert run(["check", "--field", "F101", check_id]) == (3, "")
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: ") and size in err
 
     def test_zero_samples_means_default_count(self):
         code, out = run(["check", "--field", "F5", "--samples", "0",

@@ -12,8 +12,9 @@ from bisectrix.bisector import (
     classify_trivial_arrangement,
     is_bisector_arrangement,
 )
-from bisectrix.conic import Quadratic, mid
+from bisectrix.conic import LinePair, Quadratic, mid
 from bisectrix.field import GF, rationals
+from bisectrix.geometry import AffineMap
 from bisectrix.oracle import (
     _FREE,
     _INF,
@@ -21,6 +22,8 @@ from bisectrix.oracle import (
     Policy,
     _crossings,
     _infinity_directions,
+    _is_asymptotic_pencil,
+    _maximal_orbits,
     _net_keys,
     _plane,
     _rand_pencil,
@@ -193,9 +196,10 @@ class TestKnownCounterexamples:
 
 
 class TestMaximalSearch:
-    def test_refusal_beyond_gf3(self):
-        with pytest.raises(OracleError):
-            exhaustive_maximal_arrangements(F5)
+    def test_refusal_beyond_gf5(self):
+        # The search admits GF(5)'s 465 line pairs and refuses GF(7)'s 1,596.
+        with pytest.raises(OracleError, match="1,596"):
+            exhaustive_maximal_arrangements(F7)
 
     def test_found_sets_are_honest_arrangements(self):
         found = exhaustive_maximal_arrangements(F3)
@@ -291,3 +295,113 @@ class TestIntKernels:
             want = [net_member(pencil, NetCoords(c.alpha, c.beta, lam)).key()
                     for c in _directions(spec) for lam in spec.elements()]
             assert _net_keys(pencil) == want
+
+
+@pytest.fixture(scope="module")
+def gf5_orbits():
+    return _maximal_orbits(F5)
+
+
+def _plain_maximal_search(spec):
+    """Every maximal set grown from every nontrivial two-pair seed, unreduced."""
+    plane = _plane(spec)
+    found, visited = set(), set()
+    for i, j in itertools.combinations(range(len(plane.pairs)), 2):
+        if classify_trivial_arrangement([plane.pairs[i], plane.pairs[j]]) != NONTRIVIAL:
+            continue
+        stack = [frozenset((i, j))]
+        while stack:
+            members = stack.pop()
+            if members in visited:
+                continue
+            visited.add(members)
+            state = plane.empty
+            for k in members:
+                state = plane.add(state, k)
+            lines = plane.line_ids([plane.pairs[k] for k in members])
+            ext = [k for k in range(len(plane.pairs))
+                   if k not in members and plane.extends(state, lines, k)]
+            if not ext:
+                found.add(frozenset(plane.pairs[k] for k in members))
+            stack += [members | {k} for k in ext]
+    return found
+
+
+def _image(g, pair):
+    return LinePair(g.apply_line(pair.first), g.apply_line(pair.second))
+
+
+class TestAffineReduction:
+    """The AGL(2,p) action and the orbit-reduced maximal-arrangement search."""
+
+    @pytest.mark.parametrize("spec,order", [(F3, 432), (F5, 12_000)], ids=["F3", "F5"])
+    def test_generators_close_to_the_affine_group(self, spec, order):
+        # |AGL(2,p)| = p^2 (p^2 - 1)(p^2 - p), and it acts faithfully on lines.
+        gens = _plane(spec).affine_generators()
+        identity = tuple(range(len(gens[0])))
+        group, todo = {identity}, [identity]
+        while todo:
+            perm = todo.pop()
+            for g in gens:
+                composed = tuple(g[i] for i in perm)
+                if composed not in group:
+                    group.add(composed)
+                    todo.append(composed)
+        assert len(group) == order
+
+    def test_orbits_flatten_to_the_plain_search(self):
+        found = exhaustive_maximal_arrangements(F3)
+        assert len(found) == len(set(found)) == 990
+        assert set(found) == _plain_maximal_search(F3)
+        keys = [sorted(p.sort_key() for p in s) for s in found]
+        assert keys == sorted(keys)
+
+    def test_orbit_verdict_is_the_per_set_verdict(self):
+        pairs, orbits = _maximal_orbits(F3)
+        assert len(orbits) == 9
+        verdicts = {True: 0, False: 0}
+        for orbit in orbits:
+            want = _is_asymptotic_pencil([pairs[r] for r in orbit[0]])
+            for s in orbit:
+                assert _is_asymptotic_pencil([pairs[r] for r in s]) == want
+                verdicts[want] += 1
+        assert verdicts == {True: 810, False: 180}
+
+    def test_gf5_orbits(self, gf5_orbits):
+        pairs, orbits = gf5_orbits
+        sizes = sorted((len(orbit) for orbit in orbits), reverse=True)
+        assert sizes == [6000, 4000, 3000, 3000, 2000, 2000, 750, 600, 375, 150]
+        assert sum(sizes) == 21_875
+        pencils, escaping = 0, []
+        for orbit in orbits:
+            rep = [pairs[r] for r in orbit[0]]
+            assert is_bisector_arrangement(rep).ok
+            if _is_asymptotic_pencil(rep):
+                pencils += len(orbit)
+                continue
+            escaping.append((len(rep), len(orbit)))
+            assert not any(is_bisector_arrangement(rep + [q]).ok
+                           for q in pairs if q not in rep)
+        assert pencils == 19_125
+        assert sorted(escaping) == [(3, 2000), (8, 750)]
+
+    @pytest.mark.parametrize("spec", [F3, F5], ids=["F3", "F5"])
+    def test_arrangement_verdict_is_affine_invariant(self, spec, gf5_orbits):
+        # The reduction rests on this: g.S is an arrangement exactly when S is.
+        pairs, orbits = _maximal_orbits(spec) if spec is F3 else gf5_orbits
+        rng = random.Random(6)
+        verdicts = {True: 0, False: 0}
+        for _ in range(12):
+            while True:
+                try:
+                    g = AffineMap(*(spec.scalar(rng.randrange(spec.p)) for _ in range(6)))
+                    break
+                except ValueError:
+                    continue
+            orbit = orbits[rng.randrange(len(orbits))]
+            found = [pairs[r] for r in orbit[rng.randrange(len(orbit))]]
+            for s in (found, found + [rng.choice([q for q in pairs if q not in found])]):
+                ok = is_bisector_arrangement(s).ok
+                assert ok == is_bisector_arrangement([_image(g, p) for p in s]).ok
+                verdicts[ok] += 1
+        assert verdicts[True] and verdicts[False]
