@@ -99,15 +99,22 @@ def pair_through_line(line: Line, pencil: Pencil) -> PairThroughLine | None:
     determinant of those coefficient rows is zero.  When both rows vanish
     every direction qualifies; the smallest coordinates are returned with
     the whole_family flag set.
+
+    Those rows are the generators restricted to the line, in a parameter
+    that differs from the line's own by a nonzero factor, so the
+    determinant is first tested on ``restrict_to_line`` and the generators
+    are pulled back only when it vanishes.
     """
+    A1, B1, _ = restrict_to_line(pencil.f1, line)
+    A2, B2, _ = restrict_to_line(pencil.f2, line)
+    if not (A1 * B2 - A2 * B1).is_zero:
+        return None
     to_y0 = map_line_to_y0(line)
     back = to_y0  # pull_line with this map sends new-coordinate lines back
     inv = to_y0.inverse()
     g1 = pullback(inv, pencil.f1)
     g2 = pullback(inv, pencil.f2)
     spec = pencil.spec
-    if not (g1.a * g2.d - g2.a * g1.d).is_zero:
-        return None
     whole_family = False
     if not (g1.a.is_zero and g2.a.is_zero):
         alpha, beta = g2.a, -g1.a

@@ -53,8 +53,12 @@ class Quadratic:
     def __init__(self, a, b, c, d, e, g):
         if a.is_zero and b.is_zero and c.is_zero:
             raise ConicError("quadratic must have degree exactly 2")
-        for name, val in (("a", a), ("b", b), ("c", c), ("d", d), ("e", e), ("g", g)):
-            object.__setattr__(self, name, val)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        _set_d(self, d)
+        _set_e(self, e)
+        _set_g(self, g)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Quadratic is immutable")
@@ -79,10 +83,6 @@ class Quadratic:
 
     def homogeneous_at(self, dx: Scalar, dy: Scalar) -> Scalar:
         return self.a * dx * dx + self.b * dx * dy + self.c * dy * dy
-
-    def gradient_at(self, x: Scalar, y: Scalar) -> tuple[Scalar, Scalar]:
-        return (self.a * x + self.a * x + self.b * y + self.d,
-                self.b * x + self.c * y + self.c * y + self.e)
 
     def disc(self) -> Scalar:
         """b^2 - 4ac, the discriminant of the homogeneous part."""
@@ -122,7 +122,18 @@ class Quadratic:
         raise AssertionError("unreachable: quadratic has a nonzero coefficient")
 
     def same_up_to_scalar(self, other: "Quadratic") -> bool:
-        return self.canonical() == other.canonical()
+        """Whether other is a nonzero multiple of self, by cross-multiplication.
+
+        With f[i] the first nonzero coefficient of self and g of other, that
+        is g[j] f[i] == f[j] g[i] for every j (g[i] = 0 would force g = 0):
+        exactly when the canonical forms are equal, without building either.
+        """
+        fs, gs = self.coefficients(), other.coefficients()
+        i = 0
+        while fs[i].is_zero:
+            i += 1
+        fi, gi = fs[i], gs[i]
+        return all(gj * fi == fj * gi for fj, gj in zip(fs, gs))
 
     def key(self):
         """Hashable value tuple, mainly for canonical table lookups."""
@@ -141,6 +152,14 @@ class Quadratic:
         return f"Quadratic({a},{b},{c},{d},{e},{g})"
 
 
+_set_a = Quadratic.__dict__["a"].__set__
+_set_b = Quadratic.__dict__["b"].__set__
+_set_c = Quadratic.__dict__["c"].__set__
+_set_d = Quadratic.__dict__["d"].__set__
+_set_e = Quadratic.__dict__["e"].__set__
+_set_g = Quadratic.__dict__["g"].__set__
+
+
 def linear_combination(terms) -> Quadratic:
     """Sum of (scalar, Quadratic) pairs, which must stay degree 2."""
     coeffs = None
@@ -155,23 +174,22 @@ def pullback(mapping: AffineMap, f: Quadratic) -> Quadratic:
 
     Satisfies pullback(m1.compose(m2), f) == pullback(m2, pullback(m1, f)).
     """
-    zero, one = f.spec.zero, f.spec.one
-    xform = (mapping.m11, mapping.m12, mapping.t1)
-    yform = (mapping.m21, mapping.m22, mapping.t2)
-    const = (zero, zero, one)
-    parts = [
-        (f.a, _mul_linear(xform, xform)),
-        (f.b, _mul_linear(xform, yform)),
-        (f.c, _mul_linear(yform, yform)),
-        (f.d, _mul_linear(xform, const)),
-        (f.e, _mul_linear(yform, const)),
-        (f.g, _mul_linear(const, const)),
-    ]
-    coeffs = [zero] * 6
-    for weight, six in parts:
-        for i, v in enumerate(six):
-            coeffs[i] = coeffs[i] + weight * v
-    return Quadratic(*coeffs)
+    a, b, c = f.a, f.b, f.c
+    m11, m12, m21, m22 = mapping.m11, mapping.m12, mapping.m21, mapping.m22
+    t1, t2 = mapping.t1, mapping.t2
+    a2, c2 = a + a, c + c
+    # (gx, gy): gradient of the homogeneous part at the image of the x-axis
+    # direction (m11, m21); (hx, hy): gradient of f at the translation (t1, t2).
+    gx, gy = a2 * m11 + b * m21, b * m11 + c2 * m21
+    hx, hy = a2 * t1 + b * t2 + f.d, b * t1 + c2 * t2 + f.e
+    return Quadratic(
+        halve(gx * m11 + gy * m21),
+        gx * m12 + gy * m22,
+        (a * m12 + b * m22) * m12 + c * m22 * m22,
+        hx * m11 + hy * m21,
+        hx * m12 + hy * m22,
+        halve((hx + f.d) * t1 + (hy + f.e) * t2) + f.g,
+    )
 
 
 # --- classification ---------------------------------------------------------
@@ -363,20 +381,12 @@ def is_reducible(f: Quadratic) -> LinePair | None:
     """
     if not f.det3().is_zero:
         return None
-    disc_root = square_root(f.disc())
-    if disc_root is None:
+    disc = f.disc()
+    root = square_root(disc)
+    if root is None:
         return None
-    if not disc_root.is_zero:
-        ctr = center(f)
-        cx, cy = ctr.affine_xy()
-        lines = []
-        for direction in points_at_infinity(f):
-            dx, dy = direction.x, direction.y
-            lines.append(Line(dy, -dx, dx * cy - dy * cx))
-        pair = LinePair(lines[0], lines[1])
-        if not pair.product().same_up_to_scalar(f):
-            raise AssertionError("crossing factorization failed to reproduce input")
-        return pair
+    if not root.is_zero:
+        return _crossing_pair(f, disc, root)
     scale, (u, v) = _split_homogeneous_square(f)
     # With det3 = 0 the linear part is a multiple of uX + vY.
     m = f.d / u if not u.is_zero else f.e / v
@@ -385,11 +395,38 @@ def is_reducible(f: Quadratic) -> LinePair | None:
     shifted_disc = square_root(m * m - 4 * scale * f.g)
     if shifted_disc is None:
         return None
-    t1 = halve((-m + shifted_disc) / scale)
-    t2 = halve((-m - shifted_disc) / scale)
-    pair = LinePair(Line(u, v, -t1), Line(u, v, -t2))
+    # The components are uX + vY = t for t = (-m +- shifted_disc) / 2 scale.
+    k = (scale + scale).inverse()
+    pair = LinePair(Line(u, v, (m - shifted_disc) * k), Line(u, v, (m + shifted_disc) * k))
     if not pair.product().same_up_to_scalar(f):
         raise AssertionError("parallel factorization failed to reproduce input")
+    return pair
+
+
+def _crossing_pair(f: Quadratic, disc: Scalar, root: Scalar) -> LinePair:
+    """The two lines of f, given det3(f) = 0 and disc = root^2 != 0.
+
+    Both lines pass through the center, the zero of the gradient, and their
+    directions are the roots of the homogeneous part: [1 : 0] and
+    [-c/b : 1] when a = 0, else [(-b +- root)/2a : 1].
+    """
+    a, b, c, d, e = f.a, f.b, f.c, f.d, f.e
+    k = disc.inverse()
+    cx = (c * d + c * d - b * e) * k
+    cy = (a * e + a * e - b * d) * k
+    one = f.spec.one
+
+    def through_center(x: Scalar) -> Line:  # direction [x : 1]
+        return Line(one, -x, x * cy - cx)
+
+    if a.is_zero:
+        # b != 0 as disc = b^2; the horizontal line has direction [1 : 0].
+        pair = LinePair(Line(f.spec.zero, one, -cy), through_center(-c / b))
+    else:
+        h = (a + a).inverse()
+        pair = LinePair(through_center((root - b) * h), through_center(-(b + root) * h))
+    if not pair.product().same_up_to_scalar(f):
+        raise AssertionError("crossing factorization failed to reproduce input")
     return pair
 
 
@@ -467,13 +504,11 @@ def degenerations(f: Quadratic) -> Degenerations:
     with det3 != 0 have none.
     """
     disc = f.disc()
-    disc_root = square_root(disc)
-    slope = f.a * f.c - halve(f.b) * halve(f.b)  # d det3(f + t) / dt
-    if disc_root is not None and not disc_root.is_zero:
-        shift = -f.det3() / slope
-        pair = is_reducible(f.add_constant(shift))
-        if pair is None or pair.kind != CROSSING:
-            raise AssertionError("hyperbola degeneration must be a crossing pair")
+    root = square_root(disc)
+    if root is not None and not root.is_zero:
+        # det3(f + t) = det3(f) - t disc / 4, so this shift makes det3 zero.
+        shift = 4 * f.det3() / disc
+        pair = _crossing_pair(f.add_constant(shift), disc, root)
         return Degenerations(DEGEN_UNIQUE, pair=pair, shift=shift)
     if disc.is_zero and f.det3().is_zero:
         scale, (u, v) = _split_homogeneous_square(f)
@@ -536,12 +571,17 @@ def restrict_to_line(f: Quadratic, line: Line) -> tuple[Scalar, Scalar, Scalar]:
     A is the homogeneous part at the direction, so A = 0 exactly when the
     line's point at infinity lies on the conic's closure.
     """
-    (bx, by), (dx, dy) = line.parameterization()
-    A = f.homogeneous_at(dx, dy)
-    gx, gy = f.gradient_at(bx, by)
-    B = gx * dx + gy * dy
-    C = f.evaluate(bx, by)
-    return A, B, C
+    u, v, w = line.u, line.v, line.w
+    if v.is_zero:
+        # Canonical vertical line X = -w: base (-w, 0), direction (0, 1).
+        x = -w
+        return f.c, f.b * x + f.e, (f.a * x + f.d) * x + f.g
+    # Base (0, y), direction (-v, u).
+    y = -w / v
+    cy = f.c * y
+    return ((f.a * v - f.b * u) * v + f.c * u * u,
+            (cy + cy + f.e) * u - (f.b * y + f.d) * v,
+            (cy + f.e) * y + f.g)
 
 
 def meets(f: Quadratic, line: Line) -> bool:

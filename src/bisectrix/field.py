@@ -71,7 +71,7 @@ def _is_prime(n: int) -> bool:
 class FieldSpec:
     """Either the rationals (``p is None``) or GF(p) for an odd prime p."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "zero", "one")
 
     def __init__(self, p: int | None):
         if p is not None:
@@ -82,6 +82,9 @@ class FieldSpec:
             if p < 3 or not _is_prime(p):
                 raise FieldError(f"GF({p}) is not supported: p must be an odd prime >= 3")
         object.__setattr__(self, "p", p)
+        # Built once: every read of spec.zero / spec.one shares these scalars.
+        object.__setattr__(self, "zero", self.scalar(0))
+        object.__setattr__(self, "one", self.scalar(1))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("FieldSpec is immutable")
@@ -129,23 +132,12 @@ class FieldSpec:
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"invalid {self.name} scalar text {text!r}") from exc
 
-    @property
-    def zero(self) -> "Scalar":
-        return self.scalar(0)
-
-    @property
-    def one(self) -> "Scalar":
-        return self.scalar(1)
-
     def elements(self) -> Iterator["Scalar"]:
         """Yield every field element exactly once (finite fields only)."""
         if self.p is None:
             raise InfiniteFieldError("cannot enumerate the rationals: infinite field")
         for v in range(self.p):
             yield Scalar(self, v)
-
-
-_RATIONALS = FieldSpec(None)
 
 
 def rationals() -> FieldSpec:
@@ -315,6 +307,9 @@ class Scalar:
 _new = object.__new__
 _set_spec = Scalar.__dict__["spec"].__set__
 _set_value = Scalar.__dict__["value"].__set__
+
+# Created after Scalar, since a FieldSpec builds its zero and one.
+_RATIONALS = FieldSpec(None)
 
 
 def halve(x: Scalar) -> Scalar:

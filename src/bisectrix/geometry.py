@@ -21,18 +21,22 @@ class ProjectivePoint:
     __slots__ = ("x", "y", "z")
 
     def __init__(self, x: Scalar, y: Scalar, z: Scalar):
-        if x.is_zero and y.is_zero and z.is_zero:
-            raise GeometryError("projective point needs a nonzero coordinate")
-        # Canonical representative: last nonzero coordinate equals 1.
+        # Canonical representative: last nonzero coordinate equals 1.  Affine
+        # points with z = 1 and directions [x : 1 : 0] are already canonical.
         if not z.is_zero:
-            x, y, z = x / z, y / z, z / z
+            if z.value != 1:
+                k = z.inverse()
+                x, y, z = x * k, y * k, z.spec.one
         elif not y.is_zero:
-            x, y, z = x / y, y / y, z
+            if y.value != 1:
+                x, y = x / y, y.spec.one
+        elif not x.is_zero:
+            x = x.spec.one
         else:
-            x, y, z = x / x, y, z
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
+            raise GeometryError("projective point needs a nonzero coordinate")
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_z(self, z)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("ProjectivePoint is immutable")
@@ -73,6 +77,11 @@ class ProjectivePoint:
         return (self.z.sort_key(), self.x.sort_key(), self.y.sort_key())
 
 
+_set_x = ProjectivePoint.__dict__["x"].__set__
+_set_y = ProjectivePoint.__dict__["y"].__set__
+_set_z = ProjectivePoint.__dict__["z"].__set__
+
+
 class _Coincident:
     """Marker for the intersection of two identical lines."""
 
@@ -96,13 +105,21 @@ class Line:
     __slots__ = ("u", "v", "w")
 
     def __init__(self, u: Scalar, v: Scalar, w: Scalar):
-        if u.is_zero and v.is_zero:
+        # Canonical scaling: the first nonzero of (u, v) equals 1.  Lines
+        # built from a direction [x : 1] or a unit coefficient already are.
+        if not u.is_zero:
+            if u.value != 1:
+                k = u.inverse()
+                u, v, w = u.spec.one, v * k, w * k
+        elif not v.is_zero:
+            if v.value != 1:
+                k = v.inverse()
+                v, w = v.spec.one, w * k
+        else:
             raise GeometryError("line coefficients need (u, v) != (0, 0)")
-        s = u if not u.is_zero else v
-        u, v, w = u / s, v / s, w / s
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "w", w)
+        _set_u(self, u)
+        _set_v(self, v)
+        _set_w(self, w)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Line is immutable")
@@ -174,6 +191,11 @@ class Line:
 
     def sort_key(self):
         return (self.u.sort_key(), self.v.sort_key(), self.w.sort_key())
+
+
+_set_u = Line.__dict__["u"].__set__
+_set_v = Line.__dict__["v"].__set__
+_set_w = Line.__dict__["w"].__set__
 
 
 def intersect(l1: Line, l2: Line) -> ProjectivePoint | _Coincident:

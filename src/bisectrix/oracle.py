@@ -193,7 +193,7 @@ _KEY_CACHE: dict[int, list[tuple[int, ...]]] = {}
 # Size budgets: past them a structure would take minutes and gigabytes (at
 # GF(101) a 10,302 x 10,302 line table, about 10^10 quadratics), so its
 # builder refuses with OracleError, which the CLI reports as exit 3.
-PLANE_LINE_BUDGET = 400        # lines scanned by _Plane and _Crossings: p <= 19
+PLANE_LINE_BUDGET = 400        # lines of _Plane and _Crossings, prop-3.7 net members: p <= 19
 QUADRATIC_BUDGET = 200_000     # quadratic classes (p <= 11) or line pairs (p <= 23)
 SEARCH_PAIR_BUDGET = 500       # line pairs in the maximal-arrangement search: p <= 5
 
@@ -706,6 +706,8 @@ def _check_example_3_6(spec, policy, rng):
 
 
 def _check_prop_3_7(spec, policy, rng):
+    # Every pencil is checked on all its (p+1)·p net members, one per line.
+    _within_budget(spec, (spec.p + 1) * spec.p, "net members per pencil", PLANE_LINE_BUDGET)
     fails = []
     for _ in range(policy.count):
         pencil = _rand_pencil(rng, spec)

@@ -99,6 +99,26 @@ class TestPairThroughLine:
                 assert hit.pair.contains_line(l)
                 assert net_contains(pencil, hit.pair.product()) is not None
 
+    @pytest.mark.parametrize("spec", [F5, F7], ids=["F5", "F7"])
+    def test_pretest_agrees_with_full_pullback(self, spec):
+        # The restriction pre-test returns None exactly when the X^2 / X
+        # determinant of the generators pulled back to Y = 0 is nonzero.
+        from bisectrix.conic import pullback
+        from bisectrix.geometry import map_line_to_y0
+        from bisectrix.oracle import _rand_pencil, enumerate_lines
+
+        rng = random.Random(24)
+        verdicts = set()
+        for _ in range(4):
+            pencil = _rand_pencil(rng, spec)
+            for l in enumerate_lines(spec):
+                inv = map_line_to_y0(l).inverse()
+                g1, g2 = pullback(inv, pencil.f1), pullback(inv, pencil.f2)
+                splits = (g1.a * g2.d - g2.a * g1.d).is_zero
+                assert (pair_through_line(l, pencil) is not None) == splits
+                verdicts.add(splits)
+        assert verdicts == {True, False}
+
     def test_whole_family_flag(self):
         # Generators sharing Y = 0 as a component of every member's
         # reducible part: f1 = y(x), f2 = y(y+1).

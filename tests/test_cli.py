@@ -204,6 +204,7 @@ class TestErrors:
     @pytest.mark.parametrize("check_id,size", [
         ("lemma-6.2", "10,302 engine lines"),
         ("prop-2.2", "53,070,753 line pairs"),
+        ("prop-3.7-delta", "10,302 net members per pencil"),
     ])
     def test_oversized_check_is_exit_3(self, check_id, size, capsys):
         # Past its size budget a table is refused before it is built.

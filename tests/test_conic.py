@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from bisectrix.conic import (
     pairs_are_translates,
     points_at_infinity,
     pullback,
+    restrict_to_line,
 )
 from bisectrix.field import GF, rationals
 from bisectrix.geometry import AffineMap, Line, Midpoint, ProjectivePoint
@@ -31,6 +33,7 @@ from bisectrix.textforms import parse_quadratic
 Q = rationals()
 F3 = GF(3)
 F5 = GF(5)
+F7 = GF(7)
 
 
 def quad(text, spec=Q):
@@ -378,3 +381,84 @@ class TestTranslates:
         dbl = LinePair(line(1, 0, 0), line(1, 0, 0))
         assert not pairs_are_translates(dbl, a)
         assert pairs_are_translates(dbl, LinePair(line(1, 0, 2), line(1, 0, 2)))
+
+
+def _random_quadratic(rng, spec, lo=-4, hi=4):
+    while True:
+        coeffs = [spec.scalar(rng.randint(lo, hi)) for _ in range(6)]
+        if any(coeffs[:3]):
+            return Quadratic(*coeffs)
+
+
+def _random_map(rng, spec):
+    while True:
+        m = [spec.scalar(rng.randint(-4, 4)) for _ in range(6)]
+        if not (m[0] * m[3] - m[1] * m[2]).is_zero:
+            return AffineMap(*m)
+
+
+class TestKernelEquivalence:
+    """The closed-form kernels against the definitions they expand."""
+
+    def test_pullback_at_every_point_of_gf5(self):
+        # Degree < p in each variable, so the 25 values fix the polynomial.
+        rng = random.Random(31)
+        points = [(x, y) for x in F5.elements() for y in F5.elements()]
+        for _ in range(40):
+            f, m = _random_quadratic(rng, F5), _random_map(rng, F5)
+            g = pullback(m, f)
+            for x, y in points:
+                assert g.evaluate(x, y) == f.evaluate(*m.apply_xy(x, y))
+
+    def test_pullback_at_seeded_rational_points(self):
+        rng = random.Random(32)
+        for _ in range(30):
+            f, m = _random_quadratic(rng, Q), _random_map(rng, Q)
+            g = pullback(m, f)
+            for _ in range(8):
+                x = Q.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+                y = Q.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+                assert g.evaluate(x, y) == f.evaluate(*m.apply_xy(x, y))
+
+    @pytest.mark.parametrize("spec", [F7, Q], ids=["F7", "Q"])
+    def test_restrict_to_line_along_the_parameterization(self, spec):
+        # Three values of t fix A t^2 + B t + C; vertical, horizontal and
+        # slanted lines all occur.
+        rng = random.Random(33)
+        lines = [line(1, 0, -2, spec), line(0, 1, 3, spec), line(1, 0, 0, spec)]
+        lines += [line(rng.randint(-3, 3), rng.randint(1, 3), rng.randint(-3, 3), spec)
+                  for _ in range(12)]
+        assert any(l.v.is_zero for l in lines) and any(not l.v.is_zero for l in lines)
+        for l in lines:
+            for _ in range(6):
+                f = _random_quadratic(rng, spec)
+                A, B, C = restrict_to_line(f, l)
+                for t in (spec.scalar(0), spec.scalar(1), spec.scalar(-2)):
+                    x, y = l.point_at(t).affine_xy()
+                    assert f.evaluate(x, y) == A * t * t + B * t + C
+
+    @pytest.mark.parametrize("spec", [F3, F5], ids=["F3", "F5"])
+    def test_same_up_to_scalar_agrees_with_canonical_forms(self, spec):
+        # Pairs with zero leading coefficients, exact multiples, and
+        # multiples with one coefficient changed.
+        rng = random.Random(34)
+        seen = set()
+        for _ in range(600):
+            f = _random_quadratic(rng, spec, 0, 2)
+            kind = rng.randrange(3)
+            if kind == 0:
+                g = _random_quadratic(rng, spec, 0, 2)
+            else:
+                g = f.scale(spec.scalar(rng.randint(1, spec.p - 1)))
+                if kind == 2:
+                    coeffs = list(g.coefficients())
+                    i = rng.randrange(6)
+                    coeffs[i] = coeffs[i] + spec.scalar(rng.randint(1, spec.p - 1))
+                    if not any(coeffs[:3]):
+                        continue
+                    g = Quadratic(*coeffs)
+            expect = f.canonical() == g.canonical()
+            assert f.same_up_to_scalar(g) == expect
+            seen.add((expect, f.a.is_zero, g.a.is_zero))
+        assert {(True, True, True), (True, False, False), (False, True, False),
+                (False, False, True), (False, True, True)} <= seen

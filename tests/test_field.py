@@ -54,6 +54,22 @@ class TestFieldSpec:
             F5.parse("1/2")
 
 
+class TestCachedConstants:
+    def test_zero_and_one_are_built_once(self):
+        for spec in (GF(3), F7, GF(101), Q):
+            assert spec.one is spec.one and spec.zero is spec.zero
+            assert spec.zero == 0 and spec.one == 1
+            assert spec.zero.spec is spec and spec.one.spec is spec
+        assert GF(7).one is F7.one
+        assert type(Q.one.value) is Fraction and Q.zero.value == Fraction(0)
+
+    def test_fieldspec_is_immutable(self):
+        for attr in ("p", "zero", "one", "other"):
+            with pytest.raises(AttributeError):
+                setattr(F7, attr, F5.one)
+        assert F7.p == 7 and F7.one.value == 1 and F7.zero.value == 0
+
+
 class TestArithmetic:
     @given(a=rational_values, b=rational_values)
     @settings(deadline=None)

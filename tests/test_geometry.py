@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +21,7 @@ from bisectrix.geometry import (
 
 Q = rationals()
 F5 = GF(5)
+F7 = GF(7)
 
 
 def qline(u, v, w, spec=Q):
@@ -46,6 +49,34 @@ class TestProjectivePoint:
     def test_affine_xy_of_infinite_point_fails(self):
         with pytest.raises(GeometryError):
             ProjectivePoint.at_infinity(Q.scalar(1), Q.scalar(0)).affine_xy()
+
+
+class TestUnitNormalizer:
+    """Already-canonical inputs skip the scaling and give the same objects."""
+
+    @pytest.mark.parametrize("spec", [F7, Q], ids=["F7", "Q"])
+    def test_line_from_scaled_copy(self, spec):
+        for u, v, w in ((1, 0, 2), (1, 3, -1), (0, 1, 4), (1, 0, 0)):
+            unit = qline(u, v, w, spec)
+            assert (unit.u, unit.v, unit.w) == tuple(spec.scalar(c) for c in (u, v, w))
+            for k in (2, -3, 5):
+                scaled = qline(k * u, k * v, k * w, spec)
+                assert scaled == unit and hash(scaled) == hash(unit)
+
+    @pytest.mark.parametrize("spec", [F7, Q], ids=["F7", "Q"])
+    def test_point_from_scaled_copy(self, spec):
+        for x, y, z in ((2, -1, 1), (0, 0, 1), (3, 1, 0), (1, 0, 0)):
+            unit = ProjectivePoint(*(spec.scalar(c) for c in (x, y, z)))
+            assert (unit.x, unit.y, unit.z) == tuple(spec.scalar(c) for c in (x, y, z))
+            for k in (2, -3, 5):
+                scaled = ProjectivePoint(*(spec.scalar(k * c) for c in (x, y, z)))
+                assert scaled == unit and hash(scaled) == hash(unit)
+
+    def test_rational_scaling_keeps_fractions(self):
+        half = Q.scalar(Fraction(1, 2))
+        p = ProjectivePoint(half, Q.scalar(3), Q.scalar(Fraction(3, 2)))
+        assert p == qpt(Fraction(1, 3), 2)
+        assert qline(Fraction(2, 3), 1, Fraction(-4, 3)) == qline(1, Fraction(3, 2), -2)
 
 
 class TestIntersect:
