@@ -103,13 +103,25 @@ from .bisector import (
     is_bisector_arrangement,
     pair_through_line,
 )
-from .oracle import (
-    CHECK_IDS,
-    Policy,
-    Report,
-    enumerate_lines,
-    exhaustive_maximal_arrangements,
-    run_check,
-)
 
 __version__ = "0.1.0"
+
+# The oracle is loaded on first use of one of its names (PEP 562), so that
+# importing the package or running a CLI command other than ``check`` does
+# not load it.
+_ORACLE_NAMES = frozenset((
+    "CHECK_IDS",
+    "Policy",
+    "Report",
+    "enumerate_lines",
+    "exhaustive_maximal_arrangements",
+    "run_check",
+))
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

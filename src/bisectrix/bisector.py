@@ -25,7 +25,7 @@ from .conic import (
     pullback,
     restrict_to_line,
 )
-from .field import Scalar, square_root
+from .field import Scalar, raw_is_zero, square_root, wrap
 from .geometry import (
     Line,
     MID_UNDETERMINED,
@@ -107,7 +107,7 @@ def pair_through_line(line: Line, pencil: Pencil) -> PairThroughLine | None:
     """
     A1, B1, _ = restrict_to_line(pencil.f1, line)
     A2, B2, _ = restrict_to_line(pencil.f2, line)
-    if not (A1 * B2 - A2 * B1).is_zero:
+    if not raw_is_zero(A1.spec, A1.value * B2.value - A2.value * B1.value):
         return None
     to_y0 = map_line_to_y0(line)
     back = to_y0  # pull_line with this map sends new-coordinate lines back
@@ -273,9 +273,10 @@ class Involution:
 
 def _rational_projective_root(A: Scalar, B: Scalar, C: Scalar) -> bool:
     """Whether A t^2 + B t s + C s^2 has a root on the projective line."""
-    if A.is_zero:
+    a, b = A.value, B.value
+    if a == 0:
         return True  # [1 : 0] is a root
-    return square_root(B * B - 4 * A * C) is not None
+    return square_root(wrap(A.spec, b * b - 4 * a * C.value)) is not None
 
 
 def desargues_involution(pencil: Pencil, line: Line) -> Involution:

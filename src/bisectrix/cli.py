@@ -27,7 +27,6 @@ from .conic import (
     mid,
 )
 from .field import FieldError, parse_fieldspec
-from .oracle import CHECK_IDS, Policy, default_policy, run_check
 from .pencil import (
     AsymptoticPencil,
     Pencil,
@@ -268,6 +267,9 @@ def _samples(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    # Only this command needs the oracle, so the other commands never load it.
+    from .oracle import CHECK_IDS, Policy, default_policy, run_check
+
     spec = _field(args.field)
     samples = _samples(args)
     if args.checks == ["all"]:
@@ -315,6 +317,18 @@ def _cmd_render(args) -> int:
     else:
         sys.stdout.write(svg + "\n")
     return EXIT_OK
+
+
+class _CheckHelpFormatter(argparse.HelpFormatter):
+    """Lists the check ids in ``check --help`` only when the help is printed,
+    so building the parser does not import the oracle."""
+
+    def _get_help_string(self, action):
+        if action.dest == "checks":
+            from .oracle import CHECK_IDS
+
+            return f"check ids ({', '.join(CHECK_IDS)}) or 'all'"
+        return action.help
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,10 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--line", required=True, help="line as 'u,v,w'")
     p.set_defaults(func=_cmd_desargues)
 
-    p = sub.add_parser("check", help="run verification checks")
+    p = sub.add_parser("check", help="run verification checks",
+                       formatter_class=_CheckHelpFormatter)
     common(p)
-    p.add_argument("checks", nargs="+",
-                   help=f"check ids ({', '.join(CHECK_IDS)}) or 'all'")
+    p.add_argument("checks", nargs="+", help="check ids or 'all'")
     p.add_argument("--samples", type=int, default=0,
                    help="override the randomized sample count")
     p.add_argument("--timings", action="store_true",

@@ -15,7 +15,16 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .field import FieldSpec, Scalar, halve, square_root
+from .field import (
+    FieldSpec,
+    Scalar,
+    halve,
+    raw_inverse,
+    raw_is_zero,
+    same_field,
+    square_root,
+    wrap,
+)
 from .geometry import (
     AffineMap,
     Line,
@@ -31,20 +40,6 @@ class ConicError(ValueError):
     """A conic-level precondition was violated."""
 
 
-def _mul_linear(f1, f2):
-    """Expand (u1 X + v1 Y + w1)(u2 X + v2 Y + w2) into six coefficients."""
-    u1, v1, w1 = f1
-    u2, v2, w2 = f2
-    return (
-        u1 * u2,
-        u1 * v2 + u2 * v1,
-        v1 * v2,
-        u1 * w2 + u2 * w1,
-        v1 * w2 + v2 * w1,
-        w1 * w2,
-    )
-
-
 class Quadratic:
     """A degree-2 polynomial aX^2 + bXY + cY^2 + dX + eY + g."""
 
@@ -53,6 +48,11 @@ class Quadratic:
     def __init__(self, a, b, c, d, e, g):
         if a.is_zero and b.is_zero and c.is_zero:
             raise ConicError("quadratic must have degree exactly 2")
+        # The coefficients share one field, so kernels check only across objects.
+        spec = a.spec
+        if not (spec is b.spec is c.spec is d.spec is e.spec is g.spec):
+            for x in (b, c, d, e, g):
+                same_field(spec, x.spec)
         _set_a(self, a)
         _set_b(self, b)
         _set_c(self, c)
@@ -65,7 +65,9 @@ class Quadratic:
 
     @classmethod
     def from_ints(cls, spec: FieldSpec, coeffs) -> "Quadratic":
-        return cls(*(spec.scalar(v) for v in coeffs))
+        # Times the value of one, an int becomes a Fraction over Q.
+        one = spec.one.value
+        return cls(*(wrap(spec, one * v) for v in coeffs))
 
     @property
     def spec(self) -> FieldSpec:
@@ -86,14 +88,19 @@ class Quadratic:
 
     def disc(self) -> Scalar:
         """b^2 - 4ac, the discriminant of the homogeneous part."""
-        return self.b * self.b - 4 * self.a * self.c
+        b = self.b.value
+        return wrap(self.a.spec, b * b - 4 * self.a.value * self.c.value)
 
     def det3(self) -> Scalar:
-        """Determinant of [[a, b/2, d/2], [b/2, c, e/2], [d/2, e/2, g]]."""
-        bh, dh, eh = halve(self.b), halve(self.d), halve(self.e)
-        return (self.a * (self.c * self.g - eh * eh)
-                - bh * (bh * self.g - eh * dh)
-                + dh * (bh * eh - self.c * dh))
+        """Determinant of [[a, b/2, d/2], [b/2, c, e/2], [d/2, e/2, g]].
+
+        That is N/4 with N = 4acg + bde - ae^2 - cd^2 - gb^2.
+        """
+        spec = self.a.spec
+        a, b, c = self.a.value, self.b.value, self.c.value
+        d, e, g = self.d.value, self.e.value, self.g.value
+        n = (4 * a * c - b * b) * g + (b * e - c * d) * d - a * e * e
+        return wrap(spec, n * raw_inverse(spec, 4))
 
     def __add__(self, other):
         if isinstance(other, Quadratic):
@@ -128,12 +135,16 @@ class Quadratic:
         is g[j] f[i] == f[j] g[i] for every j (g[i] = 0 would force g = 0):
         exactly when the canonical forms are equal, without building either.
         """
-        fs, gs = self.coefficients(), other.coefficients()
+        spec = self.a.spec
+        if other.a.spec is not spec:
+            same_field(spec, other.a.spec)
+        fs = [x.value for x in self.coefficients()]
+        gs = [x.value for x in other.coefficients()]
         i = 0
-        while fs[i].is_zero:
+        while fs[i] == 0:
             i += 1
         fi, gi = fs[i], gs[i]
-        return all(gj * fi == fj * gi for fj, gj in zip(fs, gs))
+        return all(raw_is_zero(spec, gj * fi - fj * gi) for fj, gj in zip(fs, gs))
 
     def key(self):
         """Hashable value tuple, mainly for canonical table lookups."""
@@ -160,13 +171,25 @@ _set_e = Quadratic.__dict__["e"].__set__
 _set_g = Quadratic.__dict__["g"].__set__
 
 
+def _quadratic(spec: FieldSpec, a, b, c, d, e, g) -> Quadratic:
+    """The quadratic with the given raw coefficient values."""
+    return Quadratic(wrap(spec, a), wrap(spec, b), wrap(spec, c),
+                     wrap(spec, d), wrap(spec, e), wrap(spec, g))
+
+
 def linear_combination(terms) -> Quadratic:
     """Sum of (scalar, Quadratic) pairs, which must stay degree 2."""
-    coeffs = None
+    spec = coeffs = None
     for weight, q in terms:
-        contrib = [weight * x for x in q.coefficients()]
+        if spec is None:
+            spec = weight.spec
+        if not (weight.spec is spec is q.a.spec):
+            same_field(spec, weight.spec)
+            same_field(spec, q.a.spec)
+        w = weight.value
+        contrib = [w * x.value for x in q.coefficients()]
         coeffs = contrib if coeffs is None else [x + y for x, y in zip(coeffs, contrib)]
-    return Quadratic(*coeffs)
+    return _quadratic(spec, *coeffs)
 
 
 def pullback(mapping: AffineMap, f: Quadratic) -> Quadratic:
@@ -174,21 +197,27 @@ def pullback(mapping: AffineMap, f: Quadratic) -> Quadratic:
 
     Satisfies pullback(m1.compose(m2), f) == pullback(m2, pullback(m1, f)).
     """
-    a, b, c = f.a, f.b, f.c
-    m11, m12, m21, m22 = mapping.m11, mapping.m12, mapping.m21, mapping.m22
-    t1, t2 = mapping.t1, mapping.t2
+    spec = f.a.spec
+    if mapping.m11.spec is not spec:
+        same_field(spec, mapping.m11.spec)
+    a, b, c, d, e = f.a.value, f.b.value, f.c.value, f.d.value, f.e.value
+    m11, m12 = mapping.m11.value, mapping.m12.value
+    m21, m22 = mapping.m21.value, mapping.m22.value
+    t1, t2 = mapping.t1.value, mapping.t2.value
     a2, c2 = a + a, c + c
     # (gx, gy): gradient of the homogeneous part at the image of the x-axis
     # direction (m11, m21); (hx, hy): gradient of f at the translation (t1, t2).
     gx, gy = a2 * m11 + b * m21, b * m11 + c2 * m21
-    hx, hy = a2 * t1 + b * t2 + f.d, b * t1 + c2 * t2 + f.e
-    return Quadratic(
-        halve(gx * m11 + gy * m21),
+    hx, hy = a2 * t1 + b * t2 + d, b * t1 + c2 * t2 + e
+    half = raw_inverse(spec, 2)
+    return _quadratic(
+        spec,
+        (gx * m11 + gy * m21) * half,
         gx * m12 + gy * m22,
         (a * m12 + b * m22) * m12 + c * m22 * m22,
         hx * m11 + hy * m21,
         hx * m12 + hy * m22,
-        halve((hx + f.d) * t1 + (hy + f.e) * t2) + f.g,
+        ((hx + d) * t1 + (hy + e) * t2) * half + f.g.value,
     )
 
 
@@ -224,22 +253,25 @@ class ConicClass:
 
 def points_at_infinity(f: Quadratic) -> list[ProjectivePoint]:
     """The rational roots of the homogeneous part on the line of directions."""
-    spec = f.spec
+    spec = f.a.spec
     one, zero = spec.one, spec.zero
-    if f.a.is_zero:
+    a, b = f.a.value, f.b.value
+    if a == 0:
         pts = [ProjectivePoint.at_infinity(one, zero)]
-        if not f.b.is_zero:
-            pts.append(ProjectivePoint.at_infinity(-f.c / f.b, one))
+        if b != 0:
+            x = -f.c.value * raw_inverse(spec, b)
+            pts.append(ProjectivePoint.at_infinity(wrap(spec, x), one))
         return sorted(pts, key=ProjectivePoint.sort_key)
     root = square_root(f.disc())
     if root is None:
         return []
-    two_a = f.a + f.a
-    if root.is_zero:
-        return [ProjectivePoint.at_infinity(-f.b / two_a, one)]
+    h = raw_inverse(spec, a + a)
+    r = root.value
+    if r == 0:
+        return [ProjectivePoint.at_infinity(wrap(spec, -b * h), one)]
     pts = [
-        ProjectivePoint.at_infinity((-f.b + root) / two_a, one),
-        ProjectivePoint.at_infinity((-f.b - root) / two_a, one),
+        ProjectivePoint.at_infinity(wrap(spec, (r - b) * h), one),
+        ProjectivePoint.at_infinity(wrap(spec, -(b + r) * h), one),
     ]
     return sorted(pts, key=ProjectivePoint.sort_key)
 
@@ -257,12 +289,19 @@ def classify(f: Quadratic) -> ConicClass:
 
 def center(f: Quadratic) -> ProjectivePoint:
     """The center of a hyperbola: the unique zero of the gradient."""
-    det = 4 * f.a * f.c - f.b * f.b
-    if det.is_zero or square_root(f.disc()) is None:
+    disc = f.disc()
+    if disc.value == 0 or square_root(disc) is None:
         raise ConicError("center is defined for hyperbolas only")
-    x = (f.b * f.e - 2 * f.c * f.d) / det
-    y = (f.b * f.d - 2 * f.a * f.e) / det
-    return ProjectivePoint.affine(x, y)
+    return _center(f, disc)
+
+
+def _center(f: Quadratic, disc: Scalar) -> ProjectivePoint:
+    """The zero of the gradient, given disc = disc(f) != 0."""
+    spec = disc.spec
+    a, b, c, d, e = f.a.value, f.b.value, f.c.value, f.d.value, f.e.value
+    k = raw_inverse(spec, disc.value)
+    return ProjectivePoint.affine(wrap(spec, (c * d + c * d - b * e) * k),
+                                  wrap(spec, (a * e + a * e - b * d) * k))
 
 
 # --- reducibility and line pairs --------------------------------------------
@@ -290,10 +329,22 @@ class LinePair:
             kind, ctr, mid = PARALLEL, None, midline(l1, l2)
         else:
             kind, ctr, mid = CROSSING, intersect(l1, l2), None
-        object.__setattr__(self, "first", l1)
-        object.__setattr__(self, "second", l2)
+        self._fill(l1, l2, kind, ctr, mid)
+
+    @classmethod
+    def _crossing(cls, l1: Line, l2: Line, center: ProjectivePoint) -> "LinePair":
+        """The crossing pair of two lines whose intersection is already known."""
+        pair = object.__new__(cls)
+        if l1.sort_key() > l2.sort_key():
+            l1, l2 = l2, l1
+        pair._fill(l1, l2, CROSSING, center, None)
+        return pair
+
+    def _fill(self, first, second, kind, center, mid) -> None:
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "center", ctr)
+        object.__setattr__(self, "center", center)
         object.__setattr__(self, "midline", mid)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -315,7 +366,10 @@ class LinePair:
     def product(self) -> Quadratic:
         """The product of the two linear forms, in canonical scaling."""
         l1, l2 = self.first, self.second
-        return Quadratic(*_mul_linear((l1.u, l1.v, l1.w), (l2.u, l2.v, l2.w)))
+        u1, v1, w1 = l1.u.value, l1.v.value, l1.w.value
+        u2, v2, w2 = l2.u.value, l2.v.value, l2.w.value
+        return _quadratic(l1.u.spec, u1 * u2, u1 * v2 + u2 * v1, v1 * v2,
+                          u1 * w2 + u2 * w1, v1 * w2 + v2 * w1, w1 * w2)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinePair):
@@ -392,7 +446,8 @@ def is_reducible(f: Quadratic) -> LinePair | None:
     m = f.d / u if not u.is_zero else f.e / v
     if not (f.d == m * u and f.e == m * v):
         raise AssertionError("det3 = 0 but the linear part is not aligned")
-    shifted_disc = square_root(m * m - 4 * scale * f.g)
+    mv = m.value
+    shifted_disc = square_root(wrap(f.a.spec, mv * mv - 4 * scale.value * f.g.value))
     if shifted_disc is None:
         return None
     # The components are uX + vY = t for t = (-m +- shifted_disc) / 2 scale.
@@ -410,21 +465,25 @@ def _crossing_pair(f: Quadratic, disc: Scalar, root: Scalar) -> LinePair:
     directions are the roots of the homogeneous part: [1 : 0] and
     [-c/b : 1] when a = 0, else [(-b +- root)/2a : 1].
     """
-    a, b, c, d, e = f.a, f.b, f.c, f.d, f.e
-    k = disc.inverse()
-    cx = (c * d + c * d - b * e) * k
-    cy = (a * e + a * e - b * d) * k
-    one = f.spec.one
+    spec = disc.spec
+    ctr = _center(f, disc)
+    cx, cy = ctr.x.value, ctr.y.value
+    a, b = f.a.value, f.b.value
+    one = spec.one
 
-    def through_center(x: Scalar) -> Line:  # direction [x : 1]
-        return Line(one, -x, x * cy - cx)
+    def through_center(x) -> Line:  # direction [x : 1], x a raw value
+        return Line(one, wrap(spec, -x), wrap(spec, x * cy - cx))
 
-    if a.is_zero:
+    if a == 0:
         # b != 0 as disc = b^2; the horizontal line has direction [1 : 0].
-        pair = LinePair(Line(f.spec.zero, one, -cy), through_center(-c / b))
+        horizontal = Line(spec.zero, one, wrap(spec, -cy))
+        pair = LinePair._crossing(
+            horizontal, through_center(-f.c.value * raw_inverse(spec, b)), ctr)
     else:
-        h = (a + a).inverse()
-        pair = LinePair(through_center((root - b) * h), through_center(-(b + root) * h))
+        h = raw_inverse(spec, a + a)
+        r = root.value
+        pair = LinePair._crossing(
+            through_center((r - b) * h), through_center(-(b + r) * h), ctr)
     if not pair.product().same_up_to_scalar(f):
         raise AssertionError("crossing factorization failed to reproduce input")
     return pair
@@ -507,7 +566,8 @@ def degenerations(f: Quadratic) -> Degenerations:
     root = square_root(disc)
     if root is not None and not root.is_zero:
         # det3(f + t) = det3(f) - t disc / 4, so this shift makes det3 zero.
-        shift = 4 * f.det3() / disc
+        spec = disc.spec
+        shift = wrap(spec, 4 * f.det3().value * raw_inverse(spec, disc.value))
         pair = _crossing_pair(f.add_constant(shift), disc, root)
         return Degenerations(DEGEN_UNIQUE, pair=pair, shift=shift)
     if disc.is_zero and f.det3().is_zero:
@@ -571,25 +631,31 @@ def restrict_to_line(f: Quadratic, line: Line) -> tuple[Scalar, Scalar, Scalar]:
     A is the homogeneous part at the direction, so A = 0 exactly when the
     line's point at infinity lies on the conic's closure.
     """
-    u, v, w = line.u, line.v, line.w
-    if v.is_zero:
+    spec = f.a.spec
+    if line.u.spec is not spec:
+        same_field(spec, line.u.spec)
+    a, b, c = f.a.value, f.b.value, f.c.value
+    d, e, g = f.d.value, f.e.value, f.g.value
+    u, v, w = line.u.value, line.v.value, line.w.value
+    if v == 0:
         # Canonical vertical line X = -w: base (-w, 0), direction (0, 1).
         x = -w
-        return f.c, f.b * x + f.e, (f.a * x + f.d) * x + f.g
+        return f.c, wrap(spec, b * x + e), wrap(spec, (a * x + d) * x + g)
     # Base (0, y), direction (-v, u).
-    y = -w / v
-    cy = f.c * y
-    return ((f.a * v - f.b * u) * v + f.c * u * u,
-            (cy + cy + f.e) * u - (f.b * y + f.d) * v,
-            (cy + f.e) * y + f.g)
+    y = -w if v == 1 else -w * raw_inverse(spec, v)
+    cy = c * y
+    return (wrap(spec, (a * v - b * u) * v + c * u * u),
+            wrap(spec, (cy + cy + e) * u - (b * y + d) * v),
+            wrap(spec, (cy + e) * y + g))
 
 
 def meets(f: Quadratic, line: Line) -> bool:
     """Whether the projective closures of line and conic intersect."""
     A, B, C = restrict_to_line(f, line)
-    if A.is_zero:
+    a, b = A.value, B.value
+    if a == 0:
         return True
-    return square_root(B * B - 4 * A * C) is not None
+    return square_root(wrap(A.spec, b * b - 4 * a * C.value)) is not None
 
 
 def mid(f: Quadratic, line: Line) -> MidResult:
@@ -599,13 +665,13 @@ def mid(f: Quadratic, line: Line) -> MidResult:
     with the tangency point as midpoint, the sum-of-roots convention.
     """
     A, B, C = restrict_to_line(f, line)
-    if A.is_zero and B.is_zero and C.is_zero:
-        return MEETS_NO_CROSS
-    if not A.is_zero:
-        if square_root(B * B - 4 * A * C) is None:
+    a, b = A.value, B.value
+    if a != 0:
+        spec = A.spec
+        if square_root(wrap(spec, b * b - 4 * a * C.value)) is None:
             return NO_MEET
-        t_mid = halve(-B / A)
+        t_mid = wrap(spec, -b * raw_inverse(spec, a + a))
         return MidResult(MR_CROSSES, Midpoint.finite(line.point_at(t_mid)))
-    if not B.is_zero:
+    if b != 0:
         return MidResult(MR_CROSSES, MID_INFINITE)
     return MEETS_NO_CROSS

@@ -312,6 +312,54 @@ _set_value = Scalar.__dict__["value"].__set__
 _RATIONALS = FieldSpec(None)
 
 
+# --- value-level kernels -------------------------------------------------------
+# A kernel reads the ``.value``s of its scalars, computes on them with plain
+# ints (GF(p)) or Fractions (Q), and wraps each result once.  Raw GF(p)
+# values may be unreduced.  ``wrap``, ``raw_inverse`` and ``raw_is_zero`` are
+# the only code that knows which field a raw value lives in, so Q and GF(p)
+# run the same kernel bodies.
+
+_FRACTION_ONE = Fraction(1)
+
+
+def wrap(spec: FieldSpec, raw) -> Scalar:
+    """The scalar of a raw value computed from values of ``spec``."""
+    p = spec.p
+    r = _new(Scalar)
+    _set_spec(r, spec)
+    _set_value(r, raw % p if p else raw)
+    return r
+
+
+def raw_inverse(spec: FieldSpec, raw):
+    """1 / raw as a raw value: a Fraction over Q, a residue over GF(p)."""
+    p = spec.p
+    if p is None:
+        if raw == 0:
+            raise ZeroDivisionError("division by zero scalar")
+        return _FRACTION_ONE / raw  # a Fraction even for an int raw
+    raw %= p
+    if raw == 0:
+        raise ZeroDivisionError("division by zero scalar")
+    return pow(raw, p - 2, p)
+
+
+def raw_is_zero(spec: FieldSpec, raw) -> bool:
+    """Whether a raw, possibly unreduced, value is zero in the field."""
+    p = spec.p
+    return raw % p == 0 if p else raw == 0
+
+
+def same_field(spec: FieldSpec, other: FieldSpec) -> None:
+    """Raise FieldMismatchError unless ``other`` equals ``spec``.
+
+    Kernels call it only after an identity test fails, so the same
+    ``FieldSpec`` object costs one ``is``.
+    """
+    if other != spec:
+        raise FieldMismatchError(f"cannot combine {spec} scalar with {other} scalar")
+
+
 def halve(x: Scalar) -> Scalar:
     """The unique y with 2y = x (total because char != 2)."""
     p = x.spec.p

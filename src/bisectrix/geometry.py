@@ -8,7 +8,7 @@ lines uX + vY + w = 0 with (u, v) != (0, 0), scaled so the first nonzero of
 
 from __future__ import annotations
 
-from .field import FieldSpec, Scalar, halve
+from .field import FieldSpec, Scalar, halve, raw_inverse, raw_is_zero, same_field, wrap
 
 
 class GeometryError(ValueError):
@@ -23,15 +23,20 @@ class ProjectivePoint:
     def __init__(self, x: Scalar, y: Scalar, z: Scalar):
         # Canonical representative: last nonzero coordinate equals 1.  Affine
         # points with z = 1 and directions [x : 1 : 0] are already canonical.
-        if not z.is_zero:
+        # The coordinates share one field, so kernels check only across objects.
+        spec = z.spec
+        if not (x.spec is spec is y.spec):
+            same_field(spec, x.spec)
+            same_field(spec, y.spec)
+        if z.value != 0:
             if z.value != 1:
-                k = z.inverse()
-                x, y, z = x * k, y * k, z.spec.one
-        elif not y.is_zero:
+                k = raw_inverse(spec, z.value)
+                x, y, z = wrap(spec, x.value * k), wrap(spec, y.value * k), spec.one
+        elif y.value != 0:
             if y.value != 1:
-                x, y = x / y, y.spec.one
-        elif not x.is_zero:
-            x = x.spec.one
+                x, y = wrap(spec, x.value * raw_inverse(spec, y.value)), spec.one
+        elif x.value != 0:
+            x = spec.one
         else:
             raise GeometryError("projective point needs a nonzero coordinate")
         _set_x(self, x)
@@ -65,16 +70,20 @@ class ProjectivePoint:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjectivePoint):
             return NotImplemented
-        return self.x == other.x and self.y == other.y and self.z == other.z
+        if other.x.spec is not self.x.spec:
+            same_field(self.x.spec, other.x.spec)
+        return (self.x.value == other.x.value and self.y.value == other.y.value
+                and self.z.value == other.z.value)
 
     def __hash__(self) -> int:
-        return hash((self.x, self.y, self.z))
+        # A scalar hashes as its value, so this is hash((x, y, z)).
+        return hash((self.x.value, self.y.value, self.z.value))
 
     def __repr__(self) -> str:
         return f"[{self.x}:{self.y}:{self.z}]"
 
     def sort_key(self):
-        return (self.z.sort_key(), self.x.sort_key(), self.y.sort_key())
+        return (self.z.value, self.x.value, self.y.value)
 
 
 _set_x = ProjectivePoint.__dict__["x"].__set__
@@ -107,14 +116,18 @@ class Line:
     def __init__(self, u: Scalar, v: Scalar, w: Scalar):
         # Canonical scaling: the first nonzero of (u, v) equals 1.  Lines
         # built from a direction [x : 1] or a unit coefficient already are.
-        if not u.is_zero:
+        # The coefficients share one field, so kernels check only across objects.
+        spec = u.spec
+        if not (v.spec is spec is w.spec):
+            same_field(spec, v.spec)
+            same_field(spec, w.spec)
+        if u.value != 0:
             if u.value != 1:
-                k = u.inverse()
-                u, v, w = u.spec.one, v * k, w * k
-        elif not v.is_zero:
+                k = raw_inverse(spec, u.value)
+                u, v, w = spec.one, wrap(spec, v.value * k), wrap(spec, w.value * k)
+        elif v.value != 0:
             if v.value != 1:
-                k = v.inverse()
-                v, w = v.spec.one, w * k
+                v, w = spec.one, wrap(spec, w.value * raw_inverse(spec, v.value))
         else:
             raise GeometryError("line coefficients need (u, v) != (0, 0)")
         _set_u(self, u)
@@ -145,52 +158,73 @@ class Line:
 
     def contains(self, p: ProjectivePoint) -> bool:
         """Membership in the projective closure of the line."""
-        return (self.u * p.x + self.v * p.y + self.w * p.z).is_zero
+        spec = self.u.spec
+        if p.x.spec is not spec:
+            same_field(spec, p.x.spec)
+        return raw_is_zero(spec, self.u.value * p.x.value + self.v.value * p.y.value
+                           + self.w.value * p.z.value)
 
     def infinity_point(self) -> ProjectivePoint:
         """The point at infinity of the line: [-v : u : 0]."""
         return ProjectivePoint.at_infinity(-self.v, self.u)
 
     def is_parallel_to(self, other: "Line") -> bool:
-        return self.u == other.u and self.v == other.v
+        if other.u.spec is not self.u.spec:
+            same_field(self.u.spec, other.u.spec)
+        return self.u.value == other.u.value and self.v.value == other.v.value
 
     # A fixed parameterization of the line, t -> base + t * direction, with
     # direction (-v, u) so the parameter point at infinity is [-v : u : 0].
+    # The base is (0, -w/v), or (-w, 0) on a vertical line, whose canonical
+    # u is 1.
     def parameterization(self) -> tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]]:
-        zero = self.spec.zero
-        if not self.v.is_zero:
-            base = (zero, -self.w / self.v)
+        spec = self.u.spec
+        v, w = self.v.value, self.w.value
+        if v != 0:
+            base = (spec.zero, wrap(spec, -w * raw_inverse(spec, v)))
         else:
-            base = (-self.w / self.u, zero)
-        return base, (-self.v, self.u)
+            base = (wrap(spec, -w), spec.zero)
+        return base, (wrap(spec, -v), self.u)
 
     def point_at(self, t: Scalar) -> ProjectivePoint:
-        (bx, by), (dx, dy) = self.parameterization()
-        return ProjectivePoint.affine(bx + t * dx, by + t * dy)
+        spec = self.u.spec
+        if t.spec is not spec:
+            same_field(spec, t.spec)
+        v, w = self.v.value, self.w.value
+        if v == 0:
+            return ProjectivePoint.affine(wrap(spec, -w), t)
+        tv = t.value
+        return ProjectivePoint.affine(
+            wrap(spec, -v * tv), wrap(spec, self.u.value * tv - w * raw_inverse(spec, v))
+        )
 
     def param_of(self, p: ProjectivePoint) -> Scalar:
         """The parameter of an affine point of the line."""
         if not self.contains(p):
             raise GeometryError("point is not on the line")
         x, y = p.affine_xy()
-        (bx, by), (dx, dy) = self.parameterization()
-        if not dx.is_zero:
-            return (x - bx) / dx
-        return (y - by) / dy
+        v = self.v.value
+        if v == 0:
+            return y
+        return wrap(x.spec, -x.value * raw_inverse(x.spec, v))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Line):
             return NotImplemented
-        return self.u == other.u and self.v == other.v and self.w == other.w
+        if other.u.spec is not self.u.spec:
+            same_field(self.u.spec, other.u.spec)
+        return (self.u.value == other.u.value and self.v.value == other.v.value
+                and self.w.value == other.w.value)
 
     def __hash__(self) -> int:
-        return hash((self.u, self.v, self.w))
+        # A scalar hashes as its value, so this is hash((u, v, w)).
+        return hash((self.u.value, self.v.value, self.w.value))
 
     def __repr__(self) -> str:
         return f"Line({self.u},{self.v},{self.w})"
 
     def sort_key(self):
-        return (self.u.sort_key(), self.v.sort_key(), self.w.sort_key())
+        return (self.u.value, self.v.value, self.w.value)
 
 
 _set_u = Line.__dict__["u"].__set__
@@ -200,12 +234,20 @@ _set_w = Line.__dict__["w"].__set__
 
 def intersect(l1: Line, l2: Line) -> ProjectivePoint | _Coincident:
     """Projective intersection of two lines; COINCIDENT for equal lines."""
-    x = l1.v * l2.w - l2.v * l1.w
-    y = l1.w * l2.u - l2.w * l1.u
-    z = l1.u * l2.v - l2.u * l1.v
-    if x.is_zero and y.is_zero and z.is_zero:
+    spec = l1.u.spec
+    if l2.u.spec is not spec:
+        same_field(spec, l2.u.spec)
+    u1, v1, w1 = l1.u.value, l1.v.value, l1.w.value
+    u2, v2, w2 = l2.u.value, l2.v.value, l2.w.value
+    x = v1 * w2 - v2 * w1
+    y = w1 * u2 - w2 * u1
+    z = u1 * v2 - u2 * v1
+    if not raw_is_zero(spec, z):
+        k = raw_inverse(spec, z)
+        return ProjectivePoint.affine(wrap(spec, x * k), wrap(spec, y * k))
+    if raw_is_zero(spec, x) and raw_is_zero(spec, y):
         return COINCIDENT
-    return ProjectivePoint(x, y, z)
+    return ProjectivePoint(wrap(spec, x), wrap(spec, y), spec.zero)
 
 
 def midline(l1: Line, l2: Line) -> Line:

@@ -28,7 +28,16 @@ from .conic import (
     points_at_infinity,
     pullback,
 )
-from .field import FieldSpec, InfiniteFieldError, Scalar, halve, is_square
+from .field import (
+    FieldSpec,
+    InfiniteFieldError,
+    Scalar,
+    is_square,
+    raw_inverse,
+    raw_is_zero,
+    same_field,
+    wrap,
+)
 from .geometry import AffineMap, Line
 
 
@@ -42,12 +51,15 @@ class TrivialPencilError(PencilError):
 
 def are_independent(f1: Quadratic, f2: Quadratic) -> bool:
     """True when no nonzero combination of f1, f2 drops below degree 2."""
-    a1, b1, c1 = f1.homogeneous_part()
-    a2, b2, c2 = f2.homogeneous_part()
+    spec = f1.a.spec
+    if f2.a.spec is not spec:
+        same_field(spec, f2.a.spec)
+    a1, b1, c1 = f1.a.value, f1.b.value, f1.c.value
+    a2, b2, c2 = f2.a.value, f2.b.value, f2.c.value
     return not (
-        (a1 * b2 - a2 * b1).is_zero
-        and (a1 * c2 - a2 * c1).is_zero
-        and (b1 * c2 - b2 * c1).is_zero
+        raw_is_zero(spec, a1 * b2 - a2 * b1)
+        and raw_is_zero(spec, a1 * c2 - a2 * c1)
+        and raw_is_zero(spec, b1 * c2 - b2 * c1)
     )
 
 
@@ -57,12 +69,21 @@ class NetCoords:
     __slots__ = ("alpha", "beta", "shift")
 
     def __init__(self, alpha: Scalar, beta: Scalar, shift: Scalar):
-        if alpha.is_zero and beta.is_zero:
+        spec = alpha.spec
+        if not (beta.spec is spec is shift.spec):
+            same_field(spec, beta.spec)
+            same_field(spec, shift.spec)
+        s = alpha.value if alpha.value != 0 else beta.value
+        if s == 0:
             raise PencilError("net coordinates need (alpha, beta) != (0, 0)")
-        s = alpha if not alpha.is_zero else beta
-        object.__setattr__(self, "alpha", alpha / s)
-        object.__setattr__(self, "beta", beta / s)
-        object.__setattr__(self, "shift", shift / s)
+        if s != 1:
+            k = raw_inverse(spec, s)
+            alpha = wrap(spec, alpha.value * k)
+            beta = wrap(spec, beta.value * k)
+            shift = wrap(spec, shift.value * k)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "shift", shift)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("NetCoords is immutable")
@@ -121,28 +142,31 @@ def net_contains(pencil: Pencil, g: Quadratic) -> NetCoords | None:
     (alpha, beta); the homogeneous parts have rank 2, so the solution is
     unique when it exists, and the shift is read off the constant term.
     """
-    if g.spec != pencil.spec:
+    spec = pencil.f1.a.spec
+    if g.a.spec is not spec and g.spec != spec:
         raise PencilError("membership test needs matching fields")
-    rows1 = pencil.f1.coefficients()[:5]
-    rows2 = pencil.f2.coefficients()[:5]
-    target = g.coefficients()[:5]
+    f1, f2 = pencil.f1, pencil.f2
+    rows1 = [x.value for x in f1.coefficients()]
+    rows2 = [x.value for x in f2.coefficients()]
+    target = [x.value for x in g.coefficients()]
     alpha = beta = None
     for i in range(3):
         for j in range(i + 1, 3):
             det = rows1[i] * rows2[j] - rows1[j] * rows2[i]
-            if not det.is_zero:
-                alpha = (target[i] * rows2[j] - target[j] * rows2[i]) / det
-                beta = (rows1[i] * target[j] - rows1[j] * target[i]) / det
+            if not raw_is_zero(spec, det):
+                k = raw_inverse(spec, det)
+                alpha = (target[i] * rows2[j] - target[j] * rows2[i]) * k
+                beta = (rows1[i] * target[j] - rows1[j] * target[i]) * k
                 break
         if alpha is not None:
             break
     if alpha is None:
         raise AssertionError("independent generators must have rank-2 parts")
     for i in range(5):
-        if target[i] != alpha * rows1[i] + beta * rows2[i]:
+        if not raw_is_zero(spec, target[i] - alpha * rows1[i] - beta * rows2[i]):
             return None
-    shift = g.g - alpha * pencil.f1.g - beta * pencil.f2.g
-    return NetCoords(alpha, beta, shift)
+    shift = target[5] - alpha * rows1[5] - beta * rows2[5]
+    return NetCoords(wrap(spec, alpha), wrap(spec, beta), wrap(spec, shift))
 
 
 # --- the degeneracy cubic -----------------------------------------------------
@@ -183,36 +207,52 @@ class DegeneracyCubic:
         raise AttributeError("DegeneracyCubic is immutable")
 
     def shift_coeff_at(self, alpha: Scalar, beta: Scalar) -> Scalar:
-        q0, q1, q2 = self.shift_coeff
-        return q0 * alpha * alpha + q1 * alpha * beta + q2 * beta * beta
+        a, b = _direction_values(self.spec, alpha, beta)
+        q0, q1, q2 = [x.value for x in self.shift_coeff]
+        return wrap(self.spec, (q0 * a + q1 * b) * a + q2 * b * b)
 
     def base_at(self, alpha: Scalar, beta: Scalar) -> Scalar:
-        c0, c1, c2, c3 = self.base
-        a2, b2 = alpha * alpha, beta * beta
-        return c0 * a2 * alpha + c1 * a2 * beta + c2 * alpha * b2 + c3 * b2 * beta
+        a, b = _direction_values(self.spec, alpha, beta)
+        c0, c1, c2, c3 = [x.value for x in self.base]
+        return wrap(self.spec, ((c0 * a + c1 * b) * a + c2 * b * b) * a + c3 * b * b * b)
 
     def value(self, shift: Scalar, alpha: Scalar, beta: Scalar) -> Scalar:
-        return self.shift_coeff_at(alpha, beta) * shift + self.base_at(alpha, beta)
+        spec = self.spec
+        if shift.spec is not spec:
+            same_field(spec, shift.spec)
+        phi, psi = self.shift_coeff_at(alpha, beta), self.base_at(alpha, beta)
+        return wrap(spec, phi.value * shift.value + psi.value)
 
     @property
     def shift_coeff_is_zero(self) -> bool:
         return all(x.is_zero for x in self.shift_coeff)
 
 
+def _direction_values(spec: FieldSpec, alpha: Scalar, beta: Scalar):
+    if not (alpha.spec is spec is beta.spec):
+        same_field(spec, alpha.spec)
+        same_field(spec, beta.spec)
+    return alpha.value, beta.value
+
+
 def degeneracy_cubic(pencil: Pencil) -> DegeneracyCubic:
+    # The entries of the symmetric member matrix, linear in (alpha, beta), as
+    # pairs of raw values; the forms below are expanded on those values.
+    spec = pencil.spec
     f1, f2 = pencil.f1, pencil.f2
-    e00 = (f1.a, f2.a)
-    e01 = (halve(f1.b), halve(f2.b))
-    e02 = (halve(f1.d), halve(f2.d))
-    e11 = (f1.c, f2.c)
-    e12 = (halve(f1.e), halve(f2.e))
-    e22 = (f1.g, f2.g)
+    half = raw_inverse(spec, 2)
+    e00 = (f1.a.value, f2.a.value)
+    e01 = (f1.b.value * half, f2.b.value * half)
+    e02 = (f1.d.value * half, f2.d.value * half)
+    e11 = (f1.c.value, f2.c.value)
+    e12 = (f1.e.value * half, f2.e.value * half)
+    e22 = (f1.g.value, f2.g.value)
 
     shift_coeff = _lin_mul(e00, e11)
     minus = _lin_mul(e01, e01)
-    shift_coeff = tuple(x - y for x, y in zip(shift_coeff, minus))
+    shift_coeff = [x - y for x, y in zip(shift_coeff, minus)]
 
-    base = [pencil.spec.zero] * 4
+    base = [0] * 4
 
     def add(sign: int, l1, l2, l3):
         cubic = _quad_lin_mul(_lin_mul(l1, l2), l3)
@@ -225,7 +265,8 @@ def degeneracy_cubic(pencil: Pencil) -> DegeneracyCubic:
     add(+1, e01, e02, e12)
     add(+1, e01, e02, e12)
     add(-1, e02, e02, e11)
-    return DegeneracyCubic(pencil.spec, tuple(shift_coeff), tuple(base))
+    return DegeneracyCubic(spec, tuple(wrap(spec, x) for x in shift_coeff),
+                           tuple(wrap(spec, x) for x in base))
 
 
 # --- hyperbola members --------------------------------------------------------

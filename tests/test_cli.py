@@ -319,3 +319,37 @@ class TestRender:
         payload = json.loads(out)
         assert payload["written"] == str(target)
         assert target.read_text().startswith("<?xml")
+
+
+class TestLazyOracle:
+    """Only `check` loads the oracle; the package serves its names on demand."""
+
+    def _fresh(self, code):
+        import os
+        import subprocess
+
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    def test_other_commands_do_not_load_it(self):
+        out = self._fresh(
+            "import io, sys, contextlib\n"
+            "import bisectrix, bisectrix.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    bisectrix.cli.dispatch(['classify', '--field', 'Q', 'x*y-1'])\n"
+            "    bisectrix.cli.dispatch(['pencil', '--field', 'F5', 'x*y', 'x^2-y^2'])\n"
+            "print('bisectrix.oracle' in sys.modules)\n"
+            "from bisectrix import CHECK_IDS, run_check\n"
+            "print('bisectrix.oracle' in sys.modules, run_check.__module__, len(CHECK_IDS))\n")
+        assert out == ["False", "True", "bisectrix.oracle", "17"]
+
+    def test_check_help_lists_the_ids(self, monkeypatch):
+        from bisectrix.oracle import CHECK_IDS
+
+        monkeypatch.setenv("COLUMNS", "1000")  # no wrapping inside an id
+        code, out = run(["check", "--help"])
+        assert code == 0
+        assert all(cid in out for cid in CHECK_IDS)

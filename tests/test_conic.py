@@ -20,13 +20,15 @@ from bisectrix.conic import (
     classify,
     degenerations,
     is_reducible,
+    linear_combination,
+    meets,
     mid,
     pairs_are_translates,
     points_at_infinity,
     pullback,
     restrict_to_line,
 )
-from bisectrix.field import GF, rationals
+from bisectrix.field import GF, rationals, square_root
 from bisectrix.geometry import AffineMap, Line, Midpoint, ProjectivePoint
 from bisectrix.textforms import parse_quadratic
 
@@ -462,3 +464,270 @@ class TestKernelEquivalence:
             seen.add((expect, f.a.is_zero, g.a.is_zero))
         assert {(True, True, True), (True, False, False), (False, True, False),
                 (False, False, True), (False, True, True)} <= seen
+
+
+# --- value-level kernels against Scalar-expression forms ---------------------
+
+# GF(10^9 + 7) leaves intermediate products far above p before the one
+# reduction per result.
+KERNEL_FIELDS = [F3, F5, F7, GF(10**9 + 7), Q]
+KERNEL_IDS = ["F3", "F5", "F7", "Fbig", "Q"]
+
+
+def _value(rng, spec):
+    if spec.p is None:
+        return spec.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+    return spec.scalar(rng.randrange(spec.p))
+
+
+def _quadratic(rng, spec):
+    while True:
+        coeffs = [_value(rng, spec) for _ in range(6)]
+        if any(coeffs[:3]):
+            return Quadratic(*coeffs)
+
+
+def _line(rng, spec):
+    while True:
+        u, v, w = (_value(rng, spec) for _ in range(3))
+        if u or v:
+            return Line(u, v, w)
+
+
+def _scalars(obj):
+    """Every Scalar reachable from a result of a kernel."""
+    if isinstance(obj, (tuple, list)):
+        return [s for x in obj for s in _scalars(x)]
+    if isinstance(obj, Quadratic):
+        return list(obj.coefficients())
+    if isinstance(obj, ProjectivePoint):
+        return [obj.x, obj.y, obj.z]
+    if isinstance(obj, Line):
+        return [obj.u, obj.v, obj.w]
+    if isinstance(obj, LinePair):
+        return _scalars([obj.first, obj.second, obj.center])
+    if obj is None or isinstance(obj, (bool, str)):
+        return []
+    if hasattr(obj, "midpoint"):  # MidResult
+        return _scalars(obj.midpoint)
+    if hasattr(obj, "point"):  # Midpoint
+        return _scalars(obj.point)
+    return [obj]
+
+
+def _assert_canonical_values(spec, *results):
+    for s in _scalars(list(results)):
+        assert s.spec == spec
+        if spec.p is None:
+            assert isinstance(s.value, Fraction), s
+        else:
+            assert isinstance(s.value, int) and 0 <= s.value < spec.p, s
+
+
+def _ref_parameterization(l):
+    zero = l.spec.zero
+    base = (zero, -l.w / l.v) if l.v else (-l.w / l.u, zero)
+    return base, (-l.v, l.u)
+
+
+def _ref_restriction(f, l):
+    (bx, by), (dx, dy) = _ref_parameterization(l)
+    a, b, c, d, e, g = f.coefficients()
+    A = a * dx * dx + b * dx * dy + c * dy * dy
+    B = (2 * a * bx * dx + b * (bx * dy + by * dx) + 2 * c * by * dy
+         + d * dx + e * dy)
+    C = a * bx * bx + b * bx * by + c * by * by + d * bx + e * by + g
+    return A, B, C
+
+
+class TestValueKernels:
+    """Each kernel computed on values agrees with its Scalar-expression form."""
+
+    @pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=KERNEL_IDS)
+    def test_disc_det3_and_from_ints(self, spec):
+        rng = random.Random(41)
+        for _ in range(60):
+            f = _quadratic(rng, spec)
+            a, b, c, d, e, g = f.coefficients()
+            assert f.disc() == b * b - 4 * a * c
+            assert f.det3() == (4 * a * c * g + b * d * e - a * e * e
+                                - c * d * d - g * b * b) / 4
+            ints = [rng.randint(-10**12, 10**12) for _ in range(6)]
+            if any(spec.scalar(v) for v in ints[:3]):
+                h = Quadratic.from_ints(spec, ints)
+                assert h.coefficients() == tuple(spec.scalar(v) for v in ints)
+                _assert_canonical_values(spec, h)
+            _assert_canonical_values(spec, f.disc(), f.det3())
+
+    @pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=KERNEL_IDS)
+    def test_same_up_to_scalar_and_linear_combination(self, spec):
+        rng = random.Random(42)
+        for _ in range(60):
+            f, g = _quadratic(rng, spec), _quadratic(rng, spec)
+            k = _value(rng, spec) or spec.one
+            assert f.same_up_to_scalar(f.scale(k))
+            assert f.same_up_to_scalar(g) == (f.canonical() == g.canonical())
+            w1, w2 = _value(rng, spec), _value(rng, spec)
+            expect = [w1 * x + w2 * y for x, y in zip(f.coefficients(), g.coefficients())]
+            if any(expect[:3]):
+                h = linear_combination([(w1, f), (w2, g)])
+                assert h.coefficients() == tuple(expect)
+                _assert_canonical_values(spec, h)
+            else:
+                with pytest.raises(ConicError):
+                    linear_combination([(w1, f), (w2, g)])
+
+    @pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=KERNEL_IDS)
+    def test_product_and_pullback(self, spec):
+        rng = random.Random(43)
+        for _ in range(40):
+            l1, l2 = _line(rng, spec), _line(rng, spec)
+            u1, v1, w1 = l1.u, l1.v, l1.w
+            u2, v2, w2 = l2.u, l2.v, l2.w
+            prod = LinePair(l1, l2).product()
+            assert prod.coefficients() == (
+                u1 * u2, u1 * v2 + u2 * v1, v1 * v2,
+                u1 * w2 + u2 * w1, v1 * w2 + v2 * w1, w1 * w2)
+            f = _quadratic(rng, spec)
+            m = [_value(rng, spec) for _ in range(6)]
+            if (m[0] * m[3] - m[1] * m[2]).is_zero:
+                continue
+            m11, m12, m21, m22, t1, t2 = m
+            a, b, c, d, e, g = f.coefficients()
+            got = pullback(AffineMap(*m), f)
+            assert got.coefficients() == (
+                a * m11 * m11 + b * m11 * m21 + c * m21 * m21,
+                2 * a * m11 * m12 + b * (m11 * m22 + m12 * m21) + 2 * c * m21 * m22,
+                a * m12 * m12 + b * m12 * m22 + c * m22 * m22,
+                (2 * a * m11 * t1 + b * (m11 * t2 + m21 * t1) + 2 * c * m21 * t2
+                 + d * m11 + e * m21),
+                (2 * a * m12 * t1 + b * (m12 * t2 + m22 * t1) + 2 * c * m22 * t2
+                 + d * m12 + e * m22),
+                a * t1 * t1 + b * t1 * t2 + c * t2 * t2 + d * t1 + e * t2 + g,
+            )
+            _assert_canonical_values(spec, prod, got)
+
+    @pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=KERNEL_IDS)
+    def test_restriction_mid_and_meets(self, spec):
+        rng = random.Random(44)
+        vertical = Line(spec.one, spec.zero, _value(rng, spec))
+        for i in range(80):
+            f = _quadratic(rng, spec)
+            l = vertical if i % 4 == 0 else _line(rng, spec)
+            A, B, C = _ref_restriction(f, l)
+            assert restrict_to_line(f, l) == (A, B, C)
+            disc = B * B - 4 * A * C
+            assert meets(f, l) == (A.is_zero or square_root(disc) is not None)
+            got = mid(f, l)
+            if not A.is_zero:
+                if square_root(disc) is None:
+                    assert not got.crosses
+                else:
+                    t = -B / (2 * A)
+                    (bx, by), (dx, dy) = _ref_parameterization(l)
+                    assert got.midpoint.point == ProjectivePoint.affine(bx + t * dx,
+                                                                        by + t * dy)
+            else:
+                assert got.crosses == (not B.is_zero)
+                if got.crosses:
+                    assert got.midpoint.is_infinite
+            _assert_canonical_values(spec, restrict_to_line(f, l), got)
+
+    @pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=KERNEL_IDS)
+    def test_center_points_at_infinity_and_factorizations(self, spec):
+        rng = random.Random(45)
+        hyperbolas = 0
+        for i in range(120):
+            f = _quadratic(rng, spec)
+            if i % 2:
+                # A product of two lines plus a constant: mostly hyperbolas.
+                f = LinePair(_line(rng, spec), _line(rng, spec)).product()
+                f = f.add_constant(_value(rng, spec))
+            a, b, c, d, e, g = f.coefficients()
+            disc = b * b - 4 * a * c
+            root = square_root(disc)
+            for p in points_at_infinity(f):
+                assert p.is_infinite and f.homogeneous_at(p.x, p.y).is_zero
+            if root is None or root.is_zero:
+                continue
+            hyperbolas += 1
+            det = 4 * a * c - b * b
+            ctr = center(f)
+            assert ctr == ProjectivePoint.affine((b * e - 2 * c * d) / det,
+                                                 (b * d - 2 * a * e) / det)
+            deg = degenerations(f)
+            assert deg.shift == 4 * f.det3() / disc
+            pair = deg.pair
+            # The reused center is the intersection of the two lines, the
+            # lines are in canonical order, and the pair is the shifted f.
+            assert pair.kind == CROSSING and pair.center == ctr
+            assert pair.first.sort_key() < pair.second.sort_key()
+            rebuilt = LinePair(pair.second, pair.first)
+            assert (rebuilt.first, rebuilt.second, rebuilt.center) == (
+                pair.first, pair.second, pair.center)
+            assert pair.product().canonical() == f.add_constant(deg.shift).canonical()
+            assert is_reducible(f.add_constant(deg.shift)) == pair
+            _assert_canonical_values(spec, ctr, pair, deg.shift, points_at_infinity(f))
+        assert hyperbolas >= 30
+
+
+def _mixed(spec_a, spec_b):
+    """A quadratic over spec_a and a line and a scalar over spec_b."""
+    f = Quadratic(*(spec_a.scalar(v) for v in (1, 2, 3, 1, 1, 2)))
+    l = Line(spec_b.one, spec_b.scalar(2), spec_b.scalar(1))
+    return f, l, spec_b.scalar(3)
+
+
+class TestMixedFields:
+    MISMATCHED = [(F5, F7), (F7, F5), (Q, F7), (F7, Q)]
+
+    @pytest.mark.parametrize("spec_a,spec_b", MISMATCHED,
+                             ids=["F5-F7", "F7-F5", "Q-F7", "F7-Q"])
+    def test_kernels_refuse_mixed_fields(self, spec_a, spec_b):
+        from bisectrix.field import FieldMismatchError
+
+        f, l, k = _mixed(spec_a, spec_b)
+        g = Quadratic(*(spec_b.scalar(v) for v in (1, 2, 3, 1, 1, 2)))
+        one, zero = spec_b.one, spec_b.zero
+        calls = [
+            lambda: restrict_to_line(f, l),
+            lambda: mid(f, l),
+            lambda: meets(f, l),
+            lambda: pullback(AffineMap(one, zero, zero, one, k, k), f),
+            lambda: linear_combination([(k, f)]),
+            lambda: linear_combination([(spec_a.one, f), (k, g)]),
+            lambda: f.same_up_to_scalar(g),
+        ]
+        for call in calls:
+            with pytest.raises(FieldMismatchError):
+                call()
+
+    def test_equal_spec_that_is_another_object(self):
+        from bisectrix.field import FieldSpec
+
+        other = FieldSpec(7)
+        assert other is not F7 and other == F7
+        f, l, k = _mixed(F7, F7)
+        f2, l2, k2 = _mixed(F7, other)
+        g2 = Quadratic(*(other.scalar(v) for v in (2, 4, 6, 2, 2, 4)))
+        m2 = AffineMap(other.one, other.zero, other.zero, other.one, k2, k2)
+        m = AffineMap(F7.one, F7.zero, F7.zero, F7.one, k, k)
+        assert restrict_to_line(f2, l2) == restrict_to_line(f, l)
+        assert mid(f2, l2) == mid(f, l)
+        assert meets(f2, l2) == meets(f, l)
+        assert pullback(m2, f2) == pullback(m, f)
+        assert linear_combination([(k2, f2)]) == linear_combination([(k, f)])
+        assert f2.same_up_to_scalar(g2)
+
+    def test_objects_refuse_mixed_scalars(self):
+        # Kernels check fields only across objects, so each object checks its own.
+        from bisectrix.field import FieldMismatchError
+
+        for spec_a, spec_b in self.MISMATCHED:
+            a, b = spec_a.one, spec_b.one
+            with pytest.raises(FieldMismatchError):
+                Quadratic(a, a, a, a, b, a)
+            with pytest.raises(FieldMismatchError):
+                Line(a, b, a)
+            with pytest.raises(FieldMismatchError):
+                ProjectivePoint(a, a, b)

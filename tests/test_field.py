@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import operator
+import random
 import time
 
 import pytest
@@ -16,7 +17,11 @@ from bisectrix.field import (
     is_square,
     parse_fieldspec,
     rationals,
+    raw_inverse,
+    raw_is_zero,
+    same_field,
     square_root,
+    wrap,
 )
 
 Q = rationals()
@@ -277,6 +282,64 @@ class TestSameSpecFastPath:
         assert (x == y) == (a == b)
         if b:
             assert (x / y).value == a / b
+
+
+KERNEL_FIELDS = [GF(3), F5, F7, GF(10**9 + 7), Q]
+KERNEL_IDS = ["F3", "F5", "F7", "Fbig", "Q"]
+
+
+class TestValueHelpers:
+    """wrap, raw_inverse and raw_is_zero against Scalar arithmetic."""
+
+    @pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=KERNEL_IDS)
+    def test_against_scalar_expressions(self, spec):
+        rng = random.Random(71)
+        for _ in range(200):
+            if spec.p is None:
+                x, y = (Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(2))
+            else:
+                x, y = rng.randrange(spec.p), rng.randrange(spec.p)
+            sx, sy = spec.scalar(x), spec.scalar(y)
+            # An unreduced product and difference, wrapped once.
+            raw = x * y * y - 3 * x
+            assert wrap(spec, raw) == sx * sy * sy - 3 * sx
+            assert raw_is_zero(spec, raw) == (sx * sy * sy - 3 * sx).is_zero
+            if y:
+                inv = raw_inverse(spec, y)
+                assert wrap(spec, x * inv) == sx / sy
+                assert wrap(spec, inv) == sy.inverse()
+            for s in (wrap(spec, raw), wrap(spec, x * raw_inverse(spec, y or 1))):
+                if spec.p is None:
+                    assert isinstance(s.value, Fraction)
+                else:
+                    assert 0 <= s.value < spec.p
+
+    def test_rational_inverse_of_an_int_stays_exact(self):
+        inv = raw_inverse(Q, 4)
+        assert isinstance(inv, Fraction) and inv == Fraction(1, 4)
+        assert isinstance(raw_inverse(Q, Fraction(-2, 3)), Fraction)
+
+    @pytest.mark.parametrize("spec", [F7, GF(10**9 + 7)], ids=["F7", "Fbig"])
+    def test_unreduced_values(self, spec):
+        p = spec.p
+        assert raw_is_zero(spec, 5 * p) and raw_is_zero(spec, -p * p)
+        assert not raw_is_zero(spec, 5 * p + 1)
+        assert wrap(spec, -1).value == p - 1
+        assert wrap(spec, p * p + 3).value == 3
+        assert raw_inverse(spec, -1) == p - 1
+        assert raw_inverse(spec, p + 2) * 2 % p == 1
+        for zero in (0, p, -3 * p):
+            with pytest.raises(ZeroDivisionError):
+                raw_inverse(spec, zero)
+        with pytest.raises(ZeroDivisionError):
+            raw_inverse(Q, Fraction(0))
+
+    def test_same_field(self):
+        same_field(F7, FieldSpec(7))
+        same_field(Q, rationals())
+        for a, b in ((F5, F7), (Q, F7), (F7, Q)):
+            with pytest.raises(FieldMismatchError):
+                same_field(a, b)
 
 
 def test_enumerate_field():

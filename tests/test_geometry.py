@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bisectrix.field import GF, rationals
+from bisectrix.field import GF, FieldMismatchError, FieldSpec, rationals
 from bisectrix.geometry import (
     AffineMap,
     COINCIDENT,
@@ -217,3 +218,113 @@ def test_line_parameterization_round_trip():
             assert line.contains(p)
             assert line.param_of(p).value == t
     assert X0.infinity_point() == ProjectivePoint.at_infinity(Q.scalar(0), Q.scalar(1))
+
+
+# --- value-level kernels against Scalar-expression forms ---------------------
+
+KERNEL_FIELDS = [GF(3), F5, F7, GF(10**9 + 7), Q]
+KERNEL_IDS = ["F3", "F5", "F7", "Fbig", "Q"]
+
+
+def _value(rng, spec):
+    if spec.p is None:
+        return spec.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+    return spec.scalar(rng.randrange(spec.p))
+
+
+def _canonical_triple(x, y, z):
+    """Scale so the last nonzero coordinate is 1, by Scalar division."""
+    for k in (z, y, x):
+        if not k.is_zero:
+            return (x / k, y / k, z / k)
+    raise AssertionError("zero triple")
+
+
+def _assert_canonical_values(spec, *scalars):
+    for s in scalars:
+        assert s.spec == spec
+        if spec.p is None:
+            assert isinstance(s.value, Fraction), s
+        else:
+            assert isinstance(s.value, int) and 0 <= s.value < spec.p, s
+
+
+class TestValueKernels:
+    """Each kernel computed on values agrees with its Scalar-expression form."""
+
+    @pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=KERNEL_IDS)
+    def test_constructors_normalize(self, spec):
+        rng = random.Random(51)
+        for _ in range(80):
+            u, v, w = (_value(rng, spec) for _ in range(3))
+            if u or v:
+                l = Line(u, v, w)
+                k = u if u else v
+                assert (l.u, l.v, l.w) == (u / k, v / k, w / k)
+                _assert_canonical_values(spec, l.u, l.v, l.w)
+            if u or v or w:
+                p = ProjectivePoint(u, v, w)
+                assert (p.x, p.y, p.z) == _canonical_triple(u, v, w)
+                _assert_canonical_values(spec, p.x, p.y, p.z)
+
+    @pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=KERNEL_IDS)
+    def test_intersect(self, spec):
+        rng = random.Random(52)
+        seen = set()
+        for i in range(80):
+            l1 = Line(_value(rng, spec) or spec.one, _value(rng, spec), _value(rng, spec))
+            # Every fourth pair is parallel, every eighth coincident.
+            if i % 4 == 0:
+                w = l1.w if i % 8 == 0 else _value(rng, spec)
+                l2 = Line(l1.u, l1.v, w)
+            else:
+                l2 = Line(_value(rng, spec), spec.one, _value(rng, spec))
+            x = l1.v * l2.w - l2.v * l1.w
+            y = l1.w * l2.u - l2.w * l1.u
+            z = l1.u * l2.v - l2.u * l1.v
+            got = intersect(l1, l2)
+            if x.is_zero and y.is_zero and z.is_zero:
+                assert got is COINCIDENT
+                seen.add("coincident")
+                continue
+            assert (got.x, got.y, got.z) == _canonical_triple(x, y, z)
+            assert l1.contains(got) and l2.contains(got)
+            _assert_canonical_values(spec, got.x, got.y, got.z)
+            seen.add("infinite" if got.is_infinite else "affine")
+        assert seen == {"coincident", "infinite", "affine"}
+
+    @pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=KERNEL_IDS)
+    def test_parameterization_point_at_contains(self, spec):
+        rng = random.Random(53)
+        for i in range(80):
+            u = spec.one if i % 3 == 0 else _value(rng, spec)
+            v = spec.zero if i % 3 == 0 else _value(rng, spec) or spec.one
+            l = Line(u, v, _value(rng, spec))
+            zero = spec.zero
+            base = (zero, -l.w / l.v) if l.v else (-l.w / l.u, zero)
+            direction = (-l.v, l.u)
+            assert l.parameterization() == (base, direction)
+            t = _value(rng, spec)
+            p = l.point_at(t)
+            assert (p.x, p.y, p.z) == (base[0] + t * direction[0],
+                                       base[1] + t * direction[1], spec.one)
+            assert l.contains(p) and l.param_of(p) == t
+            q = ProjectivePoint(_value(rng, spec), _value(rng, spec), spec.one)
+            assert l.contains(q) == (l.u * q.x + l.v * q.y + l.w * q.z).is_zero
+            assert l.contains(l.infinity_point())
+            _assert_canonical_values(spec, *base, *direction, p.x, p.y, l.param_of(p))
+
+
+class TestMixedFields:
+    @pytest.mark.parametrize("spec_a,spec_b", [(F5, F7), (F7, F5), (Q, F7), (F7, Q)],
+                             ids=["F5-F7", "F7-F5", "Q-F7", "F7-Q"])
+    def test_intersect_refuses_mixed_fields(self, spec_a, spec_b):
+        with pytest.raises(FieldMismatchError):
+            intersect(qline(1, 2, 3, spec_a), qline(2, 1, 3, spec_b))
+
+    def test_equal_spec_that_is_another_object(self):
+        other = FieldSpec(7)
+        assert other is not F7 and other == F7
+        got = intersect(qline(1, 2, 3, other), qline(2, 1, 3, F7))
+        assert got == intersect(qline(1, 2, 3, F7), qline(2, 1, 3, F7))
+        assert qline(1, 2, 3, other).contains(got)

@@ -347,3 +347,166 @@ class TestSharedLine:
         for _, pair in ap.members():
             if pair.kind == CROSSING:
                 assert pair.contains_line(line(1, 0, 0, F5))
+
+
+# --- value-level kernels against Scalar-expression forms ---------------------
+
+KERNEL_FIELDS = [F3, F5, F7, GF(10**9 + 7), Q]
+KERNEL_IDS = ["F3", "F5", "F7", "Fbig", "Q"]
+
+
+def _value(rng, spec):
+    if spec.p is None:
+        return spec.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+    return spec.scalar(rng.randrange(spec.p))
+
+
+def _any_quadratic(rng, spec):
+    from bisectrix.conic import Quadratic
+
+    while True:
+        coeffs = [_value(rng, spec) for _ in range(6)]
+        if any(coeffs[:3]):
+            return Quadratic(*coeffs)
+
+
+def _det3x3(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def _in_net(pencil, g):
+    """Rank 2 of the 3x5 matrix of the non-constant coefficients."""
+    rows = [q.coefficients()[:5] for q in (pencil.f1, pencil.f2, g)]
+    cols = [(i, j, k) for i in range(5) for j in range(i + 1, 5) for k in range(j + 1, 5)]
+    return all(_det3x3([[r[i], r[j], r[k]] for r in rows]).is_zero for i, j, k in cols)
+
+
+def _ref_det3(f):
+    a, b, c, d, e, g = f.coefficients()
+    return (4 * a * c * g + b * d * e - a * e * e - c * d * d - g * b * b) / 4
+
+
+def _assert_canonical_values(spec, *scalars):
+    for s in scalars:
+        assert s.spec == spec
+        if spec.p is None:
+            assert isinstance(s.value, Fraction), s
+        else:
+            assert isinstance(s.value, int) and 0 <= s.value < spec.p, s
+
+
+class TestValueKernels:
+    """Each kernel computed on values agrees with its Scalar-expression form."""
+
+    @pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=KERNEL_IDS)
+    def test_independence_and_net_coords(self, spec):
+        rng = random.Random(61)
+        for _ in range(60):
+            f1, f2 = _any_quadratic(rng, spec), _any_quadratic(rng, spec)
+            a1, b1, c1 = f1.homogeneous_part()
+            a2, b2, c2 = f2.homogeneous_part()
+            assert are_independent(f1, f2) == any(
+                [a1 * b2 - a2 * b1, a1 * c2 - a2 * c1, b1 * c2 - b2 * c1])
+            alpha, beta, shift = (_value(rng, spec) for _ in range(3))
+            if not (alpha or beta):
+                continue
+            coords = NetCoords(alpha, beta, shift)
+            s = alpha if alpha else beta
+            assert (coords.alpha, coords.beta, coords.shift) == (
+                alpha / s, beta / s, shift / s)
+            _assert_canonical_values(spec, coords.alpha, coords.beta, coords.shift)
+
+    @pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=KERNEL_IDS)
+    def test_net_contains(self, spec):
+        rng = random.Random(62)
+        found = missed = 0
+        for i in range(60):
+            f1, f2 = _any_quadratic(rng, spec), _any_quadratic(rng, spec)
+            if not are_independent(f1, f2):
+                continue
+            pencil = Pencil(f1, f2)
+            alpha, beta, shift = (_value(rng, spec) for _ in range(3))
+            coeffs = [alpha * x + beta * y for x, y in zip(f1.coefficients(),
+                                                         f2.coefficients())]
+            coeffs[5] = coeffs[5] + shift
+            if i % 2:
+                coeffs[rng.randrange(5)] += spec.one
+            if not any(coeffs[:3]):
+                continue
+            from bisectrix.conic import Quadratic
+
+            g = Quadratic(*coeffs)
+            got = net_contains(pencil, g)
+            assert (got is not None) == _in_net(pencil, g)
+            if got is None:
+                missed += 1
+                continue
+            found += 1
+            member = [got.alpha * x + got.beta * y
+                      for x, y in zip(f1.coefficients(), f2.coefficients())]
+            member[5] = member[5] + got.shift
+            assert g.same_up_to_scalar(Quadratic(*member))
+            _assert_canonical_values(spec, got.alpha, got.beta, got.shift)
+        assert found >= 10 and missed >= 10
+
+    @pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=KERNEL_IDS)
+    def test_degeneracy_cubic(self, spec):
+        rng = random.Random(63)
+        for _ in range(30):
+            f1, f2 = _any_quadratic(rng, spec), _any_quadratic(rng, spec)
+            if not are_independent(f1, f2):
+                continue
+            pencil = Pencil(f1, f2)
+            cubic = degeneracy_cubic(pencil)
+            _assert_canonical_values(spec, *cubic.shift_coeff, *cubic.base)
+            for _ in range(4):
+                alpha, beta, shift = (_value(rng, spec) for _ in range(3))
+                if not (alpha or beta):
+                    continue
+                member = net_member(pencil, NetCoords(alpha, beta, spec.zero))
+                # NetCoords scales by the first nonzero weight: undo it.
+                s = alpha if alpha else beta
+                a, b, c = (x * s for x in member.homogeneous_part())
+                phi = cubic.shift_coeff_at(alpha, beta)
+                psi = cubic.base_at(alpha, beta)
+                assert phi == (4 * a * c - b * b) / 4
+                assert psi == _ref_det3(member) * s * s * s
+                assert cubic.value(shift, alpha, beta) == phi * shift + psi
+                _assert_canonical_values(spec, phi, psi, cubic.value(shift, alpha, beta))
+
+
+class TestMixedFields:
+    def test_net_contains_refuses_a_foreign_field(self):
+        # The field test comes before any arithmetic, as a PencilError.
+        for spec_a, spec_b in ((F5, F7), (Q, F7), (F7, Q)):
+            pencil = Pencil(quad("x*y", spec_a), quad("x^2-y^2", spec_a))
+            with pytest.raises(PencilError):
+                net_contains(pencil, quad("x*y+1", spec_b))
+
+    def test_kernels_refuse_mixed_scalars(self):
+        from bisectrix.field import FieldMismatchError
+
+        cubic = degeneracy_cubic(Pencil(quad("x*y", F5), quad("x^2-y^2", F5)))
+        for bad in (F7.one, Q.one):
+            for call in (lambda: NetCoords(F5.one, bad, F5.zero),
+                         lambda: cubic.shift_coeff_at(F5.one, bad),
+                         lambda: cubic.base_at(bad, F5.one),
+                         lambda: cubic.value(bad, F5.one, F5.one),
+                         lambda: are_independent(quad("x*y", F5), quad("x^2", bad.spec))):
+                with pytest.raises(FieldMismatchError):
+                    call()
+
+    def test_equal_spec_that_is_another_object(self):
+        from bisectrix.field import FieldSpec
+
+        other = FieldSpec(7)
+        assert other is not F7 and other == F7
+        pencil = Pencil(quad("x*y", F7), quad("x^2-y^2", F7))
+        g = quad("x*y+2*x^2-2*y^2+3", other)
+        assert net_contains(pencil, g) == NetCoords(F7.one, F7.scalar(2), F7.scalar(3))
+        assert are_independent(pencil.f1, quad("x^2", other))
+        cubic = degeneracy_cubic(pencil)
+        assert cubic.shift_coeff_at(other.one, other.one) == cubic.shift_coeff_at(
+            F7.one, F7.one)
