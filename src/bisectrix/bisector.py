@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 from .conic import (
     LinePair,
     Quadratic,
+    _restrict,
     distinct_lines,
     linear_combination,
     mid,
@@ -25,7 +26,7 @@ from .conic import (
     pullback,
     restrict_to_line,
 )
-from .field import Scalar, raw_is_zero, square_root, wrap
+from .field import Scalar, raw_is_zero, raw_sqrt
 from .geometry import (
     Line,
     MID_UNDETERMINED,
@@ -102,12 +103,12 @@ def pair_through_line(line: Line, pencil: Pencil) -> PairThroughLine | None:
 
     Those rows are the generators restricted to the line, in a parameter
     that differs from the line's own by a nonzero factor, so the
-    determinant is first tested on ``restrict_to_line`` and the generators
+    determinant is first tested on the raw restriction to the line and the generators
     are pulled back only when it vanishes.
     """
-    A1, B1, _ = restrict_to_line(pencil.f1, line)
-    A2, B2, _ = restrict_to_line(pencil.f2, line)
-    if not raw_is_zero(A1.spec, A1.value * B2.value - A2.value * B1.value):
+    A1, B1, _ = _restrict(pencil.f1, line)
+    A2, B2, _ = _restrict(pencil.f2, line)
+    if not raw_is_zero(line.spec, A1 * B2 - A2 * B1):
         return None
     to_y0 = map_line_to_y0(line)
     back = to_y0  # pull_line with this map sends new-coordinate lines back
@@ -276,7 +277,7 @@ def _rational_projective_root(A: Scalar, B: Scalar, C: Scalar) -> bool:
     a, b = A.value, B.value
     if a == 0:
         return True  # [1 : 0] is a root
-    return square_root(wrap(A.spec, b * b - 4 * a * C.value)) is not None
+    return raw_sqrt(A.spec, b * b - 4 * a * C.value) is not None
 
 
 def desargues_involution(pencil: Pencil, line: Line) -> Involution:

@@ -2,7 +2,8 @@
 
 Output is JSON on stdout (exact scalars as strings, never floats), or a
 human-readable summary with --pretty.  Parse errors exit 2, domain errors
-exit 3, failed checks exit 1.
+exit 3, failed checks exit 1.  A check of several ids that refuses one on a
+size budget records it with verdict "refused", runs the rest and exits 3.
 """
 
 from __future__ import annotations
@@ -268,7 +269,14 @@ def _samples(args) -> int:
 
 def _cmd_check(args) -> int:
     # Only this command needs the oracle, so the other commands never load it.
-    from .oracle import CHECK_IDS, Policy, default_policy, run_check
+    from .oracle import (
+        CHECK_DESCRIPTIONS,
+        CHECK_IDS,
+        BudgetError,
+        Policy,
+        default_policy,
+        run_check,
+    )
 
     spec = _field(args.field)
     samples = _samples(args)
@@ -279,16 +287,34 @@ def _cmd_check(args) -> int:
         ids = args.checks
     reports = []
     all_pass = True
+    refused = False
     for check_id in ids:
         policy = default_policy(check_id)
         if policy.kind == "randomized":
             policy = Policy.randomized(
                 samples if samples else policy.count, seed=args.seed
             )
-        report = run_check(check_id, spec, policy)
+        try:
+            report = run_check(check_id, spec, policy)
+        except BudgetError as exc:
+            if len(ids) == 1:
+                raise
+            # Several ids: record the refusal and run the rest.
+            refused = True
+            reports.append({
+                "check": check_id,
+                "description": CHECK_DESCRIPTIONS[check_id],
+                "field": spec.name,
+                "message": str(exc),
+                "policy": policy.to_json(),
+                "verdict": "refused",
+            })
+            continue
         reports.append(report.to_json(include_wall_time=args.timings))
         all_pass = all_pass and report.passed
     _emit(args, reports if len(reports) > 1 else reports[0])
+    if refused:
+        return EXIT_DOMAIN
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 

@@ -17,12 +17,17 @@ from typing import Iterable
 
 from .field import (
     FieldSpec,
+    FieldTuple,
     Scalar,
+    coordinate,
+    as_fractions,
     halve,
     raw_inverse,
     raw_is_zero,
+    raw_sqrt,
     same_field,
-    square_root,
+    set_raw,
+    set_spec,
     wrap,
 )
 from .geometry import (
@@ -31,50 +36,46 @@ from .geometry import (
     MID_INFINITE,
     Midpoint,
     ProjectivePoint,
+    _line,
+    _point,
+    _point_at,
     intersect,
     midline,
 )
+
+_new = object.__new__
 
 
 class ConicError(ValueError):
     """A conic-level precondition was violated."""
 
 
-class Quadratic:
-    """A degree-2 polynomial aX^2 + bXY + cY^2 + dX + eY + g."""
+class Quadratic(FieldTuple):
+    """A degree-2 polynomial aX^2 + bXY + cY^2 + dX + eY + g.
 
-    __slots__ = ("a", "b", "c", "d", "e", "g")
+    ``raw`` is the tuple (a, b, c, d, e, g) of reduced values.
+    """
+
+    __slots__ = ()
+
+    a, b, c = coordinate(0), coordinate(1), coordinate(2)
+    d, e, g = coordinate(3), coordinate(4), coordinate(5)
 
     def __init__(self, a, b, c, d, e, g):
-        if a.is_zero and b.is_zero and c.is_zero:
-            raise ConicError("quadratic must have degree exactly 2")
-        # The coefficients share one field, so kernels check only across objects.
         spec = a.spec
         if not (spec is b.spec is c.spec is d.spec is e.spec is g.spec):
             for x in (b, c, d, e, g):
                 same_field(spec, x.spec)
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_c(self, c)
-        _set_d(self, d)
-        _set_e(self, e)
-        _set_g(self, g)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Quadratic is immutable")
+        _normalize_quadratic(self, spec, a.value, b.value, c.value,
+                             d.value, e.value, g.value)
 
     @classmethod
     def from_ints(cls, spec: FieldSpec, coeffs) -> "Quadratic":
-        # Times the value of one, an int becomes a Fraction over Q.
-        one = spec.one.value
-        return cls(*(wrap(spec, one * v) for v in coeffs))
-
-    @property
-    def spec(self) -> FieldSpec:
-        return self.a.spec
+        return _quadratic(spec, *coeffs)
 
     def coefficients(self) -> tuple[Scalar, ...]:
-        return (self.a, self.b, self.c, self.d, self.e, self.g)
+        spec = self.spec
+        return tuple([wrap(spec, x) for x in self.raw])
 
     def homogeneous_part(self) -> tuple[Scalar, Scalar, Scalar]:
         return (self.a, self.b, self.c)
@@ -88,45 +89,47 @@ class Quadratic:
 
     def disc(self) -> Scalar:
         """b^2 - 4ac, the discriminant of the homogeneous part."""
-        b = self.b.value
-        return wrap(self.a.spec, b * b - 4 * self.a.value * self.c.value)
+        return wrap(self.spec, _disc(self.raw))
 
     def det3(self) -> Scalar:
         """Determinant of [[a, b/2, d/2], [b/2, c, e/2], [d/2, e/2, g]].
 
         That is N/4 with N = 4acg + bde - ae^2 - cd^2 - gb^2.
         """
-        spec = self.a.spec
-        a, b, c = self.a.value, self.b.value, self.c.value
-        d, e, g = self.d.value, self.e.value, self.g.value
-        n = (4 * a * c - b * b) * g + (b * e - c * d) * d - a * e * e
-        return wrap(spec, n * raw_inverse(spec, 4))
+        spec = self.spec
+        return wrap(spec, _det3_times_4(self.raw) * raw_inverse(spec, 4))
 
     def __add__(self, other):
         if isinstance(other, Quadratic):
-            return Quadratic(*(x + y for x, y in zip(self.coefficients(),
-                                                     other.coefficients())))
+            if other.spec is not self.spec:
+                same_field(self.spec, other.spec)
+            return _quadratic(self.spec, *(x + y for x, y in zip(self.raw, other.raw)))
         return self.add_constant(self.spec.scalar(other))
 
     def __sub__(self, other):
         if isinstance(other, Quadratic):
-            return Quadratic(*(x - y for x, y in zip(self.coefficients(),
-                                                     other.coefficients())))
+            if other.spec is not self.spec:
+                same_field(self.spec, other.spec)
+            return _quadratic(self.spec, *(x - y for x, y in zip(self.raw, other.raw)))
         return self.add_constant(-self.spec.scalar(other))
 
     def add_constant(self, t: Scalar) -> "Quadratic":
-        a, b, c, d, e, g = self.coefficients()
-        return Quadratic(a, b, c, d, e, g + t)
+        if t.spec is not self.spec:
+            same_field(self.spec, t.spec)
+        a, b, c, d, e, g = self.raw
+        return _quadratic(self.spec, a, b, c, d, e, g + t.value)
 
     def scale(self, t: Scalar) -> "Quadratic":
-        return Quadratic(*(t * x for x in self.coefficients()))
+        if t.spec is not self.spec:
+            same_field(self.spec, t.spec)
+        k = t.value
+        return _quadratic(self.spec, *(k * x for x in self.raw))
 
     def canonical(self) -> "Quadratic":
         """Scale so the first nonzero coefficient equals 1."""
-        for x in self.coefficients():
-            if not x.is_zero:
-                return self.scale(self.spec.one / x)
-        raise AssertionError("unreachable: quadratic has a nonzero coefficient")
+        spec = self.spec
+        k = raw_inverse(spec, next(x for x in self.raw if x != 0))
+        return _quadratic(spec, *(k * x for x in self.raw))
 
     def same_up_to_scalar(self, other: "Quadratic") -> bool:
         """Whether other is a nonzero multiple of self, by cross-multiplication.
@@ -135,46 +138,51 @@ class Quadratic:
         is g[j] f[i] == f[j] g[i] for every j (g[i] = 0 would force g = 0):
         exactly when the canonical forms are equal, without building either.
         """
-        spec = self.a.spec
-        if other.a.spec is not spec:
-            same_field(spec, other.a.spec)
-        fs = [x.value for x in self.coefficients()]
-        gs = [x.value for x in other.coefficients()]
+        spec = self.spec
+        if other.spec is not spec:
+            same_field(spec, other.spec)
+        fs, gs = self.raw, other.raw
         i = 0
         while fs[i] == 0:
             i += 1
         fi, gi = fs[i], gs[i]
-        return all(raw_is_zero(spec, gj * fi - fj * gi) for fj, gj in zip(fs, gs))
-
-    def key(self):
-        """Hashable value tuple, mainly for canonical table lookups."""
-        return tuple(x.value for x in self.coefficients())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Quadratic):
-            return NotImplemented
-        return all(x == y for x, y in zip(self.coefficients(), other.coefficients()))
-
-    def __hash__(self) -> int:
-        return hash(self.key())
+        cross = [gj * fi - fj * gi for fj, gj in zip(fs, gs)]
+        p = spec.p
+        return not any([x % p for x in cross] if p else cross)
 
     def __repr__(self) -> str:
-        a, b, c, d, e, g = self.coefficients()
-        return f"Quadratic({a},{b},{c},{d},{e},{g})"
+        return f"Quadratic({','.join(map(str, self.raw))})"
 
 
-_set_a = Quadratic.__dict__["a"].__set__
-_set_b = Quadratic.__dict__["b"].__set__
-_set_c = Quadratic.__dict__["c"].__set__
-_set_d = Quadratic.__dict__["d"].__set__
-_set_e = Quadratic.__dict__["e"].__set__
-_set_g = Quadratic.__dict__["g"].__set__
+def _normalize_quadratic(f, spec: FieldSpec, a, b, c, d, e, g):
+    """Fill ``f`` with the reduced coefficients; the one normalizer of quadratics."""
+    p = spec.p
+    if p:
+        raw = (a % p, b % p, c % p, d % p, e % p, g % p)
+    else:
+        raw = as_fractions(a, b, c, d, e, g)
+    if not (raw[0] or raw[1] or raw[2]):
+        raise ConicError("quadratic must have degree exactly 2")
+    set_spec(f, spec)
+    set_raw(f, raw)
+    return f
 
 
 def _quadratic(spec: FieldSpec, a, b, c, d, e, g) -> Quadratic:
-    """The quadratic with the given raw coefficient values."""
-    return Quadratic(wrap(spec, a), wrap(spec, b), wrap(spec, c),
-                     wrap(spec, d), wrap(spec, e), wrap(spec, g))
+    """The quadratic with the given raw, possibly unreduced, coefficients."""
+    return _normalize_quadratic(_new(Quadratic), spec, a, b, c, d, e, g)
+
+
+def _disc(raw):
+    """b^2 - 4ac of a raw coefficient tuple, unreduced."""
+    a, b, c = raw[0], raw[1], raw[2]
+    return b * b - 4 * a * c
+
+
+def _det3_times_4(raw):
+    """4 det3 = 4acg + bde - ae^2 - cd^2 - gb^2 of a raw tuple, unreduced."""
+    a, b, c, d, e, g = raw
+    return (4 * a * c - b * b) * g + (b * e - c * d) * d - a * e * e
 
 
 def linear_combination(terms) -> Quadratic:
@@ -183,11 +191,11 @@ def linear_combination(terms) -> Quadratic:
     for weight, q in terms:
         if spec is None:
             spec = weight.spec
-        if not (weight.spec is spec is q.a.spec):
+        if not (weight.spec is spec is q.spec):
             same_field(spec, weight.spec)
-            same_field(spec, q.a.spec)
+            same_field(spec, q.spec)
         w = weight.value
-        contrib = [w * x.value for x in q.coefficients()]
+        contrib = [w * x for x in q.raw]
         coeffs = contrib if coeffs is None else [x + y for x, y in zip(coeffs, contrib)]
     return _quadratic(spec, *coeffs)
 
@@ -197,13 +205,9 @@ def pullback(mapping: AffineMap, f: Quadratic) -> Quadratic:
 
     Satisfies pullback(m1.compose(m2), f) == pullback(m2, pullback(m1, f)).
     """
-    spec = f.a.spec
-    if mapping.m11.spec is not spec:
-        same_field(spec, mapping.m11.spec)
-    a, b, c, d, e = f.a.value, f.b.value, f.c.value, f.d.value, f.e.value
-    m11, m12 = mapping.m11.value, mapping.m12.value
-    m21, m22 = mapping.m21.value, mapping.m22.value
-    t1, t2 = mapping.t1.value, mapping.t2.value
+    spec = f.spec
+    m11, m12, m21, m22, t1, t2 = mapping._values(spec)
+    a, b, c, d, e, g = f.raw
     a2, c2 = a + a, c + c
     # (gx, gy): gradient of the homogeneous part at the image of the x-axis
     # direction (m11, m21); (hx, hy): gradient of f at the translation (t1, t2).
@@ -217,7 +221,7 @@ def pullback(mapping: AffineMap, f: Quadratic) -> Quadratic:
         (a * m12 + b * m22) * m12 + c * m22 * m22,
         hx * m11 + hy * m21,
         hx * m12 + hy * m22,
-        ((hx + d) * t1 + (hy + e) * t2) * half + f.g.value,
+        ((hx + d) * t1 + (hy + e) * t2) * half + g,
     )
 
 
@@ -253,26 +257,20 @@ class ConicClass:
 
 def points_at_infinity(f: Quadratic) -> list[ProjectivePoint]:
     """The rational roots of the homogeneous part on the line of directions."""
-    spec = f.a.spec
-    one, zero = spec.one, spec.zero
-    a, b = f.a.value, f.b.value
+    spec = f.spec
+    a, b, c = f.raw[:3]
     if a == 0:
-        pts = [ProjectivePoint.at_infinity(one, zero)]
+        pts = [_point(spec, 1, 0, 0)]
         if b != 0:
-            x = -f.c.value * raw_inverse(spec, b)
-            pts.append(ProjectivePoint.at_infinity(wrap(spec, x), one))
+            pts.append(_point(spec, -c * raw_inverse(spec, b), 1, 0))
         return sorted(pts, key=ProjectivePoint.sort_key)
-    root = square_root(f.disc())
+    root = raw_sqrt(spec, _disc(f.raw))
     if root is None:
         return []
     h = raw_inverse(spec, a + a)
-    r = root.value
-    if r == 0:
-        return [ProjectivePoint.at_infinity(wrap(spec, -b * h), one)]
-    pts = [
-        ProjectivePoint.at_infinity(wrap(spec, (r - b) * h), one),
-        ProjectivePoint.at_infinity(wrap(spec, -(b + r) * h), one),
-    ]
+    if root == 0:
+        return [_point(spec, -b * h, 1, 0)]
+    pts = [_point(spec, (root - b) * h, 1, 0), _point(spec, -(b + root) * h, 1, 0)]
     return sorted(pts, key=ProjectivePoint.sort_key)
 
 
@@ -281,7 +279,7 @@ def classify(f: Quadratic) -> ConicClass:
     n = len(points_at_infinity(f))
     kind = (ELLIPSE, PARABOLA, HYPERBOLA)[n]
     if kind == ELLIPSE:
-        degenerate = f.det3().is_zero
+        degenerate = raw_is_zero(f.spec, _det3_times_4(f.raw))
     else:
         degenerate = is_reducible(f) is not None
     return ConicClass(kind, degenerate)
@@ -289,19 +287,19 @@ def classify(f: Quadratic) -> ConicClass:
 
 def center(f: Quadratic) -> ProjectivePoint:
     """The center of a hyperbola: the unique zero of the gradient."""
-    disc = f.disc()
-    if disc.value == 0 or square_root(disc) is None:
+    disc = _disc(f.raw)
+    root = raw_sqrt(f.spec, disc)
+    if root is None or root == 0:
         raise ConicError("center is defined for hyperbolas only")
     return _center(f, disc)
 
 
-def _center(f: Quadratic, disc: Scalar) -> ProjectivePoint:
-    """The zero of the gradient, given disc = disc(f) != 0."""
-    spec = disc.spec
-    a, b, c, d, e = f.a.value, f.b.value, f.c.value, f.d.value, f.e.value
-    k = raw_inverse(spec, disc.value)
-    return ProjectivePoint.affine(wrap(spec, (c * d + c * d - b * e) * k),
-                                  wrap(spec, (a * e + a * e - b * d) * k))
+def _center(f: Quadratic, disc) -> ProjectivePoint:
+    """The zero of the gradient, given the raw disc(f) != 0."""
+    spec = f.spec
+    a, b, c, d, e, _ = f.raw
+    k = raw_inverse(spec, disc)
+    return _point(spec, (c * d + c * d - b * e) * k, (a * e + a * e - b * d) * k, 1)
 
 
 # --- reducibility and line pairs --------------------------------------------
@@ -365,10 +363,9 @@ class LinePair:
 
     def product(self) -> Quadratic:
         """The product of the two linear forms, in canonical scaling."""
-        l1, l2 = self.first, self.second
-        u1, v1, w1 = l1.u.value, l1.v.value, l1.w.value
-        u2, v2, w2 = l2.u.value, l2.v.value, l2.w.value
-        return _quadratic(l1.u.spec, u1 * u2, u1 * v2 + u2 * v1, v1 * v2,
+        u1, v1, w1 = self.first.raw
+        u2, v2, w2 = self.second.raw
+        return _quadratic(self.first.spec, u1 * u2, u1 * v2 + u2 * v1, v1 * v2,
                           u1 * w2 + u2 * w1, v1 * w2 + v2 * w1, w1 * w2)
 
     def __eq__(self, other) -> bool:
@@ -404,23 +401,26 @@ def pairs_are_translates(p1: LinePair, p2: LinePair) -> bool:
     shift); pairs of parallel lines additionally need the constant offsets
     to match under one of the two pairings.
     """
-    d1 = sorted((l.u.sort_key(), l.v.sort_key()) for l in p1.lines())
-    d2 = sorted((l.u.sort_key(), l.v.sort_key()) for l in p2.lines())
-    if d1 != d2:
+    spec = p1.spec
+    if p2.spec is not spec:
+        same_field(spec, p2.spec)
+    if sorted(l.raw[:2] for l in p1.lines()) != sorted(l.raw[:2] for l in p2.lines()):
         return False
     if p1.kind == CROSSING:
         return True
-    a, b = p1.lines()
-    c, d = p2.lines()
-    return (a.w - c.w == b.w - d.w) or (a.w - d.w == b.w - c.w)
+    a, b = p1.first.raw[2], p1.second.raw[2]
+    c, d = p2.first.raw[2], p2.second.raw[2]
+    return raw_is_zero(spec, a - c - b + d) or raw_is_zero(spec, a - d - b + c)
 
 
-def _split_homogeneous_square(f: Quadratic):
-    """Write the homogeneous part as scale * (uX + vY)^2, for disc = 0."""
-    if not f.a.is_zero:
-        return f.a, (f.spec.one, halve(f.b) / f.a)
+def _split_homogeneous_square(spec: FieldSpec, raw):
+    """Raw (scale, u, v) with homogeneous part scale * (uX + vY)^2, for disc = 0."""
+    a, b, c = raw[:3]
+    one = spec.one.value  # a Fraction over Q
+    if a != 0:
+        return a, one, b * raw_inverse(spec, a + a)
     # disc = 0 with a = 0 forces b = 0, so the part is c Y^2.
-    return f.c, (f.spec.zero, f.spec.one)
+    return c, spec.zero.value, one
 
 
 def is_reducible(f: Quadratic) -> LinePair | None:
@@ -433,57 +433,56 @@ def is_reducible(f: Quadratic) -> LinePair | None:
     stays irreducible over Q); a non-square gives a point-like conic with no
     rational components.
     """
-    if not f.det3().is_zero:
+    spec, raw = f.spec, f.raw
+    if not raw_is_zero(spec, _det3_times_4(raw)):
         return None
-    disc = f.disc()
-    root = square_root(disc)
+    disc = _disc(raw)
+    root = raw_sqrt(spec, disc)
     if root is None:
         return None
-    if not root.is_zero:
+    if root != 0:
         return _crossing_pair(f, disc, root)
-    scale, (u, v) = _split_homogeneous_square(f)
-    # With det3 = 0 the linear part is a multiple of uX + vY.
-    m = f.d / u if not u.is_zero else f.e / v
-    if not (f.d == m * u and f.e == m * v):
+    scale, u, v = _split_homogeneous_square(spec, raw)
+    # With det3 = 0 the linear part is a multiple m of uX + vY, where u = 1
+    # or (u, v) = (0, 1).
+    _, _, _, d, e, g = raw
+    m = d if u else e
+    if not raw_is_zero(spec, e - m * v if u else d):
         raise AssertionError("det3 = 0 but the linear part is not aligned")
-    mv = m.value
-    shifted_disc = square_root(wrap(f.a.spec, mv * mv - 4 * scale.value * f.g.value))
-    if shifted_disc is None:
+    root = raw_sqrt(spec, m * m - 4 * scale * g)
+    if root is None:
         return None
-    # The components are uX + vY = t for t = (-m +- shifted_disc) / 2 scale.
-    k = (scale + scale).inverse()
-    pair = LinePair(Line(u, v, (m - shifted_disc) * k), Line(u, v, (m + shifted_disc) * k))
+    # The components are uX + vY = t for t = (-m +- root) / 2 scale.
+    k = raw_inverse(spec, scale + scale)
+    pair = LinePair(_line(spec, u, v, (m - root) * k), _line(spec, u, v, (m + root) * k))
     if not pair.product().same_up_to_scalar(f):
         raise AssertionError("parallel factorization failed to reproduce input")
     return pair
 
 
-def _crossing_pair(f: Quadratic, disc: Scalar, root: Scalar) -> LinePair:
-    """The two lines of f, given det3(f) = 0 and disc = root^2 != 0.
+def _crossing_pair(f: Quadratic, disc, root) -> LinePair:
+    """The two lines of f, given det3(f) = 0 and the raw disc = root^2 != 0.
 
     Both lines pass through the center, the zero of the gradient, and their
     directions are the roots of the homogeneous part: [1 : 0] and
     [-c/b : 1] when a = 0, else [(-b +- root)/2a : 1].
     """
-    spec = disc.spec
+    spec = f.spec
     ctr = _center(f, disc)
-    cx, cy = ctr.x.value, ctr.y.value
-    a, b = f.a.value, f.b.value
-    one = spec.one
+    cx, cy, _ = ctr.raw
+    a, b, c = f.raw[:3]
 
     def through_center(x) -> Line:  # direction [x : 1], x a raw value
-        return Line(one, wrap(spec, -x), wrap(spec, x * cy - cx))
+        return _line(spec, 1, -x, x * cy - cx)
 
     if a == 0:
         # b != 0 as disc = b^2; the horizontal line has direction [1 : 0].
-        horizontal = Line(spec.zero, one, wrap(spec, -cy))
         pair = LinePair._crossing(
-            horizontal, through_center(-f.c.value * raw_inverse(spec, b)), ctr)
+            _line(spec, 0, 1, -cy), through_center(-c * raw_inverse(spec, b)), ctr)
     else:
         h = raw_inverse(spec, a + a)
-        r = root.value
         pair = LinePair._crossing(
-            through_center((r - b) * h), through_center(-(b + r) * h), ctr)
+            through_center((root - b) * h), through_center(-(b + root) * h), ctr)
     if not pair.product().same_up_to_scalar(f):
         raise AssertionError("crossing factorization failed to reproduce input")
     return pair
@@ -562,20 +561,24 @@ def degenerations(f: Quadratic) -> Degenerations:
     one-parameter family, all sharing one midline.  Ellipses and parabolas
     with det3 != 0 have none.
     """
-    disc = f.disc()
-    root = square_root(disc)
-    if root is not None and not root.is_zero:
+    spec, raw = f.spec, f.raw
+    disc = _disc(raw)
+    root = raw_sqrt(spec, disc)
+    if root is None:
+        return Degenerations(DEGEN_NONE)
+    if root != 0:
         # det3(f + t) = det3(f) - t disc / 4, so this shift makes det3 zero.
-        spec = disc.spec
-        shift = wrap(spec, 4 * f.det3().value * raw_inverse(spec, disc.value))
-        pair = _crossing_pair(f.add_constant(shift), disc, root)
-        return Degenerations(DEGEN_UNIQUE, pair=pair, shift=shift)
-    if disc.is_zero and f.det3().is_zero:
-        scale, (u, v) = _split_homogeneous_square(f)
-        m = f.d / u if not u.is_zero else f.e / v
+        shift = _det3_times_4(raw) * raw_inverse(spec, disc)
+        a, b, c, d, e, g = raw
+        pair = _crossing_pair(_quadratic(spec, a, b, c, d, e, g + shift), disc, root)
+        return Degenerations(DEGEN_UNIQUE, pair=pair, shift=wrap(spec, shift))
+    if raw_is_zero(spec, _det3_times_4(raw)):
+        scale, u, v = _split_homogeneous_square(spec, raw)
+        m = raw[3] if u else raw[4]
         return Degenerations(
             DEGEN_FAMILY,
-            family=ParallelFamily(scale, (u, v), m, f.g),
+            family=ParallelFamily(wrap(spec, scale), (wrap(spec, u), wrap(spec, v)),
+                                  wrap(spec, m), f.g),
         )
     return Degenerations(DEGEN_NONE)
 
@@ -631,31 +634,35 @@ def restrict_to_line(f: Quadratic, line: Line) -> tuple[Scalar, Scalar, Scalar]:
     A is the homogeneous part at the direction, so A = 0 exactly when the
     line's point at infinity lies on the conic's closure.
     """
-    spec = f.a.spec
-    if line.u.spec is not spec:
-        same_field(spec, line.u.spec)
-    a, b, c = f.a.value, f.b.value, f.c.value
-    d, e, g = f.d.value, f.e.value, f.g.value
-    u, v, w = line.u.value, line.v.value, line.w.value
+    spec = f.spec
+    A, B, C = _restrict(f, line)
+    return wrap(spec, A), wrap(spec, B), wrap(spec, C)
+
+
+def _restrict(f: Quadratic, line: Line) -> tuple:
+    """The raw, possibly unreduced, (A, B, C) of ``restrict_to_line``."""
+    spec = f.spec
+    if line.spec is not spec:
+        same_field(spec, line.spec)
+    a, b, c, d, e, g = f.raw
+    u, v, w = line.raw
     if v == 0:
         # Canonical vertical line X = -w: base (-w, 0), direction (0, 1).
         x = -w
-        return f.c, wrap(spec, b * x + e), wrap(spec, (a * x + d) * x + g)
+        return c, b * x + e, (a * x + d) * x + g
     # Base (0, y), direction (-v, u).
     y = -w if v == 1 else -w * raw_inverse(spec, v)
     cy = c * y
-    return (wrap(spec, (a * v - b * u) * v + c * u * u),
-            wrap(spec, (cy + cy + e) * u - (b * y + d) * v),
-            wrap(spec, (cy + e) * y + g))
+    return ((a * v - b * u) * v + c * u * u,
+            (cy + cy + e) * u - (b * y + d) * v,
+            (cy + e) * y + g)
 
 
 def meets(f: Quadratic, line: Line) -> bool:
     """Whether the projective closures of line and conic intersect."""
-    A, B, C = restrict_to_line(f, line)
-    a, b = A.value, B.value
-    if a == 0:
-        return True
-    return square_root(wrap(A.spec, b * b - 4 * a * C.value)) is not None
+    A, B, C = _restrict(f, line)
+    spec = f.spec
+    return raw_is_zero(spec, A) or raw_sqrt(spec, B * B - 4 * A * C) is not None
 
 
 def mid(f: Quadratic, line: Line) -> MidResult:
@@ -664,14 +671,13 @@ def mid(f: Quadratic, line: Line) -> MidResult:
     Tangential crossings (double roots along the line) count as crossings
     with the tangency point as midpoint, the sum-of-roots convention.
     """
-    A, B, C = restrict_to_line(f, line)
-    a, b = A.value, B.value
-    if a != 0:
-        spec = A.spec
-        if square_root(wrap(spec, b * b - 4 * a * C.value)) is None:
+    A, B, C = _restrict(f, line)
+    spec = f.spec
+    if not raw_is_zero(spec, A):
+        if raw_sqrt(spec, B * B - 4 * A * C) is None:
             return NO_MEET
-        t_mid = wrap(spec, -b * raw_inverse(spec, a + a))
-        return MidResult(MR_CROSSES, Midpoint.finite(line.point_at(t_mid)))
-    if b != 0:
+        t_mid = -B * raw_inverse(spec, A + A)
+        return MidResult(MR_CROSSES, Midpoint.finite(_point_at(line, t_mid)))
+    if not raw_is_zero(spec, B):
         return MidResult(MR_CROSSES, MID_INFINITE)
     return MEETS_NO_CROSS

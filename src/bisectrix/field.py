@@ -1,9 +1,11 @@
 """Exact scalar arithmetic over the rationals and over prime fields GF(p).
 
-Every value in the library is a :class:`Scalar` tagged with a
+Every value the library hands out is a :class:`Scalar` tagged with a
 :class:`FieldSpec`.  Rationals are arbitrary-precision ``Fraction``s (always
 in lowest terms with a positive denominator); GF(p) elements are canonical
-residues in ``0..p-1``.  Scalars from different field specs never mix:
+residues in ``0..p-1``.  Quadratics, lines and points store those values
+raw, in a :class:`FieldTuple`, and build Scalars only when a coefficient is
+read.  Scalars from different field specs never mix:
 arithmetic between them raises :class:`FieldMismatchError` instead of
 coercing.  Plain Python ints are accepted as operands and mapped through the
 canonical ring map from the integers.
@@ -32,8 +34,8 @@ class InfiniteFieldError(FieldError):
     """An enumeration was requested over the rationals."""
 
 
-# GF(p) square roots switch from exhaustive search to Tonelli-Shanks here.
-_SQRT_SCAN_BOUND = 101
+# GF(p) square roots switch from a lookup table to Tonelli-Shanks here.
+_SQRT_TABLE_BOUND = 101
 
 
 # Miller-Rabin with the first thirteen prime bases (2 to 41) is exact below
@@ -360,6 +362,51 @@ def same_field(spec: FieldSpec, other: FieldSpec) -> None:
         raise FieldMismatchError(f"cannot combine {spec} scalar with {other} scalar")
 
 
+class FieldTuple:
+    """An immutable tuple ``raw`` of canonical values of the field ``spec``.
+
+    The base of quadratics, lines and points.  Each subclass has one
+    normalizer that reduces and scales the values and fills both slots;
+    kernels read ``raw`` directly, and the named coordinates are properties
+    (see ``coordinate``) that build a ``Scalar`` on each read.  Equality and
+    hashing work on the tuple: objects of two different fields raise
+    ``FieldMismatchError`` on ``==``, and an object hashes as its tuple.
+    """
+
+    __slots__ = ("spec", "raw")
+
+    def __setattr__(self, name, value):  # pragma: no cover - guard only
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def key(self) -> tuple:
+        """The canonical value tuple."""
+        return self.raw
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if other.spec is not self.spec:
+            same_field(self.spec, other.spec)
+        return self.raw == other.raw
+
+    def __hash__(self) -> int:
+        return hash(self.raw)
+
+
+set_spec = FieldTuple.__dict__["spec"].__set__
+set_raw = FieldTuple.__dict__["raw"].__set__
+
+
+def coordinate(i: int) -> property:
+    """The read-only property reading ``raw[i]`` as a Scalar."""
+    return property(lambda self: wrap(self.spec, self.raw[i]))
+
+
+def as_fractions(*raw) -> tuple:
+    """The raw rational values as Fractions (ints are converted)."""
+    return tuple([x if x.__class__ is Fraction else Fraction(x) for x in raw])
+
+
 def halve(x: Scalar) -> Scalar:
     """The unique y with 2y = x (total because char != 2)."""
     p = x.spec.p
@@ -397,35 +444,52 @@ def _tonelli_shanks(n: int, p: int) -> int:
     return r
 
 
+@lru_cache(maxsize=None)
+def _sqrt_table(p: int) -> list:
+    """Smallest square roots mod p, built once per p: entry v is the root
+    r <= p/2 of v, or None for a non-square."""
+    table: list = [None] * p
+    for r in range(p // 2, -1, -1):
+        table[r * r % p] = r
+    return table
+
+
+def raw_sqrt(spec: FieldSpec, raw):
+    """A raw root r with r*r == raw, or None when raw is not a square.
+
+    ``raw`` may be unreduced.  GF(p) returns the smaller of the two roots: a
+    table lookup for p <= 101, else the Euler criterion and Tonelli-Shanks.
+    Over Q the numerator and denominator must both be perfect integer squares,
+    and the root is a Fraction.
+    """
+    p = spec.p
+    if p is None:
+        if raw < 0:
+            return None
+        n, d = raw.numerator, raw.denominator
+        rn, rd = isqrt(n), isqrt(d)
+        if rn * rn == n and rd * rd == d:
+            return Fraction(rn, rd)
+        return None
+    if p <= _SQRT_TABLE_BOUND:
+        return _sqrt_table(p)[raw % p]
+    v = raw % p
+    if v == 0:
+        return 0
+    if pow(v, (p - 1) // 2, p) != 1:
+        return None
+    r = _tonelli_shanks(v, p)
+    return min(r, p - r)
+
+
 def square_root(x: Scalar) -> Scalar | None:
     """A root r with r*r == x, or None when x is not a square in the field.
 
-    GF(p) uses the Euler criterion, then exhaustive search for p <= 101 and
-    Tonelli-Shanks above; the smaller of the two roots is returned.  Over Q
-    the numerator and denominator must both be perfect integer squares.
+    The scalar of ``raw_sqrt``: the smaller root over GF(p), from a per-p
+    table for p <= 101, a Fraction root over Q.
     """
-    spec = x.spec
-    if spec.p is None:
-        f: Fraction = x.value
-        if f < 0:
-            return None
-        rn, rd = isqrt(f.numerator), isqrt(f.denominator)
-        if rn * rn == f.numerator and rd * rd == f.denominator:
-            return Scalar(spec, Fraction(rn, rd))
-        return None
-    p = spec.p
-    v = x.value
-    if v == 0:
-        return spec.zero
-    if pow(v, (p - 1) // 2, p) != 1:
-        return None
-    if p <= _SQRT_SCAN_BOUND:
-        for r in range(1, p // 2 + 1):
-            if r * r % p == v:
-                return Scalar(spec, r)
-        raise AssertionError("unreachable: Euler criterion said square")
-    r = _tonelli_shanks(v, p)
-    return Scalar(spec, min(r, p - r))
+    r = raw_sqrt(x.spec, x.value)
+    return None if r is None else wrap(x.spec, r)
 
 
 def is_square(x: Scalar) -> bool:

@@ -8,43 +8,43 @@ lines uX + vY + w = 0 with (u, v) != (0, 0), scaled so the first nonzero of
 
 from __future__ import annotations
 
-from .field import FieldSpec, Scalar, halve, raw_inverse, raw_is_zero, same_field, wrap
+from .field import (
+    FieldSpec,
+    FieldTuple,
+    Scalar,
+    coordinate,
+    as_fractions,
+    raw_inverse,
+    raw_is_zero,
+    same_field,
+    set_raw,
+    set_spec,
+    wrap,
+)
+
+_new = object.__new__
 
 
 class GeometryError(ValueError):
     """A geometric precondition was violated."""
 
 
-class ProjectivePoint:
-    """A point [x : y : z] of the projective plane, z = 0 meaning infinity."""
+class ProjectivePoint(FieldTuple):
+    """A point [x : y : z] of the projective plane, z = 0 meaning infinity.
 
-    __slots__ = ("x", "y", "z")
+    ``raw`` is (x, y, z) with the last nonzero coordinate scaled to 1.
+    """
+
+    __slots__ = ()
+
+    x, y, z = coordinate(0), coordinate(1), coordinate(2)
 
     def __init__(self, x: Scalar, y: Scalar, z: Scalar):
-        # Canonical representative: last nonzero coordinate equals 1.  Affine
-        # points with z = 1 and directions [x : 1 : 0] are already canonical.
-        # The coordinates share one field, so kernels check only across objects.
         spec = z.spec
         if not (x.spec is spec is y.spec):
             same_field(spec, x.spec)
             same_field(spec, y.spec)
-        if z.value != 0:
-            if z.value != 1:
-                k = raw_inverse(spec, z.value)
-                x, y, z = wrap(spec, x.value * k), wrap(spec, y.value * k), spec.one
-        elif y.value != 0:
-            if y.value != 1:
-                x, y = wrap(spec, x.value * raw_inverse(spec, y.value)), spec.one
-        elif x.value != 0:
-            x = spec.one
-        else:
-            raise GeometryError("projective point needs a nonzero coordinate")
-        _set_x(self, x)
-        _set_y(self, y)
-        _set_z(self, z)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("ProjectivePoint is immutable")
+        _normalize_point(self, spec, x.value, y.value, z.value)
 
     @classmethod
     def affine(cls, x: Scalar, y: Scalar) -> "ProjectivePoint":
@@ -55,40 +55,52 @@ class ProjectivePoint:
         return cls(dx, dy, dx.spec.zero)
 
     @property
-    def spec(self) -> FieldSpec:
-        return self.x.spec
-
-    @property
     def is_infinite(self) -> bool:
-        return self.z.is_zero
+        return self.raw[2] == 0
 
     def affine_xy(self) -> tuple[Scalar, Scalar]:
-        if self.is_infinite:
+        if self.raw[2] == 0:
             raise GeometryError("point at infinity has no affine coordinates")
         return self.x, self.y
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProjectivePoint):
-            return NotImplemented
-        if other.x.spec is not self.x.spec:
-            same_field(self.x.spec, other.x.spec)
-        return (self.x.value == other.x.value and self.y.value == other.y.value
-                and self.z.value == other.z.value)
-
-    def __hash__(self) -> int:
-        # A scalar hashes as its value, so this is hash((x, y, z)).
-        return hash((self.x.value, self.y.value, self.z.value))
-
     def __repr__(self) -> str:
-        return f"[{self.x}:{self.y}:{self.z}]"
+        x, y, z = self.raw
+        return f"[{x}:{y}:{z}]"
 
     def sort_key(self):
-        return (self.z.value, self.x.value, self.y.value)
+        x, y, z = self.raw
+        return (z, x, y)
 
 
-_set_x = ProjectivePoint.__dict__["x"].__set__
-_set_y = ProjectivePoint.__dict__["y"].__set__
-_set_z = ProjectivePoint.__dict__["z"].__set__
+def _normalize_point(point, spec: FieldSpec, x, y, z):
+    """Fill ``point`` with the canonical (x, y, z): last nonzero coordinate 1.
+
+    The one normalizer of points; affine points with z = 1 and directions
+    [x : 1 : 0] are already canonical and are not scaled.
+    """
+    p = spec.p
+    if p:
+        x, y, z = x % p, y % p, z % p
+    if z:
+        if z != 1:
+            k = raw_inverse(spec, z)
+            x, y, z = x * k, y * k, 1
+    elif y:
+        if y != 1:
+            x, y = x * raw_inverse(spec, y), 1
+    elif x:
+        x = 1
+    else:
+        raise GeometryError("projective point needs a nonzero coordinate")
+    raw = (x % p, y % p, z) if p else as_fractions(x, y, z)
+    set_spec(point, spec)
+    set_raw(point, raw)
+    return point
+
+
+def _point(spec: FieldSpec, x, y, z) -> ProjectivePoint:
+    """The point [x : y : z] of raw, possibly unreduced, values."""
+    return _normalize_point(_new(ProjectivePoint), spec, x, y, z)
 
 
 class _Coincident:
@@ -108,78 +120,65 @@ class _Coincident:
 COINCIDENT = _Coincident()
 
 
-class Line:
-    """The affine line uX + vY + w = 0, canonically scaled."""
+class Line(FieldTuple):
+    """The affine line uX + vY + w = 0, canonically scaled.
 
-    __slots__ = ("u", "v", "w")
+    ``raw`` is (u, v, w) with the first nonzero of (u, v) scaled to 1.
+    """
+
+    __slots__ = ()
+
+    u, v, w = coordinate(0), coordinate(1), coordinate(2)
 
     def __init__(self, u: Scalar, v: Scalar, w: Scalar):
-        # Canonical scaling: the first nonzero of (u, v) equals 1.  Lines
-        # built from a direction [x : 1] or a unit coefficient already are.
-        # The coefficients share one field, so kernels check only across objects.
         spec = u.spec
         if not (v.spec is spec is w.spec):
             same_field(spec, v.spec)
             same_field(spec, w.spec)
-        if u.value != 0:
-            if u.value != 1:
-                k = raw_inverse(spec, u.value)
-                u, v, w = spec.one, wrap(spec, v.value * k), wrap(spec, w.value * k)
-        elif v.value != 0:
-            if v.value != 1:
-                v, w = spec.one, wrap(spec, w.value * raw_inverse(spec, v.value))
-        else:
-            raise GeometryError("line coefficients need (u, v) != (0, 0)")
-        _set_u(self, u)
-        _set_v(self, v)
-        _set_w(self, w)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Line is immutable")
+        _normalize_line(self, spec, u.value, v.value, w.value)
 
     @classmethod
     def through(cls, p: ProjectivePoint, q: ProjectivePoint) -> "Line":
         """The line joining two distinct points, not both at infinity."""
         if p == q:
             raise GeometryError("two distinct points are needed to span a line")
-        u = p.y * q.z - q.y * p.z
-        v = p.z * q.x - q.z * p.x
-        w = p.x * q.y - q.x * p.y
-        if u.is_zero and v.is_zero:
+        px, py, pz = p.raw
+        qx, qy, qz = q.raw
+        u, v = py * qz - qy * pz, pz * qx - qz * px
+        spec = p.spec
+        if raw_is_zero(spec, u) and raw_is_zero(spec, v):
             raise GeometryError("the line at infinity is not representable")
-        return cls(u, v, w)
-
-    @property
-    def spec(self) -> FieldSpec:
-        return self.u.spec
+        return _line(spec, u, v, px * qy - qx * py)
 
     def evaluate(self, x: Scalar, y: Scalar) -> Scalar:
         return self.u * x + self.v * y + self.w
 
     def contains(self, p: ProjectivePoint) -> bool:
         """Membership in the projective closure of the line."""
-        spec = self.u.spec
-        if p.x.spec is not spec:
-            same_field(spec, p.x.spec)
-        return raw_is_zero(spec, self.u.value * p.x.value + self.v.value * p.y.value
-                           + self.w.value * p.z.value)
+        spec = self.spec
+        if p.spec is not spec:
+            same_field(spec, p.spec)
+        u, v, w = self.raw
+        x, y, z = p.raw
+        return raw_is_zero(spec, u * x + v * y + w * z)
 
     def infinity_point(self) -> ProjectivePoint:
         """The point at infinity of the line: [-v : u : 0]."""
-        return ProjectivePoint.at_infinity(-self.v, self.u)
+        u, v, _ = self.raw
+        return _point(self.spec, -v, u, 0)
 
     def is_parallel_to(self, other: "Line") -> bool:
-        if other.u.spec is not self.u.spec:
-            same_field(self.u.spec, other.u.spec)
-        return self.u.value == other.u.value and self.v.value == other.v.value
+        if other.spec is not self.spec:
+            same_field(self.spec, other.spec)
+        return self.raw[:2] == other.raw[:2]
 
     # A fixed parameterization of the line, t -> base + t * direction, with
     # direction (-v, u) so the parameter point at infinity is [-v : u : 0].
     # The base is (0, -w/v), or (-w, 0) on a vertical line, whose canonical
     # u is 1.
     def parameterization(self) -> tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]]:
-        spec = self.u.spec
-        v, w = self.v.value, self.w.value
+        spec = self.spec
+        u, v, w = self.raw
         if v != 0:
             base = (spec.zero, wrap(spec, -w * raw_inverse(spec, v)))
         else:
@@ -187,74 +186,89 @@ class Line:
         return base, (wrap(spec, -v), self.u)
 
     def point_at(self, t: Scalar) -> ProjectivePoint:
-        spec = self.u.spec
-        if t.spec is not spec:
-            same_field(spec, t.spec)
-        v, w = self.v.value, self.w.value
-        if v == 0:
-            return ProjectivePoint.affine(wrap(spec, -w), t)
-        tv = t.value
-        return ProjectivePoint.affine(
-            wrap(spec, -v * tv), wrap(spec, self.u.value * tv - w * raw_inverse(spec, v))
-        )
+        if t.spec is not self.spec:
+            same_field(self.spec, t.spec)
+        return _point_at(self, t.value)
 
     def param_of(self, p: ProjectivePoint) -> Scalar:
         """The parameter of an affine point of the line."""
         if not self.contains(p):
             raise GeometryError("point is not on the line")
-        x, y = p.affine_xy()
-        v = self.v.value
-        if v == 0:
-            return y
-        return wrap(x.spec, -x.value * raw_inverse(x.spec, v))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Line):
-            return NotImplemented
-        if other.u.spec is not self.u.spec:
-            same_field(self.u.spec, other.u.spec)
-        return (self.u.value == other.u.value and self.v.value == other.v.value
-                and self.w.value == other.w.value)
-
-    def __hash__(self) -> int:
-        # A scalar hashes as its value, so this is hash((u, v, w)).
-        return hash((self.u.value, self.v.value, self.w.value))
+        x, y, z = p.raw
+        if z == 0:
+            raise GeometryError("point at infinity has no affine coordinates")
+        spec = self.spec
+        v = self.raw[1]
+        return wrap(spec, y if v == 0 else -x * raw_inverse(spec, v))
 
     def __repr__(self) -> str:
-        return f"Line({self.u},{self.v},{self.w})"
+        u, v, w = self.raw
+        return f"Line({u},{v},{w})"
 
     def sort_key(self):
-        return (self.u.value, self.v.value, self.w.value)
+        return self.raw
 
 
-_set_u = Line.__dict__["u"].__set__
-_set_v = Line.__dict__["v"].__set__
-_set_w = Line.__dict__["w"].__set__
+def _normalize_line(line, spec: FieldSpec, u, v, w):
+    """Fill ``line`` with the canonical (u, v, w): first nonzero of (u, v) 1.
+
+    The one normalizer of lines; lines with a unit leading coefficient, such
+    as those built from a direction [x : 1], are not scaled.
+    """
+    p = spec.p
+    if p:
+        u, v = u % p, v % p
+    if u:
+        if u != 1:
+            k = raw_inverse(spec, u)
+            u, v, w = 1, v * k, w * k
+    elif v:
+        if v != 1:
+            v, w = 1, w * raw_inverse(spec, v)
+    else:
+        raise GeometryError("line coefficients need (u, v) != (0, 0)")
+    raw = (u, v % p, w % p) if p else as_fractions(u, v, w)
+    set_spec(line, spec)
+    set_raw(line, raw)
+    return line
+
+
+def _line(spec: FieldSpec, u, v, w) -> Line:
+    """The line uX + vY + w = 0 of raw, possibly unreduced, values."""
+    return _normalize_line(_new(Line), spec, u, v, w)
+
+
+def _point_at(line: Line, t) -> ProjectivePoint:
+    """The point of the line's parameterization at the raw parameter t."""
+    spec = line.spec
+    u, v, w = line.raw
+    if v == 0:
+        return _point(spec, -w, t, 1)
+    return _point(spec, -v * t, u * t - w * raw_inverse(spec, v), 1)
 
 
 def intersect(l1: Line, l2: Line) -> ProjectivePoint | _Coincident:
     """Projective intersection of two lines; COINCIDENT for equal lines."""
-    spec = l1.u.spec
-    if l2.u.spec is not spec:
-        same_field(spec, l2.u.spec)
-    u1, v1, w1 = l1.u.value, l1.v.value, l1.w.value
-    u2, v2, w2 = l2.u.value, l2.v.value, l2.w.value
+    spec = l1.spec
+    if l2.spec is not spec:
+        same_field(spec, l2.spec)
+    u1, v1, w1 = l1.raw
+    u2, v2, w2 = l2.raw
     x = v1 * w2 - v2 * w1
     y = w1 * u2 - w2 * u1
     z = u1 * v2 - u2 * v1
-    if not raw_is_zero(spec, z):
-        k = raw_inverse(spec, z)
-        return ProjectivePoint.affine(wrap(spec, x * k), wrap(spec, y * k))
-    if raw_is_zero(spec, x) and raw_is_zero(spec, y):
+    if raw_is_zero(spec, z) and raw_is_zero(spec, x) and raw_is_zero(spec, y):
         return COINCIDENT
-    return ProjectivePoint(wrap(spec, x), wrap(spec, y), spec.zero)
+    return _point(spec, x, y, z)
 
 
 def midline(l1: Line, l2: Line) -> Line:
     """The parallel line midway between two parallel lines."""
     if not l1.is_parallel_to(l2):
         raise GeometryError("midline needs parallel lines")
-    return Line(l1.u, l1.v, halve(l1.w + l2.w))
+    spec = l1.spec
+    u, v, w1 = l1.raw
+    return _line(spec, u, v, (w1 + l2.raw[2]) * raw_inverse(spec, 2))
 
 
 class Midpoint:
@@ -318,13 +332,17 @@ def midpoint_of_points(p: ProjectivePoint, q: ProjectivePoint) -> Midpoint:
     Both affine: the componentwise average.  Exactly one at infinity: the
     infinite midpoint.  Both at infinity: undetermined.
     """
-    if p.is_infinite and q.is_infinite:
+    px, py, pz = p.raw
+    qx, qy, qz = q.raw
+    if pz == 0 and qz == 0:
         return MID_UNDETERMINED
-    if p.is_infinite or q.is_infinite:
+    if pz == 0 or qz == 0:
         return MID_INFINITE
-    px, py = p.affine_xy()
-    qx, qy = q.affine_xy()
-    return Midpoint.finite(ProjectivePoint.affine(halve(px + qx), halve(py + qy)))
+    spec = p.spec
+    if q.spec is not spec:
+        same_field(spec, q.spec)
+    half = raw_inverse(spec, 2)
+    return Midpoint.finite(_point(spec, (px + qx) * half, (py + qy) * half, 1))
 
 
 def midpoint_on_line(p: ProjectivePoint, q: ProjectivePoint, line: Line) -> Midpoint:
@@ -384,11 +402,9 @@ class AffineMap:
                 self.m21 * x + self.m22 * y + self.t2)
 
     def apply(self, p: ProjectivePoint) -> ProjectivePoint:
-        return ProjectivePoint(
-            self.m11 * p.x + self.m12 * p.y + self.t1 * p.z,
-            self.m21 * p.x + self.m22 * p.y + self.t2 * p.z,
-            p.z,
-        )
+        m11, m12, m21, m22, t1, t2 = self._values(p.spec)
+        x, y, z = p.raw
+        return _point(p.spec, m11 * x + m12 * y + t1 * z, m21 * x + m22 * y + t2 * z, z)
 
     def apply_line(self, line: Line) -> Line:
         """The image of a line under the map."""
@@ -396,10 +412,16 @@ class AffineMap:
 
     def pull_line(self, line: Line) -> Line:
         """The preimage of a line: the line with equation line(self(x, y)) = 0."""
-        u = line.u * self.m11 + line.v * self.m21
-        v = line.u * self.m12 + line.v * self.m22
-        w = line.u * self.t1 + line.v * self.t2 + line.w
-        return Line(u, v, w)
+        m11, m12, m21, m22, t1, t2 = self._values(line.spec)
+        u, v, w = line.raw
+        return _line(line.spec, u * m11 + v * m21, u * m12 + v * m22, u * t1 + v * t2 + w)
+
+    def _values(self, spec: FieldSpec) -> tuple:
+        """The entries' values, checked against the field of an operand."""
+        if self.m11.spec is not spec:
+            same_field(spec, self.m11.spec)
+        return (self.m11.value, self.m12.value, self.m21.value, self.m22.value,
+                self.t1.value, self.t2.value)
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other: (self.compose(other))(p) = self(other(p))."""
@@ -444,6 +466,6 @@ def map_line_to_y0(line: Line) -> AffineMap:
     """
     spec = line.spec
     one, zero = spec.one, spec.zero
-    if not line.v.is_zero:
+    if line.raw[1] != 0:
         return AffineMap(one, zero, line.u, line.v, zero, line.w)
     return AffineMap(zero, one, line.u, zero, zero, line.w)

@@ -77,6 +77,10 @@ class OracleError(ValueError):
     """A check was requested outside its supported domain."""
 
 
+class BudgetError(OracleError):
+    """A check refused because one of its tables would pass a size budget."""
+
+
 CHECK_IDS = (
     "prop-2.2", "prop-3.4", "cor-3.5", "example-3.6", "prop-3.7-delta",
     "prop-4.3-construction", "lemma-3.2", "lemma-3.3", "lemma-4.5",
@@ -192,7 +196,7 @@ _KEY_CACHE: dict[int, list[tuple[int, ...]]] = {}
 
 # Size budgets: past them a structure would take minutes and gigabytes (at
 # GF(101) a 10,302 x 10,302 line table, about 10^10 quadratics), so its
-# builder refuses with OracleError, which the CLI reports as exit 3.
+# builder refuses with BudgetError, which the CLI reports as exit 3.
 PLANE_LINE_BUDGET = 400        # lines of _Plane and _Crossings, prop-3.7 net members: p <= 19
 QUADRATIC_BUDGET = 200_000     # quadratic classes (p <= 11) or line pairs (p <= 23)
 SEARCH_PAIR_BUDGET = 500       # line pairs in the maximal-arrangement search: p <= 5
@@ -200,7 +204,7 @@ SEARCH_PAIR_BUDGET = 500       # line pairs in the maximal-arrangement search: p
 
 def _within_budget(spec: FieldSpec, size: int, what: str, budget: int) -> None:
     if size > budget:
-        raise OracleError(f"{size:,} {what} over {spec.name} exceed the budget of {budget:,}")
+        raise BudgetError(f"{size:,} {what} over {spec.name} exceed the budget of {budget:,}")
 
 
 def enumerate_lines(spec: FieldSpec) -> list[Line]:

@@ -51,11 +51,11 @@ class TrivialPencilError(PencilError):
 
 def are_independent(f1: Quadratic, f2: Quadratic) -> bool:
     """True when no nonzero combination of f1, f2 drops below degree 2."""
-    spec = f1.a.spec
-    if f2.a.spec is not spec:
-        same_field(spec, f2.a.spec)
-    a1, b1, c1 = f1.a.value, f1.b.value, f1.c.value
-    a2, b2, c2 = f2.a.value, f2.b.value, f2.c.value
+    spec = f1.spec
+    if f2.spec is not spec:
+        same_field(spec, f2.spec)
+    a1, b1, c1 = f1.raw[:3]
+    a2, b2, c2 = f2.raw[:3]
     return not (
         raw_is_zero(spec, a1 * b2 - a2 * b1)
         and raw_is_zero(spec, a1 * c2 - a2 * c1)
@@ -142,13 +142,10 @@ def net_contains(pencil: Pencil, g: Quadratic) -> NetCoords | None:
     (alpha, beta); the homogeneous parts have rank 2, so the solution is
     unique when it exists, and the shift is read off the constant term.
     """
-    spec = pencil.f1.a.spec
-    if g.a.spec is not spec and g.spec != spec:
-        raise PencilError("membership test needs matching fields")
-    f1, f2 = pencil.f1, pencil.f2
-    rows1 = [x.value for x in f1.coefficients()]
-    rows2 = [x.value for x in f2.coefficients()]
-    target = [x.value for x in g.coefficients()]
+    spec = pencil.f1.spec
+    if g.spec is not spec:
+        same_field(spec, g.spec)
+    rows1, rows2, target = pencil.f1.raw, pencil.f2.raw, g.raw
     alpha = beta = None
     for i in range(3):
         for j in range(i + 1, 3):
@@ -241,12 +238,14 @@ def degeneracy_cubic(pencil: Pencil) -> DegeneracyCubic:
     spec = pencil.spec
     f1, f2 = pencil.f1, pencil.f2
     half = raw_inverse(spec, 2)
-    e00 = (f1.a.value, f2.a.value)
-    e01 = (f1.b.value * half, f2.b.value * half)
-    e02 = (f1.d.value * half, f2.d.value * half)
-    e11 = (f1.c.value, f2.c.value)
-    e12 = (f1.e.value * half, f2.e.value * half)
-    e22 = (f1.g.value, f2.g.value)
+    a1, b1, c1, d1, e1, g1 = f1.raw
+    a2, b2, c2, d2, e2, g2 = f2.raw
+    e00 = (a1, a2)
+    e01 = (b1 * half, b2 * half)
+    e02 = (d1 * half, d2 * half)
+    e11 = (c1, c2)
+    e12 = (e1 * half, e2 * half)
+    e22 = (g1, g2)
 
     shift_coeff = _lin_mul(e00, e11)
     minus = _lin_mul(e01, e01)

@@ -89,7 +89,7 @@ def _clip_line(u: float, v: float, w: float, box) -> tuple | None:
 
 def _conic_paths(f: Quadratic, box) -> list[list[tuple[float, float]]]:
     """Polyline branches of the zero set inside the box, by axis sweeps."""
-    a, b, c, d, e, g = (float(Fraction(x.value)) for x in f.coefficients())
+    a, b, c, d, e, g = (float(x) for x in f.raw)
     x0, y0, width, height = box
     paths = []
 
@@ -182,8 +182,8 @@ def _emit(canvas: _Canvas) -> str:
 
 
 def _line_floats(line: Line) -> tuple[float, float, float]:
-    return (float(Fraction(line.u.value)), float(Fraction(line.v.value)),
-            float(Fraction(line.w.value)))
+    u, v, w = line.raw
+    return float(u), float(v), float(w)
 
 
 def _pair_dots(canvas: _Canvas, pair: LinePair, pencil: Pencil):

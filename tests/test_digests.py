@@ -1,0 +1,45 @@
+"""Byte identity of every GF(3) check against the newest committed benchmark record.
+
+Each check id runs in process through ``cli.dispatch``; its exit code and the
+sha256 of its stdout must equal the ``"F3 <id>"`` entry of the
+``check_digests`` of the highest-numbered ``BENCH_*.json`` at the repository
+root, the record ``tools/check_digests.py`` writes and compares.
+"""
+
+import hashlib
+import io
+import json
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from bisectrix.cli import dispatch
+from bisectrix.oracle import CHECK_IDS
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _newest_bench() -> Path:
+    found = [(int(m.group(1)), path) for path in ROOT.glob("BENCH_*.json")
+             if (m := re.fullmatch(r"BENCH_(\d+)\.json", path.name))]
+    return max(found)[1]
+
+
+NEWEST = _newest_bench()
+DIGESTS = json.loads(NEWEST.read_text())["check_digests"]["digests"]
+
+
+@pytest.mark.parametrize("check_id", CHECK_IDS)
+def test_f3_output_matches_the_record(check_id):
+    buf = io.StringIO()
+    old = sys.stdout
+    sys.stdout = buf
+    try:
+        code = dispatch(["check", "--field", "F3", check_id])
+    finally:
+        sys.stdout = old
+    found = {"exit": code,
+             "stdout_sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest()}
+    assert found == DIGESTS[f"F3 {check_id}"], f"differs from {NEWEST.name}"

@@ -479,10 +479,12 @@ class TestValueKernels:
 
 class TestMixedFields:
     def test_net_contains_refuses_a_foreign_field(self):
-        # The field test comes before any arithmetic, as a PencilError.
+        # The field test comes before any arithmetic, as in every other kernel.
+        from bisectrix.field import FieldMismatchError
+
         for spec_a, spec_b in ((F5, F7), (Q, F7), (F7, Q)):
             pencil = Pencil(quad("x*y", spec_a), quad("x^2-y^2", spec_a))
-            with pytest.raises(PencilError):
+            with pytest.raises(FieldMismatchError):
                 net_contains(pencil, quad("x*y+1", spec_b))
 
     def test_kernels_refuse_mixed_scalars(self):
