@@ -26,7 +26,7 @@ from .conic import (
     pullback,
     restrict_to_line,
 )
-from .field import Scalar, raw_is_zero, raw_sqrt
+from .field import Frozen, Scalar, raw_is_zero, raw_sqrt
 from .geometry import (
     Line,
     MID_UNDETERMINED,
@@ -74,18 +74,10 @@ def bisects_set(line: Line, quadratics: Iterable[Quadratic]) -> Midpoint | None:
     return MID_UNDETERMINED if common is None else common
 
 
-class PairThroughLine:
+class PairThroughLine(Frozen):
     """A reducible net member having the queried line as a component."""
 
     __slots__ = ("coords", "pair", "whole_family")
-
-    def __init__(self, coords: NetCoords, pair: LinePair, whole_family: bool):
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "whole_family", whole_family)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("PairThroughLine is immutable")
 
     def __repr__(self) -> str:
         return f"PairThroughLine({self.coords}, {self.pair})"
@@ -135,17 +127,10 @@ def pair_through_line(line: Line, pencil: Pencil) -> PairThroughLine | None:
     return PairThroughLine(coords, original_pair, whole_family)
 
 
-class ArrangementReport:
+class ArrangementReport(Frozen):
     """Verdict and per-line midpoints of a bisector-arrangement check."""
 
     __slots__ = ("ok", "midpoints")
-
-    def __init__(self, ok: bool, midpoints: dict[Line, Midpoint | None]):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "midpoints", midpoints)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("ArrangementReport is immutable")
 
     def __repr__(self) -> str:
         return f"ArrangementReport(ok={self.ok})"
@@ -187,7 +172,7 @@ def classify_trivial_arrangement(pairs: Sequence[LinePair]) -> str:
     return NONTRIVIAL
 
 
-class BisectorField:
+class BisectorField(Frozen):
     """A maximal nontrivial bisector arrangement, as an asymptotic pencil.
 
     Over the rationals the pair set may be infinite, so membership is the
@@ -195,12 +180,6 @@ class BisectorField:
     """
 
     __slots__ = ("apencil",)
-
-    def __init__(self, apencil: AsymptoticPencil):
-        object.__setattr__(self, "apencil", apencil)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("BisectorField is immutable")
 
     def contains(self, pair: LinePair) -> bool:
         return self.apencil.contains_pair(pair)
@@ -223,7 +202,7 @@ def bisector_field_of(pencil: Pencil) -> BisectorField:
     return BisectorField(ap)
 
 
-class Involution:
+class Involution(Frozen):
     """An order-2 projective map t -> (p t + q) / (r t - p) on a line.
 
     Parameters are the line's affine parameter, with None standing for the
@@ -241,12 +220,7 @@ class Involution:
             if not x.is_zero:
                 p, q, r = p / x, q / x, r / x
                 break
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Involution is immutable")
+        super().__init__(p, q, r)
 
     def apply(self, t: Scalar | None) -> Scalar | None:
         if t is None:

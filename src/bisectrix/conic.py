@@ -18,6 +18,7 @@ from typing import Iterable
 from .field import (
     FieldSpec,
     FieldTuple,
+    Frozen,
     Scalar,
     coordinate,
     as_fractions,
@@ -206,7 +207,7 @@ def pullback(mapping: AffineMap, f: Quadratic) -> Quadratic:
     Satisfies pullback(m1.compose(m2), f) == pullback(m2, pullback(m1, f)).
     """
     spec = f.spec
-    m11, m12, m21, m22, t1, t2 = mapping._values(spec)
+    m11, m12, m21, m22, t1, t2 = mapping.raw_in(spec)
     a, b, c, d, e, g = f.raw
     a2, c2 = a + a, c + c
     # (gx, gy): gradient of the homogeneous part at the image of the x-axis
@@ -232,15 +233,8 @@ PARABOLA = "parabola"
 ELLIPSE = "ellipse"
 
 
-class ConicClass:
+class ConicClass(Frozen):
     __slots__ = ("kind", "degenerate")
-
-    def __init__(self, kind: str, degenerate: bool):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "degenerate", degenerate)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("ConicClass is immutable")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConicClass):
@@ -309,7 +303,7 @@ PARALLEL = "parallel"
 DOUBLE = "double"
 
 
-class LinePair:
+class LinePair(Frozen):
     """An unordered pair of lines (possibly equal), i.e. a reducible conic.
 
     Crossing pairs carry their intersection point (the center); parallel and
@@ -344,9 +338,6 @@ class LinePair:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "midline", mid)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("LinePair is immutable")
 
     @property
     def spec(self) -> FieldSpec:
@@ -495,7 +486,7 @@ DEGEN_FAMILY = "family"
 DEGEN_NONE = "none"
 
 
-class ParallelFamily:
+class ParallelFamily(Frozen):
     """All parallel/double pairs with a fixed direction and fixed midline.
 
     The members are the pairs {uX+vY = r, uX+vY = s} with r + s constant;
@@ -503,16 +494,6 @@ class ParallelFamily:
     """
 
     __slots__ = ("scale", "axis", "linear", "constant")
-
-    def __init__(self, scale: Scalar, axis: tuple[Scalar, Scalar],
-                 linear: Scalar, constant: Scalar):
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "constant", constant)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("ParallelFamily is immutable")
 
     @property
     def midline(self) -> Line:
@@ -534,19 +515,13 @@ class ParallelFamily:
         return self.pair_at(r).product().scale(self.scale)
 
 
-class Degenerations:
+class Degenerations(Frozen):
     """Outcome of listing the reducible constant shifts of a quadratic."""
 
     __slots__ = ("kind", "pair", "shift", "family")
 
     def __init__(self, kind, pair=None, shift=None, family=None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "family", family)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Degenerations is immutable")
+        super().__init__(kind, pair, shift, family)
 
     def __repr__(self) -> str:
         return f"Degenerations({self.kind})"
@@ -590,7 +565,7 @@ MR_MEETS_NO_CROSS = "meets-no-cross"
 MR_NO_MEET = "no-meet"
 
 
-class MidResult:
+class MidResult(Frozen):
     """How a line intersects a conic, with the crossing midpoint if any."""
 
     __slots__ = ("kind", "midpoint")
@@ -602,9 +577,6 @@ class MidResult:
             raise ConicError("a crossing midpoint is finite or infinite")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "midpoint", midpoint)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("MidResult is immutable")
 
     @property
     def crosses(self) -> bool:

@@ -70,7 +70,28 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class FieldSpec:
+class Frozen:
+    """The base of every immutable object: slots filled once, at construction.
+
+    Assignment and ``del`` raise ``AttributeError``.  ``__init__`` fills
+    ``__slots__`` in order; constructors that validate or normalize do so
+    first, and the hot ones store their slots directly instead.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class FieldSpec(Frozen):
     """Either the rationals (``p is None``) or GF(p) for an odd prime p."""
 
     __slots__ = ("p", "zero", "one")
@@ -83,13 +104,9 @@ class FieldSpec:
                 )
             if p < 3 or not _is_prime(p):
                 raise FieldError(f"GF({p}) is not supported: p must be an odd prime >= 3")
-        object.__setattr__(self, "p", p)
+        zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
         # Built once: every read of spec.zero / spec.one shares these scalars.
-        object.__setattr__(self, "zero", self.scalar(0))
-        object.__setattr__(self, "one", self.scalar(1))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("FieldSpec is immutable")
+        super().__init__(p, Scalar(self, zero), Scalar(self, one))
 
     @property
     def is_finite(self) -> bool:
@@ -163,7 +180,7 @@ def parse_fieldspec(text: str) -> FieldSpec:
     raise FieldError(f"invalid field spec {text!r}: expected 'Q' or 'F<p>'")
 
 
-class Scalar:
+class Scalar(Frozen):
     """An exact element of Q or GF(p), tagged with its field spec.
 
     Results are built directly through the slot descriptors rather than
@@ -178,9 +195,6 @@ class Scalar:
         # Callers go through FieldSpec.scalar; value is assumed canonical.
         _set_spec(self, spec)
         _set_value(self, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
 
     def _operand(self, other):
         """The value of ``other`` in this field, or None for a foreign type."""
@@ -362,7 +376,7 @@ def same_field(spec: FieldSpec, other: FieldSpec) -> None:
         raise FieldMismatchError(f"cannot combine {spec} scalar with {other} scalar")
 
 
-class FieldTuple:
+class FieldTuple(Frozen):
     """An immutable tuple ``raw`` of canonical values of the field ``spec``.
 
     The base of quadratics, lines and points.  Each subclass has one
@@ -375,11 +389,14 @@ class FieldTuple:
 
     __slots__ = ("spec", "raw")
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     def key(self) -> tuple:
         """The canonical value tuple."""
+        return self.raw
+
+    def raw_in(self, spec: FieldSpec) -> tuple:
+        """``raw``, once ``spec``, the field of an operand, is checked to match."""
+        if spec is not self.spec:
+            same_field(spec, self.spec)
         return self.raw
 
     def __eq__(self, other) -> bool:

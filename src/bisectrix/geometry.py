@@ -11,6 +11,7 @@ from __future__ import annotations
 from .field import (
     FieldSpec,
     FieldTuple,
+    Frozen,
     Scalar,
     coordinate,
     as_fractions,
@@ -271,7 +272,7 @@ def midline(l1: Line, l2: Line) -> Line:
     return _line(spec, u, v, (w1 + l2.raw[2]) * raw_inverse(spec, 2))
 
 
-class Midpoint:
+class Midpoint(Frozen):
     """Finite (carrying an affine point), infinite, or undetermined."""
 
     __slots__ = ("kind", "point")
@@ -288,9 +289,6 @@ class Midpoint:
             raise GeometryError(f"{kind} midpoint carries no point")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "point", point)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Midpoint is immutable")
 
     @classmethod
     def finite(cls, point: ProjectivePoint) -> "Midpoint":
@@ -359,26 +357,28 @@ def reflect_through(m: ProjectivePoint, p: ProjectivePoint) -> ProjectivePoint:
     return ProjectivePoint.affine(mx + mx - px, my + my - py)
 
 
-class AffineMap:
-    """An invertible affine map (x, y) -> M (x, y) + t with exact entries."""
+class AffineMap(FieldTuple):
+    """An invertible affine map (x, y) -> M (x, y) + t with exact entries.
 
-    __slots__ = ("m11", "m12", "m21", "m22", "t1", "t2")
+    ``raw`` is (m11, m12, m21, m22, t1, t2), reduced.
+    """
+
+    __slots__ = ()
+
+    m11, m12, m21, m22 = coordinate(0), coordinate(1), coordinate(2), coordinate(3)
+    t1, t2 = coordinate(4), coordinate(5)
 
     def __init__(self, m11, m12, m21, m22, t1, t2):
-        det = m11 * m22 - m12 * m21
-        if det.is_zero:
-            raise GeometryError("affine map must be invertible")
-        for name, val in (("m11", m11), ("m12", m12), ("m21", m21),
-                          ("m22", m22), ("t1", t1), ("t2", t2)):
-            object.__setattr__(self, name, val)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("AffineMap is immutable")
+        spec = m11.spec
+        if not (spec is m12.spec is m21.spec is m22.spec is t1.spec is t2.spec):
+            for x in (m12, m21, m22, t1, t2):
+                same_field(spec, x.spec)
+        _normalize_map(self, spec, m11.value, m12.value, m21.value, m22.value,
+                       t1.value, t2.value)
 
     @classmethod
     def identity(cls, spec: FieldSpec) -> "AffineMap":
-        one, zero = spec.one, spec.zero
-        return cls(one, zero, zero, one, zero, zero)
+        return _affine_map(spec, 1, 0, 0, 1, 0, 0)
 
     @classmethod
     def translation(cls, t1: Scalar, t2: Scalar) -> "AffineMap":
@@ -390,19 +390,15 @@ class AffineMap:
         zero = m11.spec.zero
         return cls(m11, m12, m21, m22, zero, zero)
 
-    @property
-    def spec(self) -> FieldSpec:
-        return self.m11.spec
-
     def determinant(self) -> Scalar:
-        return self.m11 * self.m22 - self.m12 * self.m21
+        m11, m12, m21, m22, _, _ = self.raw
+        return wrap(self.spec, m11 * m22 - m12 * m21)
 
     def apply_xy(self, x: Scalar, y: Scalar) -> tuple[Scalar, Scalar]:
-        return (self.m11 * x + self.m12 * y + self.t1,
-                self.m21 * x + self.m22 * y + self.t2)
+        return self.apply(ProjectivePoint.affine(x, y)).affine_xy()
 
     def apply(self, p: ProjectivePoint) -> ProjectivePoint:
-        m11, m12, m21, m22, t1, t2 = self._values(p.spec)
+        m11, m12, m21, m22, t1, t2 = self.raw_in(p.spec)
         x, y, z = p.raw
         return _point(p.spec, m11 * x + m12 * y + t1 * z, m21 * x + m22 * y + t2 * z, z)
 
@@ -412,49 +408,48 @@ class AffineMap:
 
     def pull_line(self, line: Line) -> Line:
         """The preimage of a line: the line with equation line(self(x, y)) = 0."""
-        m11, m12, m21, m22, t1, t2 = self._values(line.spec)
+        m11, m12, m21, m22, t1, t2 = self.raw_in(line.spec)
         u, v, w = line.raw
         return _line(line.spec, u * m11 + v * m21, u * m12 + v * m22, u * t1 + v * t2 + w)
 
-    def _values(self, spec: FieldSpec) -> tuple:
-        """The entries' values, checked against the field of an operand."""
-        if self.m11.spec is not spec:
-            same_field(spec, self.m11.spec)
-        return (self.m11.value, self.m12.value, self.m21.value, self.m22.value,
-                self.t1.value, self.t2.value)
-
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other: (self.compose(other))(p) = self(other(p))."""
-        return AffineMap(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-            self.m11 * other.t1 + self.m12 * other.t2 + self.t1,
-            self.m21 * other.t1 + self.m22 * other.t2 + self.t2,
-        )
+        m11, m12, m21, m22, t1, t2 = self.raw
+        n11, n12, n21, n22, s1, s2 = other.raw_in(self.spec)
+        return _affine_map(self.spec, m11 * n11 + m12 * n21, m11 * n12 + m12 * n22,
+                           m21 * n11 + m22 * n21, m21 * n12 + m22 * n22,
+                           m11 * s1 + m12 * s2 + t1, m21 * s1 + m22 * s2 + t2)
 
     def inverse(self) -> "AffineMap":
-        det = self.determinant()
-        n11, n12 = self.m22 / det, -self.m12 / det
-        n21, n22 = -self.m21 / det, self.m11 / det
-        return AffineMap(
-            n11, n12, n21, n22,
-            -(n11 * self.t1 + n12 * self.t2),
-            -(n21 * self.t1 + n22 * self.t2),
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AffineMap):
-            return NotImplemented
-        return all(
-            getattr(self, f) == getattr(other, f)
-            for f in ("m11", "m12", "m21", "m22", "t1", "t2")
-        )
+        spec = self.spec
+        m11, m12, m21, m22, t1, t2 = self.raw
+        k = raw_inverse(spec, m11 * m22 - m12 * m21)
+        n11, n12, n21, n22 = m22 * k, -m12 * k, -m21 * k, m11 * k
+        return _affine_map(spec, n11, n12, n21, n22,
+                           -(n11 * t1 + n12 * t2), -(n21 * t1 + n22 * t2))
 
     def __repr__(self) -> str:
-        return (f"AffineMap([[{self.m11},{self.m12}],[{self.m21},{self.m22}]] "
-                f"+ ({self.t1},{self.t2}))")
+        m11, m12, m21, m22, t1, t2 = self.raw
+        return f"AffineMap([[{m11},{m12}],[{m21},{m22}]] + ({t1},{t2}))"
+
+
+def _normalize_map(mapping, spec: FieldSpec, m11, m12, m21, m22, t1, t2):
+    """Fill ``mapping`` with the reduced entries; the one normalizer of maps."""
+    p = spec.p
+    if p:
+        raw = (m11 % p, m12 % p, m21 % p, m22 % p, t1 % p, t2 % p)
+    else:
+        raw = as_fractions(m11, m12, m21, m22, t1, t2)
+    if raw_is_zero(spec, raw[0] * raw[3] - raw[1] * raw[2]):
+        raise GeometryError("affine map must be invertible")
+    set_spec(mapping, spec)
+    set_raw(mapping, raw)
+    return mapping
+
+
+def _affine_map(spec: FieldSpec, m11, m12, m21, m22, t1, t2) -> AffineMap:
+    """The map with the given raw, possibly unreduced, entries."""
+    return _normalize_map(_new(AffineMap), spec, m11, m12, m21, m22, t1, t2)
 
 
 def map_line_to_y0(line: Line) -> AffineMap:
@@ -464,8 +459,7 @@ def map_line_to_y0(line: Line) -> AffineMap:
     line the map is (x, y) -> (x, ux + vy + w); for a vertical line the
     coordinates are swapped first, (x, y) -> (y, ux + w).
     """
-    spec = line.spec
-    one, zero = spec.one, spec.zero
-    if line.raw[1] != 0:
-        return AffineMap(one, zero, line.u, line.v, zero, line.w)
-    return AffineMap(zero, one, line.u, zero, zero, line.w)
+    u, v, w = line.raw
+    if v != 0:
+        return _affine_map(line.spec, 1, 0, u, v, 0, w)
+    return _affine_map(line.spec, 0, 1, u, 0, 0, w)

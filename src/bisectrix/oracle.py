@@ -43,7 +43,7 @@ from .conic import (
     meets,
     restrict_to_line,
 )
-from .field import FieldSpec, InfiniteFieldError, square_root
+from .field import FieldSpec, Frozen, InfiniteFieldError, square_root
 from .geometry import AffineMap, Line, Midpoint, intersect
 from .pencil import (
     AsymptoticPencil,
@@ -109,18 +109,13 @@ CHECK_DESCRIPTIONS = {
 }
 
 
-class Policy:
+class Policy(Frozen):
     """Sampling policy: exhaustive, or randomized with a seed and count."""
 
     __slots__ = ("kind", "seed", "count")
 
     def __init__(self, kind: str, seed: int = 0, count: int = 0):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "count", count)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Policy is immutable")
+        super().__init__(kind, seed, count)
 
     @classmethod
     def exhaustive(cls) -> "Policy":
@@ -136,7 +131,7 @@ class Policy:
         return {"kind": "randomized", "seed": self.seed, "count": self.count}
 
 
-class Report:
+class Report(Frozen):
     """Outcome of one check run."""
 
     __slots__ = ("check", "field", "policy", "verdict", "witnesses", "wall_time")
@@ -144,15 +139,7 @@ class Report:
     def __init__(self, check, field, policy, verdict, witnesses, wall_time):
         if verdict == "fail" and not witnesses:
             raise AssertionError("a failed report needs a counterexample witness")
-        object.__setattr__(self, "check", check)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "policy", policy)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "wall_time", wall_time)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Report is immutable")
+        super().__init__(check, field, policy, verdict, witnesses, wall_time)
 
     @property
     def passed(self) -> bool:

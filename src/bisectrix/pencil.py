@@ -21,6 +21,7 @@ from .conic import (
     HYPERBOLA,
     LinePair,
     Quadratic,
+    _quadratic,
     classify,
     degenerations,
     is_reducible,
@@ -30,6 +31,7 @@ from .conic import (
 )
 from .field import (
     FieldSpec,
+    Frozen,
     InfiniteFieldError,
     Scalar,
     is_square,
@@ -38,7 +40,7 @@ from .field import (
     same_field,
     wrap,
 )
-from .geometry import AffineMap, Line
+from .geometry import AffineMap, Line, _affine_map
 
 
 class PencilError(ValueError):
@@ -63,7 +65,7 @@ def are_independent(f1: Quadratic, f2: Quadratic) -> bool:
     )
 
 
-class NetCoords:
+class NetCoords(Frozen):
     """Projective coordinates [alpha : beta : shift] of a net member."""
 
     __slots__ = ("alpha", "beta", "shift")
@@ -85,9 +87,6 @@ class NetCoords:
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "shift", shift)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("NetCoords is immutable")
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, NetCoords):
             return NotImplemented
@@ -101,7 +100,7 @@ class NetCoords:
         return f"[{self.alpha}:{self.beta}:{self.shift}]"
 
 
-class Pencil:
+class Pencil(Frozen):
     """The span of two independent quadratics over one field."""
 
     __slots__ = ("f1", "f2")
@@ -111,11 +110,7 @@ class Pencil:
             raise PencilError("pencil generators must share a field")
         if not are_independent(f1, f2):
             raise PencilError("pencil generators must be independent")
-        object.__setattr__(self, "f1", f1)
-        object.__setattr__(self, "f2", f2)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Pencil is immutable")
+        super().__init__(f1, f2)
 
     @property
     def spec(self) -> FieldSpec:
@@ -127,8 +122,17 @@ class Pencil:
 
 def net_member(pencil: Pencil, coords: NetCoords) -> Quadratic:
     """The quadratic alpha*f1 + beta*f2 + shift (degree 2 by independence)."""
-    member = linear_combination([(coords.alpha, pencil.f1), (coords.beta, pencil.f2)])
-    return member.add_constant(coords.shift)
+    spec = pencil.spec
+    if coords.alpha.spec is not spec:
+        same_field(coords.alpha.spec, spec)
+    return _net_member(pencil, coords.alpha.value, coords.beta.value, coords.shift.value)
+
+
+def _net_member(pencil: Pencil, alpha, beta, shift) -> Quadratic:
+    """``net_member`` at raw coordinates, built once."""
+    raw = [alpha * x + beta * y for x, y in zip(pencil.f1.raw, pencil.f2.raw)]
+    raw[5] += shift
+    return _quadratic(pencil.spec, *raw)
 
 
 def combination(pencil: Pencil, alpha: Scalar, beta: Scalar) -> Quadratic:
@@ -184,7 +188,7 @@ def _quad_lin_mul(q, l):
     )
 
 
-class DegeneracyCubic:
+class DegeneracyCubic(Frozen):
     """det of the symmetric member matrix, as a polynomial in the shift.
 
     For the member with direction (alpha, beta) and constant shift t, the
@@ -194,14 +198,6 @@ class DegeneracyCubic:
     """
 
     __slots__ = ("spec", "shift_coeff", "base")
-
-    def __init__(self, spec: FieldSpec, shift_coeff, base):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "shift_coeff", shift_coeff)
-        object.__setattr__(self, "base", base)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("DegeneracyCubic is immutable")
 
     def shift_coeff_at(self, alpha: Scalar, beta: Scalar) -> Scalar:
         a, b = _direction_values(self.spec, alpha, beta)
@@ -272,9 +268,7 @@ def degeneracy_cubic(pencil: Pencil) -> DegeneracyCubic:
 
 
 def _swap_pullback(f: Quadratic) -> Quadratic:
-    spec = f.spec
-    swap = AffineMap.linear(spec.zero, spec.one, spec.one, spec.zero)
-    return pullback(swap, f)
+    return pullback(_affine_map(f.spec, 0, 1, 1, 0, 0, 0), f)
 
 
 def _scan_values(spec: FieldSpec):
@@ -390,7 +384,7 @@ def _directions(spec: FieldSpec):
 # --- asymptotic pencils -------------------------------------------------------
 
 
-class AsymptoticPencil:
+class AsymptoticPencil(Frozen):
     """The reducible members of the affine net of a pencil.
 
     Over a finite field the members are materialized; over the rationals the
@@ -401,12 +395,7 @@ class AsymptoticPencil:
     __slots__ = ("pencil", "_cubic", "_members")
 
     def __init__(self, pencil: Pencil):
-        object.__setattr__(self, "pencil", pencil)
-        object.__setattr__(self, "_cubic", None)
-        object.__setattr__(self, "_members", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("AsymptoticPencil is immutable")
+        super().__init__(pencil, None, None)
 
     @property
     def spec(self) -> FieldSpec:
@@ -418,13 +407,14 @@ class AsymptoticPencil:
             object.__setattr__(self, "_cubic", degeneracy_cubic(self.pencil))
         return self._cubic
 
-    def members(self) -> list[tuple[NetCoords, LinePair]]:
+    def members(self) -> tuple[tuple[NetCoords, LinePair], ...]:
         """All reducible net members over a finite field, each pair once.
 
         Per direction: a nonzero shift-slope pins the unique shift zeroing
         the determinant; a vanishing slope with vanishing base means every
         shift does (the parallel families); otherwise no member.  Candidates
-        are then filtered for rationality over the ground field.
+        are then filtered for rationality over the ground field.  The
+        members are computed once, on raw values, and shared as a tuple.
         """
         if not self.spec.is_finite:
             raise InfiniteFieldError(
@@ -433,26 +423,26 @@ class AsymptoticPencil:
             )
         if self._members is not None:
             return self._members
+        spec, p = self.spec, self.spec.p
+        q0, q1, q2 = [x.value for x in self.cubic.shift_coeff]
+        c0, c1, c2, c3 = [x.value for x in self.cubic.base]
         out: list[tuple[NetCoords, LinePair]] = []
         seen: set[LinePair] = set()
-        cubic = self.cubic
-        for coords in _directions(self.spec):
-            phi = cubic.shift_coeff_at(coords.alpha, coords.beta)
-            psi = cubic.base_at(coords.alpha, coords.beta)
-            if not phi.is_zero:
-                shifts = [-psi / phi]
-            elif psi.is_zero:
-                shifts = list(self.spec.elements())
+        for a, b in [(1, t) for t in range(p)] + [(0, 1)]:  # as _directions
+            phi = ((q0 * a + q1 * b) * a + q2 * b * b) % p
+            psi = ((c0 * a + c1 * b) * a + c2 * b * b) * a + c3 * b * b * b
+            if phi:
+                shifts = [-psi * raw_inverse(spec, phi)]
             else:
-                shifts = []
+                shifts = range(p) if psi % p == 0 else ()
             for shift in shifts:
-                full = NetCoords(coords.alpha, coords.beta, shift)
-                pair = is_reducible(net_member(self.pencil, full))
+                pair = is_reducible(_net_member(self.pencil, a, b, shift))
                 if pair is not None and pair not in seen:
                     seen.add(pair)
-                    out.append((full, pair))
-        object.__setattr__(self, "_members", out)
-        return out
+                    coords = NetCoords(wrap(spec, a), wrap(spec, b), wrap(spec, shift))
+                    out.append((coords, pair))
+        object.__setattr__(self, "_members", tuple(out))
+        return self._members
 
     def contains_quadratic(self, g: Quadratic) -> NetCoords | None:
         coords = net_contains(self.pencil, g)
@@ -512,8 +502,7 @@ class AsymptoticPencil:
         det = d1.x * d2.y - d2.x * d1.y
         mapping = AffineMap.linear(d2.y / det, -d2.x / det, -d1.y / det, d1.x / det)
         cx, cy = ctr.affine_xy()
-        tx, ty = mapping.apply_xy(-cx, -cy)
-        mapping = AffineMap(mapping.m11, mapping.m12, mapping.m21, mapping.m22, tx, ty)
+        mapping = mapping.compose(AffineMap.translation(-cx, -cy))
         moved = pullback(mapping.inverse(), pairs[1].product())
         factored = is_reducible(moved)
         if factored is None:

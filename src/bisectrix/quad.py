@@ -16,6 +16,7 @@ from .conic import (
     distinct_lines,
     pairs_are_translates,
 )
+from .field import Frozen
 from .geometry import GeometryError, Line, Midpoint, ProjectivePoint, intersect
 from .pencil import (
     AsymptoticPencil,
@@ -39,18 +40,10 @@ class QuadrilateralError(ValueError):
         self.reason = reason
 
 
-class Quadrilateral:
+class Quadrilateral(Frozen):
     """Validated opposite-side pairs; build through :func:`validate`."""
 
     __slots__ = ("first", "second", "degenerate")
-
-    def __init__(self, first: LinePair, second: LinePair, degenerate: bool):
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
-        object.__setattr__(self, "degenerate", degenerate)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Quadrilateral is immutable")
 
     def all_lines(self) -> list[Line]:
         return [*self.first.lines(), *self.second.lines()]

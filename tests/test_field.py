@@ -11,8 +11,11 @@ from bisectrix.field import (
     FieldError,
     FieldMismatchError,
     FieldSpec,
+    FieldTuple,
+    Frozen,
     GF,
     InfiniteFieldError,
+    Scalar,
     halve,
     is_square,
     parse_fieldspec,
@@ -348,3 +351,114 @@ def test_enumerate_field():
     # elements() is a generator: the refusal comes when it is consumed.
     with pytest.raises(InfiniteFieldError):
         list(Q.elements())
+
+
+# --- the Frozen base ------------------------------------------------------------
+
+
+def _frozen_builders():
+    """One fresh instance of every class deriving from Frozen, by class."""
+    from bisectrix.bisector import (
+        ArrangementReport, BisectorField, Involution, PairThroughLine,
+        is_bisector_arrangement,
+    )
+    from bisectrix.conic import (
+        ConicClass, Degenerations, LinePair, MidResult, ParallelFamily, Quadratic,
+        classify, degenerations, mid,
+    )
+    from bisectrix.geometry import AffineMap, Line, Midpoint, ProjectivePoint
+    from bisectrix.oracle import Policy, Report
+    from bisectrix.pencil import (
+        AsymptoticPencil, DegeneracyCubic, NetCoords, Pencil, degeneracy_cubic,
+    )
+    from bisectrix.quad import Quadrilateral
+
+    spec = FieldSpec(5)  # not the cached GF(5): a failed guard harms no other test
+
+    def quad(*coeffs):
+        return Quadratic.from_ints(spec, coeffs)
+
+    def line(u, v, w):
+        return Line(spec.scalar(u), spec.scalar(v), spec.scalar(w))
+
+    def pencil():
+        return Pencil(quad(0, 1, 0, 0, 0, 0), quad(1, 0, -1, 0, 0, 0))
+
+    def pair():
+        return LinePair(line(1, 0, 0), line(0, 1, 0))
+
+    return {
+        Scalar: lambda: spec.scalar(2),
+        FieldSpec: lambda: FieldSpec(7),
+        FieldTuple: lambda: FieldTuple(spec, (1, 2)),
+        Quadratic: lambda: quad(1, 0, 1, 0, 0, 1),
+        Line: lambda: line(1, 2, 3),
+        ProjectivePoint: lambda: ProjectivePoint.affine(spec.scalar(1), spec.scalar(2)),
+        AffineMap: lambda: AffineMap.translation(spec.one, spec.zero),
+        Midpoint: lambda: Midpoint.finite(ProjectivePoint.affine(spec.one, spec.one)),
+        NetCoords: lambda: NetCoords(spec.one, spec.zero, spec.one),
+        Pencil: pencil,
+        DegeneracyCubic: lambda: degeneracy_cubic(pencil()),
+        AsymptoticPencil: lambda: AsymptoticPencil(pencil()),
+        ConicClass: lambda: classify(quad(0, 1, 0, 0, 0, 1)),
+        LinePair: pair,
+        ParallelFamily: lambda: degenerations(quad(1, 0, 0, 0, 0, -1)).family,
+        Degenerations: lambda: degenerations(quad(0, 1, 0, 0, 0, 1)),
+        MidResult: lambda: mid(quad(1, 0, 1, 0, 0, -1), line(0, 1, 0)),
+        PairThroughLine: lambda: PairThroughLine(
+            NetCoords(spec.one, spec.zero, spec.zero), pair(), False),
+        ArrangementReport: lambda: is_bisector_arrangement([pair()]),
+        BisectorField: lambda: BisectorField(AsymptoticPencil(pencil())),
+        Involution: lambda: Involution(spec.one, spec.zero, spec.one),
+        Quadrilateral: lambda: Quadrilateral(pair(), LinePair(line(1, 1, 1), line(1, 4, 2)),
+                                             False),
+        Policy: lambda: Policy.randomized(10, seed=3),
+        Report: lambda: Report("prop-2.2", "F5", Policy.exhaustive(), "pass", [], 0.5),
+    }
+
+
+FROZEN_BUILDERS = _frozen_builders()
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_frozen_class_is_covered():
+    assert set(_subclasses(Frozen)) == set(FROZEN_BUILDERS)
+    assert len(FROZEN_BUILDERS) == 24  # 21 direct bases plus three FieldTuple kinds
+
+
+@pytest.mark.parametrize("cls", FROZEN_BUILDERS, ids=lambda cls: cls.__name__)
+def test_assignment_and_del_are_refused(cls):
+    obj = FROZEN_BUILDERS[cls]()
+    assert type(obj) is cls
+    slots = [name for k in cls.__mro__ for name in k.__dict__.get("__slots__", ())]
+    assert slots
+    message = f"^{cls.__name__} is immutable$"
+    for name in slots:
+        before = getattr(obj, name)
+        with pytest.raises(AttributeError, match=message):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError, match=message):
+            delattr(obj, name)
+        assert getattr(obj, name) is before
+    with pytest.raises(AttributeError, match=message):
+        obj.extra = 1
+    with pytest.raises(AttributeError, match=message):
+        del obj.extra
+    if cls.__hash__ is not None:
+        hash(obj)
+
+
+def test_frozen_init_needs_one_value_per_slot():
+    from bisectrix.conic import ConicClass
+    from bisectrix.quad import Quadrilateral
+
+    assert ConicClass("ellipse", False) == ConicClass("ellipse", False)
+    for call in (lambda: ConicClass("ellipse"), lambda: ConicClass("ellipse", False, 1),
+                 lambda: FieldTuple(F5), lambda: Quadrilateral()):
+        with pytest.raises(ValueError, match="zip"):
+            call()

@@ -328,3 +328,141 @@ class TestMixedFields:
         got = intersect(qline(1, 2, 3, other), qline(2, 1, 3, F7))
         assert got == intersect(qline(1, 2, 3, F7), qline(2, 1, 3, F7))
         assert qline(1, 2, 3, other).contains(got)
+
+
+def _random_map(rng, spec):
+    """Six random entries with an invertible matrix, as Scalars."""
+    while True:
+        m = [_value(rng, spec) for _ in range(6)]
+        if not (m[0] * m[3] - m[1] * m[2]).is_zero:
+            return m
+
+
+def _scalar_compose(m, n):
+    """The entries of m after n, by Scalar arithmetic."""
+    m11, m12, m21, m22, t1, t2 = m
+    n11, n12, n21, n22, s1, s2 = n
+    return [m11 * n11 + m12 * n21, m11 * n12 + m12 * n22,
+            m21 * n11 + m22 * n21, m21 * n12 + m22 * n22,
+            m11 * s1 + m12 * s2 + t1, m21 * s1 + m22 * s2 + t2]
+
+
+def _scalar_inverse(m):
+    m11, m12, m21, m22, t1, t2 = m
+    det = m11 * m22 - m12 * m21
+    n11, n12, n21, n22 = m22 / det, -m12 / det, -m21 / det, m11 / det
+    return [n11, n12, n21, n22, -(n11 * t1 + n12 * t2), -(n21 * t1 + n22 * t2)]
+
+
+def _scalar_pullback(m, f):
+    """The coefficients of f(m(x, y)), expanded by Scalar arithmetic."""
+    m11, m12, m21, m22, t1, t2 = m
+    a, b, c, d, e, g = f.coefficients()
+    return [a * m11 * m11 + b * m11 * m21 + c * m21 * m21,
+            2 * a * m11 * m12 + b * (m11 * m22 + m12 * m21) + 2 * c * m21 * m22,
+            a * m12 * m12 + b * m12 * m22 + c * m22 * m22,
+            2 * a * m11 * t1 + b * (m11 * t2 + m21 * t1) + 2 * c * m21 * t2
+            + d * m11 + e * m21,
+            2 * a * m12 * t1 + b * (m12 * t2 + m22 * t1) + 2 * c * m22 * t2
+            + d * m12 + e * m22,
+            a * t1 * t1 + b * t1 * t2 + c * t2 * t2 + d * t1 + e * t2 + g]
+
+
+def _entries(m):
+    return [m.m11, m.m12, m.m21, m.m22, m.t1, m.t2]
+
+
+AFFINE_FIELDS = [GF(3), F7, GF(10**9 + 7), Q]
+AFFINE_IDS = ["F3", "F7", "Fbig", "Q"]
+
+
+class TestAffineMapValues:
+    """AffineMap on raw values agrees with its Scalar-expression form."""
+
+    @pytest.mark.parametrize("spec", AFFINE_FIELDS, ids=AFFINE_IDS)
+    def test_compose_inverse_apply_pull_line(self, spec):
+        rng = random.Random(61)
+        for _ in range(60):
+            m, n = _random_map(rng, spec), _random_map(rng, spec)
+            g, h = AffineMap(*m), AffineMap(*n)
+            assert _entries(g) == m
+            assert _entries(g.compose(h)) == _scalar_compose(m, n)
+            assert _entries(g.inverse()) == _scalar_inverse(m)
+            assert g.determinant() == m[0] * m[3] - m[1] * m[2]
+            x, y, z = (_value(rng, spec) for _ in range(3))
+            if x or y or z:
+                got = g.apply(ProjectivePoint(x, y, z))
+                want = ProjectivePoint(m[0] * x + m[1] * y + m[4] * z,
+                                       m[2] * x + m[3] * y + m[5] * z, z)
+                assert got == want
+                assert g.apply_xy(x, y) == (m[0] * x + m[1] * y + m[4],
+                                            m[2] * x + m[3] * y + m[5])
+            u, v, w = (_value(rng, spec) for _ in range(3))
+            if u or v:
+                want = Line(u * m[0] + v * m[2], u * m[1] + v * m[3],
+                            u * m[4] + v * m[5] + w)
+                assert g.pull_line(Line(u, v, w)) == want
+            for result in (g, g.compose(h), g.inverse(), AffineMap.identity(spec),
+                           map_line_to_y0(Line(u or spec.one, v, w))):
+                _assert_canonical_values(spec, *_entries(result))
+
+    @pytest.mark.parametrize("spec", AFFINE_FIELDS, ids=AFFINE_IDS)
+    def test_pullback(self, spec):
+        from bisectrix.conic import ConicError, Quadratic, pullback
+
+        rng = random.Random(62)
+        checked = 0
+        while checked < 40:
+            m = _random_map(rng, spec)
+            try:
+                f = Quadratic(*(_value(rng, spec) for _ in range(6)))
+            except ConicError:
+                continue
+            assert list(pullback(AffineMap(*m), f).coefficients()) == _scalar_pullback(m, f)
+            checked += 1
+
+    def test_rational_raw_values_are_fractions(self):
+        rng = random.Random(63)
+        m = _random_map(rng, Q)
+        g = AffineMap(*m)
+        for result in (g, g.inverse(), g.compose(g), AffineMap.identity(Q),
+                       AffineMap.translation(Q.scalar(2), Q.scalar(-1)),
+                       map_line_to_y0(qline(2, 3, 5)), map_line_to_y0(qline(1, 0, 4))):
+            assert all(isinstance(x, Fraction) for x in result.raw), result
+
+    @pytest.mark.parametrize("spec", AFFINE_FIELDS, ids=AFFINE_IDS)
+    def test_equal_maps_hash_equal(self, spec):
+        rng = random.Random(64)
+        g = AffineMap(*_random_map(rng, spec))
+        identity = g.compose(g.inverse())
+        assert identity == AffineMap.identity(spec) == g.inverse().compose(g)
+        assert hash(identity) == hash(AffineMap.identity(spec))
+        twice = g.inverse().inverse()
+        assert twice == g and hash(twice) == hash(g) and twice is not g
+        assert len({g, twice, identity, AffineMap.identity(spec)}) == 2
+
+    def test_mixed_fields_raise(self):
+        from bisectrix.conic import Quadratic, pullback
+
+        g5 = AffineMap.translation(F5.one, F5.zero)
+        g7 = AffineMap.translation(F7.one, F7.zero)
+        f7 = Quadratic(F7.one, F7.zero, F7.one, F7.zero, F7.zero, F7.zero)
+        for call in (lambda: g5 == g7, lambda: g5.compose(g7), lambda: g7.compose(g5),
+                     lambda: g5.apply(qpt(1, 2, F7)), lambda: g5.pull_line(qline(1, 2, 3, F7)),
+                     lambda: g5.apply_xy(F7.one, F7.one), lambda: pullback(g5, f7),
+                     lambda: AffineMap(F5.one, F5.zero, F5.zero, F5.one, F7.one, F5.zero)):
+            with pytest.raises(FieldMismatchError):
+                call()
+        other = FieldSpec(7)
+        assert AffineMap.translation(other.one, other.zero) == g7
+
+    def test_singular_matrix_refused_on_raw_values(self):
+        from bisectrix.geometry import _affine_map
+
+        with pytest.raises(GeometryError):
+            _affine_map(Q, 1, 2, 2, 4, 0, 0)
+        with pytest.raises(GeometryError):
+            _affine_map(F5, 1, 2, 3, 1, 0, 0)  # det = -5, unreduced
+        with pytest.raises(GeometryError):
+            _affine_map(F7, 0, 0, 0, 0, 1, 1)
+        assert _affine_map(F5, 6, 0, 0, -4, 5, 11).raw == (1, 0, 0, 1, 0, 1)

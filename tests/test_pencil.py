@@ -209,6 +209,47 @@ class TestAsymptoticMembers:
                 assert net_contains(pencil, pair.product()) is not None
                 assert net_member(pencil, coords).same_up_to_scalar(pair.product())
 
+    def test_members_cannot_be_mutated_by_a_caller(self):
+        ap = AsymptoticPencil(Pencil(quad("x*y", F5), quad("x^2-y^2", F5)))
+        members = ap.members()
+        assert isinstance(members, tuple) and len(members) == 8
+        trivial = ap.is_trivial()
+        with pytest.raises(AttributeError):
+            members.clear()
+        as_list = list(members)
+        as_list.clear()
+        assert ap.members() is members and len(ap.members()) == 8
+        assert ap.is_trivial() == trivial
+
+    @pytest.mark.parametrize("spec", [F3, F5, F7, GF(11)], ids=["F3", "F5", "F7", "F11"])
+    def test_members_match_the_scalar_route(self, spec):
+        # Per direction [1 : t], then [0 : 1]: the shift -psi/phi by Scalar
+        # arithmetic, or every shift when phi = psi = 0; each new pair once.
+        from bisectrix.conic import is_reducible, linear_combination
+        from bisectrix.pencil import _directions
+
+        rng = random.Random(21)
+        for _ in range(15):
+            pencil = Pencil(*_random_pencil(rng, spec))
+            cubic = degeneracy_cubic(pencil)
+            want, seen = [], set()
+            for d in _directions(spec):
+                phi = cubic.shift_coeff_at(d.alpha, d.beta)
+                psi = cubic.base_at(d.alpha, d.beta)
+                if phi:
+                    shifts = [-psi / phi]
+                else:
+                    shifts = [] if psi else list(spec.elements())
+                for shift in shifts:
+                    coords = NetCoords(d.alpha, d.beta, shift)
+                    member = linear_combination([(coords.alpha, pencil.f1),
+                                                 (coords.beta, pencil.f2)])
+                    pair = is_reducible(member.add_constant(coords.shift))
+                    if pair is not None and pair not in seen:
+                        seen.add(pair)
+                        want.append((coords, pair))
+            assert list(AsymptoticPencil(pencil).members()) == want
+
     def test_rationals_refuse_materialization(self):
         ap = AsymptoticPencil(Pencil(XY, CROSS))
         with pytest.raises(InfiniteFieldError):
@@ -419,6 +460,24 @@ class TestValueKernels:
             _assert_canonical_values(spec, coords.alpha, coords.beta, coords.shift)
 
     @pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=KERNEL_IDS)
+    def test_net_member(self, spec):
+        rng = random.Random(65)
+        checked = 0
+        while checked < 40:
+            f1, f2 = _any_quadratic(rng, spec), _any_quadratic(rng, spec)
+            alpha, beta, shift = (_value(rng, spec) for _ in range(3))
+            if not are_independent(f1, f2) or not (alpha or beta):
+                continue
+            coords = NetCoords(alpha, beta, shift)
+            got = net_member(Pencil(f1, f2), coords)
+            want = [coords.alpha * x + coords.beta * y
+                    for x, y in zip(f1.coefficients(), f2.coefficients())]
+            want[5] += coords.shift
+            assert list(got.coefficients()) == want
+            _assert_canonical_values(spec, *got.coefficients())
+            checked += 1
+
+    @pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=KERNEL_IDS)
     def test_net_contains(self, spec):
         rng = random.Random(62)
         found = missed = 0
@@ -490,9 +549,11 @@ class TestMixedFields:
     def test_kernels_refuse_mixed_scalars(self):
         from bisectrix.field import FieldMismatchError
 
-        cubic = degeneracy_cubic(Pencil(quad("x*y", F5), quad("x^2-y^2", F5)))
+        pencil = Pencil(quad("x*y", F5), quad("x^2-y^2", F5))
+        cubic = degeneracy_cubic(pencil)
         for bad in (F7.one, Q.one):
             for call in (lambda: NetCoords(F5.one, bad, F5.zero),
+                         lambda: net_member(pencil, NetCoords(bad, bad, bad)),
                          lambda: cubic.shift_coeff_at(F5.one, bad),
                          lambda: cubic.base_at(bad, F5.one),
                          lambda: cubic.value(bad, F5.one, F5.one),

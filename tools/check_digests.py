@@ -1,4 +1,4 @@
-"""Output digests of every oracle check at p = 3, 5 and 7.
+r"""Output digests of every oracle check at p = 3, 5 and 7.
 
 For each check id and field it runs
 
@@ -6,9 +6,15 @@ For each check id and field it runs
 
 from this checkout's ``src/`` and records the exit code and the sha256 of
 stdout, then prints them as JSON keyed "F<p> <id>", the layout of the
-``check_digests.digests`` entry of a ``BENCH_*.json``.  Given such a file it
-also compares against it, lists every key whose exit code or digest differs
-(or is missing) on stderr, and exits 1 on any mismatch:
+``check_digests.digests`` entry of a ``BENCH_*.json``.  It also runs the
+1104 commands of query rounds 0 to 2 at seed 0 (``bench/workloads.py``)
+in one process through ``bisectrix.cli.dispatch``, with stdout and stderr
+captured as ``bench/worker.py`` does, and prints on stderr the sha256 over
+``f"{rc}\n{stdout}\n"`` of each command in order: the ``queries_digest``
+of a ``BENCH_*.json``.  Given such a file it also compares against it
+(the queries digest against ``queries_digest.change``, where the file has
+one), lists every key whose exit code or digest differs (or is missing) on
+stderr, and exits 1 on any mismatch:
 
     python3 tools/check_digests.py                 # print the 51 digests
     python3 tools/check_digests.py BENCH_7.json    # print, then compare
@@ -17,7 +23,9 @@ also compares against it, lists every key whose exit code or digest differs
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -26,10 +34,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FIELDS = (3, 5, 7)
+QUERY_ROUNDS = 3
+sys.path.insert(0, str(ROOT / "src"))
 
 
 def check_ids() -> tuple[str, ...]:
-    sys.path.insert(0, str(ROOT / "src"))
     from bisectrix.oracle import CHECK_IDS
 
     return CHECK_IDS
@@ -42,6 +51,25 @@ def digest(p: int, check_id: str) -> dict:
         cwd=ROOT, env=env, capture_output=True,
     )
     return {"exit": done.returncode, "stdout_sha256": hashlib.sha256(done.stdout).hexdigest()}
+
+
+def queries_digest() -> str:
+    """sha256 over exit code and stdout of the seed-0 query rounds, in order."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+    from bisectrix.cli import dispatch
+
+    h = hashlib.sha256()
+    for r in range(QUERY_ROUNDS):
+        for argv in workloads.round_argvs("queries", 0, r):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    rc = dispatch(argv)
+                except Exception:  # as bench/worker.py records a crash
+                    rc = "exception"
+            h.update(f"{rc}\n{out.getvalue()}\n".encode())
+    return h.hexdigest()
 
 
 def mismatches(found: dict, expected: dict) -> list[str]:
@@ -57,13 +85,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("bench", nargs="?", type=Path,
                         help="a BENCH_*.json whose check_digests to compare against")
     args = parser.parse_args(argv)
-    expected = None
-    if args.bench is not None:
-        expected = json.loads(args.bench.read_text())["check_digests"]["digests"]
     found = {f"F{p} {cid}": digest(p, cid) for p in FIELDS for cid in check_ids()}
     print(json.dumps(found, indent=2))
-    if expected is None:
+    found["queries"] = queries_digest()
+    print(f"queries digest {found['queries']}", file=sys.stderr)
+    if args.bench is None:
         return 0
+    bench = json.loads(args.bench.read_text())
+    expected = dict(bench["check_digests"]["digests"])
+    if "queries_digest" in bench:
+        expected["queries"] = bench["queries_digest"]["change"]
+    else:  # BENCH_6 and BENCH_7 predate the queries workload's digest
+        del found["queries"]
     diff = mismatches(found, expected)
     for line in diff:
         print(line, file=sys.stderr)
