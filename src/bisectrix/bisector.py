@@ -20,27 +20,39 @@ from .conic import (
     Quadratic,
     _restrict,
     distinct_lines,
-    linear_combination,
     mid,
     pairs_are_translates,
     pullback,
-    restrict_to_line,
 )
-from .field import Frozen, Scalar, raw_is_zero, raw_sqrt
+from .field import (
+    FieldSpec,
+    FieldTuple,
+    Frozen,
+    Scalar,
+    coordinate,
+    fill_reduced,
+    raw_inverse,
+    raw_is_zero,
+    raw_sqrt,
+    wrap,
+)
 from .geometry import (
     Line,
     MID_UNDETERMINED,
     Midpoint,
     ProjectivePoint,
+    _line,
     intersect,
     map_line_to_y0,
 )
 from .pencil import (
     AsymptoticPencil,
-    NetCoords,
     Pencil,
     TrivialPencilError,
+    _coords,
 )
+
+_new = object.__new__
 
 
 class BisectorError(ValueError):
@@ -100,31 +112,27 @@ def pair_through_line(line: Line, pencil: Pencil) -> PairThroughLine | None:
     """
     A1, B1, _ = _restrict(pencil.f1, line)
     A2, B2, _ = _restrict(pencil.f2, line)
-    if not raw_is_zero(line.spec, A1 * B2 - A2 * B1):
-        return None
-    to_y0 = map_line_to_y0(line)
-    back = to_y0  # pull_line with this map sends new-coordinate lines back
-    inv = to_y0.inverse()
-    g1 = pullback(inv, pencil.f1)
-    g2 = pullback(inv, pencil.f2)
     spec = pencil.spec
+    if not raw_is_zero(spec, A1 * B2 - A2 * B1):
+        return None
+    to_y0 = map_line_to_y0(line)  # pull_line with it sends new-coordinate lines back
+    inv = to_y0.inverse()
+    g1, g2 = pullback(inv, pencil.f1).raw, pullback(inv, pencil.f2).raw
     whole_family = False
-    if not (g1.a.is_zero and g2.a.is_zero):
-        alpha, beta = g2.a, -g1.a
-    elif not (g1.d.is_zero and g2.d.is_zero):
-        alpha, beta = g2.d, -g1.d
+    if g1[0] or g2[0]:
+        alpha, beta = g2[0], -g1[0]
+    elif g1[3] or g2[3]:
+        alpha, beta = g2[3], -g1[3]
     else:
-        alpha, beta = spec.one, spec.zero
+        alpha, beta = 1, 0
         whole_family = True
-    member = linear_combination([(alpha, g1), (beta, g2)])
     # member = Y * (b X + c Y + e) + g with a = d = 0.
-    partner = Line(member.b, member.c, member.e)
-    y0 = Line(spec.zero, spec.one, spec.zero)
-    original_pair = LinePair(back.pull_line(y0), back.pull_line(partner))
+    _, b, c, _, e, g = [alpha * x + beta * y for x, y in zip(g1, g2)]
+    original_pair = LinePair(to_y0.pull_line(_line(spec, 0, 1, 0)),
+                             to_y0.pull_line(_line(spec, b, c, e)))
     if not original_pair.contains_line(line):
         raise AssertionError("normalization failed to send the line back to itself")
-    coords = NetCoords(alpha, beta, -member.g)
-    return PairThroughLine(coords, original_pair, whole_family)
+    return PairThroughLine(_coords(spec, alpha, beta, -g), original_pair, whole_family)
 
 
 class ArrangementReport(Frozen):
@@ -202,56 +210,56 @@ def bisector_field_of(pencil: Pencil) -> BisectorField:
     return BisectorField(ap)
 
 
-class Involution(Frozen):
+def _normalize_involution(inv, spec: FieldSpec, p, q, r):
+    """Fill ``inv`` with (p, q, r) scaled so the first nonzero is 1; the one
+    normalizer of involutions, which refuses p^2 + q r = 0."""
+    if raw_is_zero(spec, p * p + q * r):
+        raise BisectorError("degenerate involution coefficients")
+    k = raw_inverse(spec, next(x for x in (p, q, r) if not raw_is_zero(spec, x)))
+    return fill_reduced(inv, spec, p * k, q * k, r * k)
+
+
+class Involution(FieldTuple):
     """An order-2 projective map t -> (p t + q) / (r t - p) on a line.
 
     Parameters are the line's affine parameter, with None standing for the
-    point at infinity.  The coefficient triple is kept in canonical scaling
-    and must satisfy p^2 + q r != 0 (nondegeneracy), which makes a double
-    application the identity on every parameter.
+    point at infinity.  ``raw`` is the coefficient triple (p, q, r) in
+    canonical scaling, the first nonzero 1; it must satisfy p^2 + q r != 0
+    (nondegeneracy), which makes a double application the identity on every
+    parameter.
     """
 
-    __slots__ = ("p", "q", "r")
+    __slots__ = ()
 
-    def __init__(self, p: Scalar, q: Scalar, r: Scalar):
-        if (p * p + q * r).is_zero:
-            raise BisectorError("degenerate involution coefficients")
-        for x in (p, q, r):
-            if not x.is_zero:
-                p, q, r = p / x, q / x, r / x
-                break
-        super().__init__(p, q, r)
+    _fill = _normalize_involution
+    p, q, r = coordinate(0), coordinate(1), coordinate(2)
 
     def apply(self, t: Scalar | None) -> Scalar | None:
+        spec = self.spec
         if t is None:
-            return self.p / self.r if not self.r.is_zero else None
-        denom = self.r * t - self.p
-        if denom.is_zero:
+            p, _, r = self.raw
+            return None if r == 0 else wrap(spec, p * raw_inverse(spec, r))
+        p, q, r = self.raw_in(t.spec)
+        denom = r * t.value - p
+        if raw_is_zero(spec, denom):
             return None
-        return (self.p * t + self.q) / denom
+        return wrap(spec, (p * t.value + q) * raw_inverse(spec, denom))
 
     def conjugates_restriction(self, A: Scalar, B: Scalar, C: Scalar) -> bool:
         """Whether the root pair of A t^2 + B t + C is conjugate under the map."""
-        return (self.p * B - self.q * A + self.r * C).is_zero
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Involution):
-            return NotImplemented
-        return self.p == other.p and self.q == other.q and self.r == other.r
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q, self.r))
+        p, q, r = self.raw
+        for x in (A, B, C):
+            self.raw_in(x.spec)
+        return raw_is_zero(self.spec, p * B.value - q * A.value + r * C.value)
 
     def __repr__(self) -> str:
-        return f"Involution(p={self.p}, q={self.q}, r={self.r})"
+        return "Involution(p={}, q={}, r={})".format(*self.raw)
 
 
-def _rational_projective_root(A: Scalar, B: Scalar, C: Scalar) -> bool:
-    """Whether A t^2 + B t s + C s^2 has a root on the projective line."""
-    a, b = A.value, B.value
-    if a == 0:
-        return True  # [1 : 0] is a root
-    return raw_sqrt(A.spec, b * b - 4 * a * C.value) is not None
+def _rational_projective_root(spec: FieldSpec, A, B, C) -> bool:
+    """Whether A t^2 + B t s + C s^2, of raw values, has a root on the projective line."""
+    # [1 : 0] is a root when A = 0.
+    return raw_is_zero(spec, A) or raw_sqrt(spec, B * B - 4 * A * C) is not None
 
 
 def desargues_involution(pencil: Pencil, line: Line) -> Involution:
@@ -264,15 +272,15 @@ def desargues_involution(pencil: Pencil, line: Line) -> Involution:
     the line goes through a basepoint of the pencil (possibly at infinity,
     or one rational only over the closure), and the construction refuses.
     """
-    r1 = restrict_to_line(pencil.f1, line)
-    r2 = restrict_to_line(pencil.f2, line)
-    zero1 = all(x.is_zero for x in r1)
-    zero2 = all(x.is_zero for x in r2)
+    spec = pencil.spec
+    r1 = _restrict(pencil.f1, line)
+    r2 = _restrict(pencil.f2, line)
+    zero1 = all(raw_is_zero(spec, x) for x in r1)
+    zero2 = all(raw_is_zero(spec, x) for x in r2)
     if zero1 or zero2:
         if zero1 and zero2:
             raise BasepointError("the line is a common component of both generators")
-        other = r2 if zero1 else r1
-        if _rational_projective_root(*other):
+        if _rational_projective_root(spec, *(r2 if zero1 else r1)):
             raise BasepointError(
                 "the line is a generator component and meets the other generator"
             )
@@ -285,12 +293,11 @@ def desargues_involution(pencil: Pencil, line: Line) -> Involution:
     p = A2 * C1 - A1 * C2
     q = C1 * B2 - B1 * C2
     r = A1 * B2 - A2 * B1
-    if not (p * p + q * r).is_zero:
-        return Involution(p, q, r)
-    proportional = p.is_zero and q.is_zero and r.is_zero
-    if not proportional:
+    if not raw_is_zero(spec, p * p + q * r):
+        return _normalize_involution(_new(Involution), spec, p, q, r)
+    if not all(raw_is_zero(spec, x) for x in (p, q, r)):
         raise BasepointError("the line passes through a basepoint of the pencil")
-    if _rational_projective_root(A1, B1, C1):
+    if _rational_projective_root(spec, A1, B1, C1):
         raise BasepointError("the line passes through two basepoints of the pencil")
     raise InsufficientDataError(
         "all members restrict proportionally on this line and no rational "

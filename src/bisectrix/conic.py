@@ -21,8 +21,9 @@ from .field import (
     Frozen,
     Scalar,
     coordinate,
+    coordinates,
     as_fractions,
-    halve,
+    fill_reduced,
     raw_inverse,
     raw_is_zero,
     raw_sqrt,
@@ -51,6 +52,20 @@ class ConicError(ValueError):
     """A conic-level precondition was violated."""
 
 
+def _normalize_quadratic(f, spec: FieldSpec, a, b, c, d, e, g):
+    """Fill ``f`` with the reduced coefficients; the one normalizer of quadratics."""
+    p = spec.p
+    if p:
+        raw = (a % p, b % p, c % p, d % p, e % p, g % p)
+    else:
+        raw = as_fractions(a, b, c, d, e, g)
+    if not (raw[0] or raw[1] or raw[2]):
+        raise ConicError("quadratic must have degree exactly 2")
+    set_spec(f, spec)
+    set_raw(f, raw)
+    return f
+
+
 class Quadratic(FieldTuple):
     """A degree-2 polynomial aX^2 + bXY + cY^2 + dX + eY + g.
 
@@ -59,16 +74,9 @@ class Quadratic(FieldTuple):
 
     __slots__ = ()
 
+    _fill = _normalize_quadratic
     a, b, c = coordinate(0), coordinate(1), coordinate(2)
     d, e, g = coordinate(3), coordinate(4), coordinate(5)
-
-    def __init__(self, a, b, c, d, e, g):
-        spec = a.spec
-        if not (spec is b.spec is c.spec is d.spec is e.spec is g.spec):
-            for x in (b, c, d, e, g):
-                same_field(spec, x.spec)
-        _normalize_quadratic(self, spec, a.value, b.value, c.value,
-                             d.value, e.value, g.value)
 
     @classmethod
     def from_ints(cls, spec: FieldSpec, coeffs) -> "Quadratic":
@@ -153,20 +161,6 @@ class Quadratic(FieldTuple):
 
     def __repr__(self) -> str:
         return f"Quadratic({','.join(map(str, self.raw))})"
-
-
-def _normalize_quadratic(f, spec: FieldSpec, a, b, c, d, e, g):
-    """Fill ``f`` with the reduced coefficients; the one normalizer of quadratics."""
-    p = spec.p
-    if p:
-        raw = (a % p, b % p, c % p, d % p, e % p, g % p)
-    else:
-        raw = as_fractions(a, b, c, d, e, g)
-    if not (raw[0] or raw[1] or raw[2]):
-        raise ConicError("quadratic must have degree exactly 2")
-    set_spec(f, spec)
-    set_raw(f, raw)
-    return f
 
 
 def _quadratic(spec: FieldSpec, a, b, c, d, e, g) -> Quadratic:
@@ -486,29 +480,36 @@ DEGEN_FAMILY = "family"
 DEGEN_NONE = "none"
 
 
-class ParallelFamily(Frozen):
+class ParallelFamily(FieldTuple):
     """All parallel/double pairs with a fixed direction and fixed midline.
 
     The members are the pairs {uX+vY = r, uX+vY = s} with r + s constant;
-    each is the zero set of a degeneration of the owning quadratic.
+    each is the zero set of a degeneration of the owning quadratic.  ``raw``
+    is (scale, u, v, linear, constant), reduced: the owner is
+    scale (uX + vY)^2 + linear (uX + vY) + constant.
     """
 
-    __slots__ = ("scale", "axis", "linear", "constant")
+    __slots__ = ()
+
+    _fill = fill_reduced
+    scale, axis = coordinate(0), coordinates(1, 3)
+    linear, constant = coordinate(3), coordinate(4)
 
     @property
     def midline(self) -> Line:
-        u, v = self.axis
-        return Line(u, v, halve(self.linear / self.scale))
+        scale, u, v, linear, _ = self.raw
+        return _line(self.spec, u, v, linear * raw_inverse(self.spec, scale + scale))
 
     @property
     def direction(self) -> ProjectivePoint:
-        u, v = self.axis
-        return ProjectivePoint.at_infinity(-v, u)
+        _, u, v, _, _ = self.raw
+        return _point(self.spec, -v, u, 0)
 
     def pair_at(self, r: Scalar) -> LinePair:
-        u, v = self.axis
-        s = -self.linear / self.scale - r
-        return LinePair(Line(u, v, -r), Line(u, v, -s))
+        spec = self.spec
+        scale, u, v, linear, _ = self.raw_in(r.spec)
+        s = -linear * raw_inverse(spec, scale) - r.value
+        return LinePair(_line(spec, u, v, -r.value), _line(spec, u, v, -s))
 
     def quadratic_at(self, r: Scalar) -> Quadratic:
         """The exact degeneration with component uX + vY = r."""
@@ -520,11 +521,11 @@ class Degenerations(Frozen):
 
     __slots__ = ("kind", "pair", "shift", "family")
 
-    def __init__(self, kind, pair=None, shift=None, family=None):
-        super().__init__(kind, pair, shift, family)
-
     def __repr__(self) -> str:
         return f"Degenerations({self.kind})"
+
+
+NO_DEGENERATIONS = Degenerations(DEGEN_NONE, None, None, None)
 
 
 def degenerations(f: Quadratic) -> Degenerations:
@@ -540,22 +541,19 @@ def degenerations(f: Quadratic) -> Degenerations:
     disc = _disc(raw)
     root = raw_sqrt(spec, disc)
     if root is None:
-        return Degenerations(DEGEN_NONE)
+        return NO_DEGENERATIONS
     if root != 0:
         # det3(f + t) = det3(f) - t disc / 4, so this shift makes det3 zero.
         shift = _det3_times_4(raw) * raw_inverse(spec, disc)
         a, b, c, d, e, g = raw
         pair = _crossing_pair(_quadratic(spec, a, b, c, d, e, g + shift), disc, root)
-        return Degenerations(DEGEN_UNIQUE, pair=pair, shift=wrap(spec, shift))
+        return Degenerations(DEGEN_UNIQUE, pair, wrap(spec, shift), None)
     if raw_is_zero(spec, _det3_times_4(raw)):
         scale, u, v = _split_homogeneous_square(spec, raw)
         m = raw[3] if u else raw[4]
-        return Degenerations(
-            DEGEN_FAMILY,
-            family=ParallelFamily(wrap(spec, scale), (wrap(spec, u), wrap(spec, v)),
-                                  wrap(spec, m), f.g),
-        )
-    return Degenerations(DEGEN_NONE)
+        family = fill_reduced(_new(ParallelFamily), spec, scale, u, v, m, raw[5])
+        return Degenerations(DEGEN_FAMILY, None, None, family)
+    return NO_DEGENERATIONS
 
 
 # --- line/conic midpoint calculus --------------------------------------------

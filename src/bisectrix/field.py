@@ -3,9 +3,11 @@
 Every value the library hands out is a :class:`Scalar` tagged with a
 :class:`FieldSpec`.  Rationals are arbitrary-precision ``Fraction``s (always
 in lowest terms with a positive denominator); GF(p) elements are canonical
-residues in ``0..p-1``.  Quadratics, lines and points store those values
-raw, in a :class:`FieldTuple`, and build Scalars only when a coefficient is
-read.  Scalars from different field specs never mix:
+residues in ``0..p-1``.  Every field-valued record (quadratics, lines,
+points, affine maps, net coordinates, the degeneracy cubic, parallel
+families and involutions) stores those values raw, in a :class:`FieldTuple`,
+and builds Scalars only when a coordinate is read.  Scalars from different
+field specs never mix:
 arithmetic between them raises :class:`FieldMismatchError` instead of
 coercing.  Plain Python ints are accepted as operands and mapped through the
 canonical ring map from the integers.
@@ -75,7 +77,8 @@ class Frozen:
 
     Assignment and ``del`` raise ``AttributeError``.  ``__init__`` fills
     ``__slots__`` in order; constructors that validate or normalize do so
-    first, and the hot ones store their slots directly instead.
+    first, and the hot ones store their slots directly instead.  Copying
+    returns the object itself, as for tuples.
     """
 
     __slots__ = ()
@@ -89,6 +92,12 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 class FieldSpec(Frozen):
@@ -379,15 +388,29 @@ def same_field(spec: FieldSpec, other: FieldSpec) -> None:
 class FieldTuple(Frozen):
     """An immutable tuple ``raw`` of canonical values of the field ``spec``.
 
-    The base of quadratics, lines and points.  Each subclass has one
-    normalizer that reduces and scales the values and fills both slots;
-    kernels read ``raw`` directly, and the named coordinates are properties
-    (see ``coordinate``) that build a ``Scalar`` on each read.  Equality and
-    hashing work on the tuple: objects of two different fields raise
-    ``FieldMismatchError`` on ``==``, and an object hashes as its tuple.
+    The base of every field-valued record.  Each subclass names one
+    normalizer, ``_fill(obj, spec, *values)``, that reduces and scales the
+    raw values, checks them and fills both slots.  ``__init__`` is the one
+    constructor from Scalars: it checks their fields and hands their values
+    to ``_fill``; the modules' private raw builders call the normalizers
+    directly.  Kernels read ``raw``, and the named coordinates are
+    properties (see ``coordinate``) that build a ``Scalar`` on each read.
+    Equality and hashing work on the tuple: objects of two different fields
+    raise ``FieldMismatchError`` on ``==``, and an object hashes as its
+    tuple, as the tuple of its Scalars would.
     """
 
     __slots__ = ("spec", "raw")
+
+    def __init__(self, *fields: Scalar):
+        spec = fields[0].spec
+        for x in fields:
+            if x.spec is not spec:
+                same_field(spec, x.spec)
+        self._fill(spec, *[x.value for x in fields])
+
+    def _fill(self, spec: FieldSpec, *raw):
+        raise TypeError(f"{type(self).__name__} has no normalizer")
 
     def key(self) -> tuple:
         """The canonical value tuple."""
@@ -414,9 +437,22 @@ set_spec = FieldTuple.__dict__["spec"].__set__
 set_raw = FieldTuple.__dict__["raw"].__set__
 
 
+def fill_reduced(obj: FieldTuple, spec: FieldSpec, *raw) -> FieldTuple:
+    """The normalizer of a tuple with no scaling or check: reduce each value."""
+    p = spec.p
+    set_spec(obj, spec)
+    set_raw(obj, tuple([x % p for x in raw]) if p else as_fractions(*raw))
+    return obj
+
+
 def coordinate(i: int) -> property:
     """The read-only property reading ``raw[i]`` as a Scalar."""
     return property(lambda self: wrap(self.spec, self.raw[i]))
+
+
+def coordinates(start: int, stop: int) -> property:
+    """The read-only property reading ``raw[start:stop]`` as a tuple of Scalars."""
+    return property(lambda self: tuple([wrap(self.spec, x) for x in self.raw[start:stop]]))
 
 
 def as_fractions(*raw) -> tuple:

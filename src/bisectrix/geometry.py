@@ -15,6 +15,7 @@ from .field import (
     Scalar,
     coordinate,
     as_fractions,
+    fill_reduced,
     raw_inverse,
     raw_is_zero,
     same_field,
@@ -28,49 +29,6 @@ _new = object.__new__
 
 class GeometryError(ValueError):
     """A geometric precondition was violated."""
-
-
-class ProjectivePoint(FieldTuple):
-    """A point [x : y : z] of the projective plane, z = 0 meaning infinity.
-
-    ``raw`` is (x, y, z) with the last nonzero coordinate scaled to 1.
-    """
-
-    __slots__ = ()
-
-    x, y, z = coordinate(0), coordinate(1), coordinate(2)
-
-    def __init__(self, x: Scalar, y: Scalar, z: Scalar):
-        spec = z.spec
-        if not (x.spec is spec is y.spec):
-            same_field(spec, x.spec)
-            same_field(spec, y.spec)
-        _normalize_point(self, spec, x.value, y.value, z.value)
-
-    @classmethod
-    def affine(cls, x: Scalar, y: Scalar) -> "ProjectivePoint":
-        return cls(x, y, x.spec.one)
-
-    @classmethod
-    def at_infinity(cls, dx: Scalar, dy: Scalar) -> "ProjectivePoint":
-        return cls(dx, dy, dx.spec.zero)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.raw[2] == 0
-
-    def affine_xy(self) -> tuple[Scalar, Scalar]:
-        if self.raw[2] == 0:
-            raise GeometryError("point at infinity has no affine coordinates")
-        return self.x, self.y
-
-    def __repr__(self) -> str:
-        x, y, z = self.raw
-        return f"[{x}:{y}:{z}]"
-
-    def sort_key(self):
-        x, y, z = self.raw
-        return (z, x, y)
 
 
 def _normalize_point(point, spec: FieldSpec, x, y, z):
@@ -99,6 +57,43 @@ def _normalize_point(point, spec: FieldSpec, x, y, z):
     return point
 
 
+class ProjectivePoint(FieldTuple):
+    """A point [x : y : z] of the projective plane, z = 0 meaning infinity.
+
+    ``raw`` is (x, y, z) with the last nonzero coordinate scaled to 1.
+    """
+
+    __slots__ = ()
+
+    _fill = _normalize_point
+    x, y, z = coordinate(0), coordinate(1), coordinate(2)
+
+    @classmethod
+    def affine(cls, x: Scalar, y: Scalar) -> "ProjectivePoint":
+        return cls(x, y, x.spec.one)
+
+    @classmethod
+    def at_infinity(cls, dx: Scalar, dy: Scalar) -> "ProjectivePoint":
+        return cls(dx, dy, dx.spec.zero)
+
+    @property
+    def is_infinite(self) -> bool:
+        return self.raw[2] == 0
+
+    def affine_xy(self) -> tuple[Scalar, Scalar]:
+        if self.raw[2] == 0:
+            raise GeometryError("point at infinity has no affine coordinates")
+        return self.x, self.y
+
+    def __repr__(self) -> str:
+        x, y, z = self.raw
+        return f"[{x}:{y}:{z}]"
+
+    def sort_key(self):
+        x, y, z = self.raw
+        return (z, x, y)
+
+
 def _point(spec: FieldSpec, x, y, z) -> ProjectivePoint:
     """The point [x : y : z] of raw, possibly unreduced, values."""
     return _normalize_point(_new(ProjectivePoint), spec, x, y, z)
@@ -121,6 +116,30 @@ class _Coincident:
 COINCIDENT = _Coincident()
 
 
+def _normalize_line(line, spec: FieldSpec, u, v, w):
+    """Fill ``line`` with the canonical (u, v, w): first nonzero of (u, v) 1.
+
+    The one normalizer of lines; lines with a unit leading coefficient, such
+    as those built from a direction [x : 1], are not scaled.
+    """
+    p = spec.p
+    if p:
+        u, v = u % p, v % p
+    if u:
+        if u != 1:
+            k = raw_inverse(spec, u)
+            u, v, w = 1, v * k, w * k
+    elif v:
+        if v != 1:
+            v, w = 1, w * raw_inverse(spec, v)
+    else:
+        raise GeometryError("line coefficients need (u, v) != (0, 0)")
+    raw = (u, v % p, w % p) if p else as_fractions(u, v, w)
+    set_spec(line, spec)
+    set_raw(line, raw)
+    return line
+
+
 class Line(FieldTuple):
     """The affine line uX + vY + w = 0, canonically scaled.
 
@@ -129,14 +148,8 @@ class Line(FieldTuple):
 
     __slots__ = ()
 
+    _fill = _normalize_line
     u, v, w = coordinate(0), coordinate(1), coordinate(2)
-
-    def __init__(self, u: Scalar, v: Scalar, w: Scalar):
-        spec = u.spec
-        if not (v.spec is spec is w.spec):
-            same_field(spec, v.spec)
-            same_field(spec, w.spec)
-        _normalize_line(self, spec, u.value, v.value, w.value)
 
     @classmethod
     def through(cls, p: ProjectivePoint, q: ProjectivePoint) -> "Line":
@@ -208,30 +221,6 @@ class Line(FieldTuple):
 
     def sort_key(self):
         return self.raw
-
-
-def _normalize_line(line, spec: FieldSpec, u, v, w):
-    """Fill ``line`` with the canonical (u, v, w): first nonzero of (u, v) 1.
-
-    The one normalizer of lines; lines with a unit leading coefficient, such
-    as those built from a direction [x : 1], are not scaled.
-    """
-    p = spec.p
-    if p:
-        u, v = u % p, v % p
-    if u:
-        if u != 1:
-            k = raw_inverse(spec, u)
-            u, v, w = 1, v * k, w * k
-    elif v:
-        if v != 1:
-            v, w = 1, w * raw_inverse(spec, v)
-    else:
-        raise GeometryError("line coefficients need (u, v) != (0, 0)")
-    raw = (u, v % p, w % p) if p else as_fractions(u, v, w)
-    set_spec(line, spec)
-    set_raw(line, raw)
-    return line
 
 
 def _line(spec: FieldSpec, u, v, w) -> Line:
@@ -357,6 +346,14 @@ def reflect_through(m: ProjectivePoint, p: ProjectivePoint) -> ProjectivePoint:
     return ProjectivePoint.affine(mx + mx - px, my + my - py)
 
 
+def _normalize_map(mapping, spec: FieldSpec, m11, m12, m21, m22, t1, t2):
+    """Fill ``mapping`` with the reduced entries; the one normalizer of maps."""
+    raw = fill_reduced(mapping, spec, m11, m12, m21, m22, t1, t2).raw
+    if raw_is_zero(spec, raw[0] * raw[3] - raw[1] * raw[2]):
+        raise GeometryError("affine map must be invertible")
+    return mapping
+
+
 class AffineMap(FieldTuple):
     """An invertible affine map (x, y) -> M (x, y) + t with exact entries.
 
@@ -365,16 +362,9 @@ class AffineMap(FieldTuple):
 
     __slots__ = ()
 
+    _fill = _normalize_map
     m11, m12, m21, m22 = coordinate(0), coordinate(1), coordinate(2), coordinate(3)
     t1, t2 = coordinate(4), coordinate(5)
-
-    def __init__(self, m11, m12, m21, m22, t1, t2):
-        spec = m11.spec
-        if not (spec is m12.spec is m21.spec is m22.spec is t1.spec is t2.spec):
-            for x in (m12, m21, m22, t1, t2):
-                same_field(spec, x.spec)
-        _normalize_map(self, spec, m11.value, m12.value, m21.value, m22.value,
-                       t1.value, t2.value)
 
     @classmethod
     def identity(cls, spec: FieldSpec) -> "AffineMap":
@@ -431,20 +421,6 @@ class AffineMap(FieldTuple):
     def __repr__(self) -> str:
         m11, m12, m21, m22, t1, t2 = self.raw
         return f"AffineMap([[{m11},{m12}],[{m21},{m22}]] + ({t1},{t2}))"
-
-
-def _normalize_map(mapping, spec: FieldSpec, m11, m12, m21, m22, t1, t2):
-    """Fill ``mapping`` with the reduced entries; the one normalizer of maps."""
-    p = spec.p
-    if p:
-        raw = (m11 % p, m12 % p, m21 % p, m22 % p, t1 % p, t2 % p)
-    else:
-        raw = as_fractions(m11, m12, m21, m22, t1, t2)
-    if raw_is_zero(spec, raw[0] * raw[3] - raw[1] * raw[2]):
-        raise GeometryError("affine map must be invertible")
-    set_spec(mapping, spec)
-    set_raw(mapping, raw)
-    return mapping
 
 
 def _affine_map(spec: FieldSpec, m11, m12, m21, m22, t1, t2) -> AffineMap:

@@ -15,11 +15,15 @@ square test on top.
 
 from __future__ import annotations
 
+from itertools import count
+
 from .conic import (
     CROSSING,
+    DEGEN_FAMILY,
     DEGEN_UNIQUE,
     HYPERBOLA,
     LinePair,
+    ParallelFamily,
     Quadratic,
     _quadratic,
     classify,
@@ -31,16 +35,22 @@ from .conic import (
 )
 from .field import (
     FieldSpec,
+    FieldTuple,
     Frozen,
     InfiniteFieldError,
     Scalar,
-    is_square,
+    coordinate,
+    coordinates,
+    fill_reduced,
     raw_inverse,
     raw_is_zero,
+    raw_sqrt,
     same_field,
     wrap,
 )
-from .geometry import AffineMap, Line, _affine_map
+from .geometry import Line, _affine_map
+
+_new = object.__new__
 
 
 class PencilError(ValueError):
@@ -65,39 +75,39 @@ def are_independent(f1: Quadratic, f2: Quadratic) -> bool:
     )
 
 
-class NetCoords(Frozen):
-    """Projective coordinates [alpha : beta : shift] of a net member."""
+def _normalize_coords(coords, spec: FieldSpec, alpha, beta, shift):
+    """Fill ``coords`` with [alpha : beta : shift], the first nonzero of
+    (alpha, beta) scaled to 1; the one normalizer of net coordinates."""
+    p = spec.p
+    if p:
+        alpha, beta = alpha % p, beta % p
+    s = alpha or beta
+    if not s:
+        raise PencilError("net coordinates need (alpha, beta) != (0, 0)")
+    if s != 1:
+        k = raw_inverse(spec, s)
+        alpha, beta, shift = alpha * k, beta * k, shift * k
+    return fill_reduced(coords, spec, alpha, beta, shift)
 
-    __slots__ = ("alpha", "beta", "shift")
 
-    def __init__(self, alpha: Scalar, beta: Scalar, shift: Scalar):
-        spec = alpha.spec
-        if not (beta.spec is spec is shift.spec):
-            same_field(spec, beta.spec)
-            same_field(spec, shift.spec)
-        s = alpha.value if alpha.value != 0 else beta.value
-        if s == 0:
-            raise PencilError("net coordinates need (alpha, beta) != (0, 0)")
-        if s != 1:
-            k = raw_inverse(spec, s)
-            alpha = wrap(spec, alpha.value * k)
-            beta = wrap(spec, beta.value * k)
-            shift = wrap(spec, shift.value * k)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "shift", shift)
+class NetCoords(FieldTuple):
+    """Projective coordinates [alpha : beta : shift] of a net member.
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NetCoords):
-            return NotImplemented
-        return (self.alpha == other.alpha and self.beta == other.beta
-                and self.shift == other.shift)
+    ``raw`` is (alpha, beta, shift) with the first nonzero of (alpha, beta) 1.
+    """
 
-    def __hash__(self) -> int:
-        return hash((self.alpha, self.beta, self.shift))
+    __slots__ = ()
+
+    _fill = _normalize_coords
+    alpha, beta, shift = coordinate(0), coordinate(1), coordinate(2)
 
     def __repr__(self) -> str:
-        return f"[{self.alpha}:{self.beta}:{self.shift}]"
+        return "[{}:{}:{}]".format(*self.raw)
+
+
+def _coords(spec: FieldSpec, alpha, beta, shift) -> NetCoords:
+    """The net coordinates of raw, possibly unreduced, values."""
+    return _normalize_coords(_new(NetCoords), spec, alpha, beta, shift)
 
 
 class Pencil(Frozen):
@@ -106,8 +116,6 @@ class Pencil(Frozen):
     __slots__ = ("f1", "f2")
 
     def __init__(self, f1: Quadratic, f2: Quadratic):
-        if f1.spec != f2.spec:
-            raise PencilError("pencil generators must share a field")
         if not are_independent(f1, f2):
             raise PencilError("pencil generators must be independent")
         super().__init__(f1, f2)
@@ -122,10 +130,7 @@ class Pencil(Frozen):
 
 def net_member(pencil: Pencil, coords: NetCoords) -> Quadratic:
     """The quadratic alpha*f1 + beta*f2 + shift (degree 2 by independence)."""
-    spec = pencil.spec
-    if coords.alpha.spec is not spec:
-        same_field(coords.alpha.spec, spec)
-    return _net_member(pencil, coords.alpha.value, coords.beta.value, coords.shift.value)
+    return _net_member(pencil, *coords.raw_in(pencil.spec))
 
 
 def _net_member(pencil: Pencil, alpha, beta, shift) -> Quadratic:
@@ -167,7 +172,7 @@ def net_contains(pencil: Pencil, g: Quadratic) -> NetCoords | None:
         if not raw_is_zero(spec, target[i] - alpha * rows1[i] - beta * rows2[i]):
             return None
     shift = target[5] - alpha * rows1[5] - beta * rows2[5]
-    return NetCoords(wrap(spec, alpha), wrap(spec, beta), wrap(spec, shift))
+    return _coords(spec, alpha, beta, shift)
 
 
 # --- the degeneracy cubic -----------------------------------------------------
@@ -188,44 +193,50 @@ def _quad_lin_mul(q, l):
     )
 
 
-class DegeneracyCubic(Frozen):
+def _forms(raw, a, b) -> tuple:
+    """(phi, psi), the cubic's shift slope and base, of its ``raw`` at the
+    direction (a, b), unreduced: the one evaluator of the two forms."""
+    q0, q1, q2, c0, c1, c2, c3 = raw
+    bb = b * b
+    return (q0 * a + q1 * b) * a + q2 * bb, ((c0 * a + c1 * b) * a + c2 * bb) * a + c3 * bb * b
+
+
+class DegeneracyCubic(FieldTuple):
     """det of the symmetric member matrix, as a polynomial in the shift.
 
     For the member with direction (alpha, beta) and constant shift t, the
     determinant equals shift_coeff(alpha, beta) * t + base(alpha, beta);
     shift_coeff is a (never identically zero) quadratic form and base a
     cubic form.  Zeros are exactly the members reducible over the closure.
+    ``raw`` is the 3 coefficients of shift_coeff and then the 4 of base,
+    reduced, in descending powers of alpha.
     """
 
-    __slots__ = ("spec", "shift_coeff", "base")
+    __slots__ = ()
+
+    _fill = fill_reduced
+    shift_coeff, base = coordinates(0, 3), coordinates(3, 7)
+
+    def _at(self, alpha: Scalar, beta: Scalar) -> tuple:
+        if beta.spec is not self.spec:
+            same_field(self.spec, beta.spec)
+        return _forms(self.raw_in(alpha.spec), alpha.value, beta.value)
 
     def shift_coeff_at(self, alpha: Scalar, beta: Scalar) -> Scalar:
-        a, b = _direction_values(self.spec, alpha, beta)
-        q0, q1, q2 = [x.value for x in self.shift_coeff]
-        return wrap(self.spec, (q0 * a + q1 * b) * a + q2 * b * b)
+        return wrap(self.spec, self._at(alpha, beta)[0])
 
     def base_at(self, alpha: Scalar, beta: Scalar) -> Scalar:
-        a, b = _direction_values(self.spec, alpha, beta)
-        c0, c1, c2, c3 = [x.value for x in self.base]
-        return wrap(self.spec, ((c0 * a + c1 * b) * a + c2 * b * b) * a + c3 * b * b * b)
+        return wrap(self.spec, self._at(alpha, beta)[1])
 
     def value(self, shift: Scalar, alpha: Scalar, beta: Scalar) -> Scalar:
-        spec = self.spec
-        if shift.spec is not spec:
-            same_field(spec, shift.spec)
-        phi, psi = self.shift_coeff_at(alpha, beta), self.base_at(alpha, beta)
-        return wrap(spec, phi.value * shift.value + psi.value)
+        phi, psi = self._at(alpha, beta)
+        if shift.spec is not self.spec:
+            same_field(self.spec, shift.spec)
+        return wrap(self.spec, phi * shift.value + psi)
 
     @property
     def shift_coeff_is_zero(self) -> bool:
-        return all(x.is_zero for x in self.shift_coeff)
-
-
-def _direction_values(spec: FieldSpec, alpha: Scalar, beta: Scalar):
-    if not (alpha.spec is spec is beta.spec):
-        same_field(spec, alpha.spec)
-        same_field(spec, beta.spec)
-    return alpha.value, beta.value
+        return not any(self.raw[:3])
 
 
 def degeneracy_cubic(pencil: Pencil) -> DegeneracyCubic:
@@ -243,25 +254,14 @@ def degeneracy_cubic(pencil: Pencil) -> DegeneracyCubic:
     e12 = (e1 * half, e2 * half)
     e22 = (g1, g2)
 
-    shift_coeff = _lin_mul(e00, e11)
-    minus = _lin_mul(e01, e01)
-    shift_coeff = [x - y for x, y in zip(shift_coeff, minus)]
-
+    shift_coeff = [x - y for x, y in zip(_lin_mul(e00, e11), _lin_mul(e01, e01))]
+    # det = e00 e11 e22 + 2 e01 e02 e12 - e00 e12^2 - e11 e02^2 - e22 e01^2.
     base = [0] * 4
-
-    def add(sign: int, l1, l2, l3):
-        cubic = _quad_lin_mul(_lin_mul(l1, l2), l3)
-        for i in range(4):
-            base[i] = base[i] + cubic[i] if sign > 0 else base[i] - cubic[i]
-
-    add(+1, e00, e11, e22)
-    add(-1, e00, e12, e12)
-    add(-1, e01, e01, e22)
-    add(+1, e01, e02, e12)
-    add(+1, e01, e02, e12)
-    add(-1, e02, e02, e11)
-    return DegeneracyCubic(spec, tuple(wrap(spec, x) for x in shift_coeff),
-                           tuple(wrap(spec, x) for x in base))
+    for sign, l1, l2, l3 in ((1, e00, e11, e22), (2, e01, e02, e12), (-1, e00, e12, e12),
+                             (-1, e02, e02, e11), (-1, e01, e01, e22)):
+        for i, x in enumerate(_quad_lin_mul(_lin_mul(l1, l2), l3)):
+            base[i] += sign * x
+    return fill_reduced(_new(DegeneracyCubic), spec, *shift_coeff, *base)
 
 
 # --- hyperbola members --------------------------------------------------------
@@ -271,45 +271,33 @@ def _swap_pullback(f: Quadratic) -> Quadratic:
     return pullback(_affine_map(f.spec, 0, 1, 1, 0, 0, 0), f)
 
 
-def _scan_values(spec: FieldSpec):
-    if spec.is_finite:
-        for v in range(1, spec.p):
-            yield spec.scalar(v)
-    else:
-        v = 1
-        while True:
-            yield spec.scalar(v)
-            v += 1
-
-
 def _rref_rows(pencil: Pencil):
     """Row-reduce the homogeneous 2x3 coefficient matrix, tracking the combos.
 
-    Returns (pivots, rows, transform) where transform is the 2x2 matrix R
-    with row i of the reduced matrix equal to R[i][0]*f1 + R[i][1]*f2.
+    Returns (pivots, rows, transform) of raw, possibly unreduced, values,
+    where transform is the 2x2 matrix R with row i of the reduced matrix
+    equal to R[i][0]*f1 + R[i][1]*f2.
     """
     spec = pencil.spec
-    rows = [list(pencil.f1.homogeneous_part()), list(pencil.f2.homogeneous_part())]
-    R = [[spec.one, spec.zero], [spec.zero, spec.one]]
+    rows = [list(pencil.f1.raw[:3]), list(pencil.f2.raw[:3])]
+    R = [[1, 0], [0, 1]]
 
-    j0 = next(j for j in range(3) if not (rows[0][j].is_zero and rows[1][j].is_zero))
-    if rows[0][j0].is_zero:
+    def pivot(i: int, j: int) -> None:
+        """Scale row i to 1 at column j, then clear column j of the other row."""
+        k = raw_inverse(spec, rows[i][j])
+        rows[i] = [x * k for x in rows[i]]
+        R[i] = [x * k for x in R[i]]
+        factor = rows[1 - i][j]
+        rows[1 - i] = [x - factor * y for x, y in zip(rows[1 - i], rows[i])]
+        R[1 - i] = [x - factor * y for x, y in zip(R[1 - i], R[i])]
+
+    j0 = next(j for j in range(3) if rows[0][j] or rows[1][j])
+    if not rows[0][j0]:
         rows.reverse()
         R.reverse()
-    inv = spec.one / rows[0][j0]
-    rows[0] = [x * inv for x in rows[0]]
-    R[0] = [x * inv for x in R[0]]
-    factor = rows[1][j0]
-    rows[1] = [x - factor * y for x, y in zip(rows[1], rows[0])]
-    R[1] = [x - factor * y for x, y in zip(R[1], R[0])]
-
-    j1 = next(j for j in range(j0 + 1, 3) if not rows[1][j].is_zero)
-    inv = spec.one / rows[1][j1]
-    rows[1] = [x * inv for x in rows[1]]
-    R[1] = [x * inv for x in R[1]]
-    factor = rows[0][j1]
-    rows[0] = [x - factor * y for x, y in zip(rows[0], rows[1])]
-    R[0] = [x - factor * y for x, y in zip(R[0], R[1])]
+    pivot(0, j0)
+    j1 = next(j for j in range(j0 + 1, 3) if not raw_is_zero(spec, rows[1][j]))
+    pivot(1, j1)
     return (j0, j1), rows, R
 
 
@@ -324,28 +312,29 @@ def find_hyperbolas(pencil: Pencil) -> list[tuple[NetCoords, Quadratic]]:
     """
     spec = pencil.spec
     pivots, rows, R = _rref_rows(pencil)
+    scan = range(1, spec.p) if spec.is_finite else count(1)
 
-    def member(coeffs) -> tuple[NetCoords, Quadratic]:
-        coords = NetCoords(coeffs[0], coeffs[1], spec.zero)
-        return (coords, combination(pencil, coords.alpha, coords.beta))
+    def member(alpha, beta) -> tuple[NetCoords, Quadratic]:
+        coords = _coords(spec, alpha, beta, 0)
+        return (coords, _net_member(pencil, *coords.raw))
 
     found: list[tuple[NetCoords, Quadratic]] = []
     if pivots == (0, 1):
         c, cp = rows[0][2], rows[1][2]
-        found.append(member(R[1]))
-        for r in _scan_values(spec):
-            if (cp + r).is_zero or (r * r + 2 * cp * r - c).is_zero:
+        found.append(member(*R[1]))
+        for r in scan:
+            if raw_is_zero(spec, cp + r) or raw_is_zero(spec, r * r + 2 * cp * r - c):
                 continue
-            beta = -(r * r + c) / (cp + r)
-            found.append(member([x + beta * y for x, y in zip(R[0], R[1])]))
+            beta = -(r * r + c) * raw_inverse(spec, cp + r)
+            found.append(member(*[x + beta * y for x, y in zip(R[0], R[1])]))
             break
-    elif pivots == (0, 2) and rows[0][1].is_zero:
-        found.append(member([x - y for x, y in zip(R[0], R[1])]))
-        for t in _scan_values(spec):
+    elif pivots == (0, 2) and raw_is_zero(spec, rows[0][1]):
+        found.append(member(*[x - y for x, y in zip(R[0], R[1])]))
+        for t in scan:
             t2 = t * t
-            if t2 == spec.one:
+            if raw_is_zero(spec, t2 - 1):
                 continue
-            found.append(member([x - t2 * y for x, y in zip(R[0], R[1])]))
+            found.append(member(*[x - t2 * y for x, y in zip(R[0], R[1])]))
             break
     else:
         swapped = Pencil(_swap_pullback(pencil.f1), _swap_pullback(pencil.f2))
@@ -375,10 +364,9 @@ def find_hyperbolas(pencil: Pencil) -> list[tuple[NetCoords, Quadratic]]:
 
 def _directions(spec: FieldSpec):
     """Pencil directions [1 : t] for t in residue order, then [0 : 1]."""
-    one, zero = spec.one, spec.zero
-    for t in spec.elements():
-        yield NetCoords(one, t, zero)
-    yield NetCoords(zero, one, zero)
+    for t in range(spec.p):
+        yield _coords(spec, 1, t, 0)
+    yield _coords(spec, 0, 1, 0)
 
 
 # --- asymptotic pencils -------------------------------------------------------
@@ -424,13 +412,12 @@ class AsymptoticPencil(Frozen):
         if self._members is not None:
             return self._members
         spec, p = self.spec, self.spec.p
-        q0, q1, q2 = [x.value for x in self.cubic.shift_coeff]
-        c0, c1, c2, c3 = [x.value for x in self.cubic.base]
+        raw = self.cubic.raw
         out: list[tuple[NetCoords, LinePair]] = []
         seen: set[LinePair] = set()
         for a, b in [(1, t) for t in range(p)] + [(0, 1)]:  # as _directions
-            phi = ((q0 * a + q1 * b) * a + q2 * b * b) % p
-            psi = ((c0 * a + c1 * b) * a + c2 * b * b) * a + c3 * b * b * b
+            phi, psi = _forms(raw, a, b)
+            phi %= p
             if phi:
                 shifts = [-psi * raw_inverse(spec, phi)]
             else:
@@ -439,10 +426,41 @@ class AsymptoticPencil(Frozen):
                 pair = is_reducible(_net_member(self.pencil, a, b, shift))
                 if pair is not None and pair not in seen:
                     seen.add(pair)
-                    coords = NetCoords(wrap(spec, a), wrap(spec, b), wrap(spec, shift))
-                    out.append((coords, pair))
+                    out.append((_coords(spec, a, b, shift), pair))
         object.__setattr__(self, "_members", tuple(out))
         return self._members
+
+    def parallel_family(self) -> ParallelFamily | None:
+        """The parallel family of a degenerate parabola in the net, if one exists.
+
+        Parabola directions are the zeros of the cubic's shift coefficient;
+        such a direction contributes members exactly when the cubic's base
+        also vanishes there, and then the member's constant shifts sweep a
+        parallel family containing a double line.
+        """
+        spec, raw = self.spec, self.cubic.raw
+        q0, q1, q2 = raw[:3]
+        roots: list[tuple] = []
+        if q2 == 0:
+            roots.append((0, 1))
+            if q1 != 0:
+                roots.append((1, -q0 * raw_inverse(spec, q1)))
+        else:
+            # Solve q0 + q1 t + q2 t^2 = 0 for t = beta/alpha.
+            disc = raw_sqrt(spec, q1 * q1 - 4 * q0 * q2)
+            if disc is not None:
+                k = raw_inverse(spec, q2 + q2)
+                roots.append((1, (disc - q1) * k))
+                if disc != 0:
+                    roots.append((1, -(q1 + disc) * k))
+        for a, b in roots:
+            if not raw_is_zero(spec, _forms(raw, a, b)[1]):
+                continue
+            d = degenerations(_net_member(self.pencil, a, b, 0))
+            if d.kind != DEGEN_FAMILY:
+                raise AssertionError("zero slope and zero base must give a family")
+            return d.family
+        return None
 
     def contains_quadratic(self, g: Quadratic) -> NetCoords | None:
         coords = net_contains(self.pencil, g)
@@ -497,24 +515,19 @@ class AsymptoticPencil(Frozen):
             return False
         if pairs[0].line_set() & pairs[1].line_set():
             return False  # shared component forces a parallel pair in the net
-        ctr = pairs[0].center
-        d1, d2 = points_at_infinity(hyps[0][1])
-        det = d1.x * d2.y - d2.x * d1.y
-        mapping = AffineMap.linear(d2.y / det, -d2.x / det, -d1.y / det, d1.x / det)
-        cx, cy = ctr.affine_xy()
-        mapping = mapping.compose(AffineMap.translation(-cx, -cy))
-        moved = pullback(mapping.inverse(), pairs[1].product())
-        factored = is_reducible(moved)
+        (x1, y1, _), (x2, y2, _) = [d.raw for d in points_at_infinity(hyps[0][1])]
+        cx, cy, _ = pairs[0].center.raw
+        # (x, y) -> center + x d1 + y d2 sends the axes onto the first pair.
+        axes = _affine_map(self.spec, x1, x2, y1, y2, cx, cy)
+        factored = is_reducible(pullback(axes, pairs[1].product()))
         if factored is None:
             raise AssertionError("a transformed line pair must stay reducible")
-        l1, l2 = factored.lines()
-        if not (l1.w.is_zero and l2.w.is_zero):
+        (a, b, w1), (c, d, w2) = [line.raw for line in factored.lines()]
+        if w1 or w2:
             raise AssertionError("normalized pair must pass through the origin")
-        a, b = l1.u, l1.v
-        c, d = l2.u, l2.v
-        if b.is_zero or d.is_zero:
+        if b == 0 or d == 0:
             return False
-        return not is_square((a * c) / (b * d))
+        return raw_sqrt(self.spec, a * c * raw_inverse(self.spec, b * d)) is None
 
     def shared_line(self) -> Line | None:
         """The line shared by all hyperbola members, when two members share one."""

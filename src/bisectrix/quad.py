@@ -157,7 +157,7 @@ def quadrilateral_of(ap: AsymptoticPencil) -> Quadrilateral:
             raise AssertionError("nontrivial pencil must yield a quadrilateral partner")
     else:
         base = ap.degenerate_hyperbola_pairs()[0]
-        family = _rational_parallel_family(ap)
+        family = ap.parallel_family()
         second = None
         if family is not None:
             candidates = [family.pair_at(spec.scalar(r)) for r in range(0, 6)]
@@ -178,46 +178,6 @@ def quadrilateral_of(ap: AsymptoticPencil) -> Quadrilateral:
     if not nets_equal(regenerated, ap.pencil):
         raise AssertionError("extracted quadrilateral failed to regenerate the net")
     return q
-
-
-def _rational_parallel_family(ap: AsymptoticPencil):
-    """The parallel family of a degenerate parabola in the net, if one exists.
-
-    Parabola directions are the rational zeros of the cubic's shift
-    coefficient; such a direction contributes members exactly when the
-    cubic's base also vanishes there, and then the member's constant shifts
-    sweep a parallel family containing a double line.
-    """
-    from .conic import DEGEN_FAMILY, degenerations
-    from .field import square_root
-    from .pencil import combination
-
-    spec = ap.spec
-    q0, q1, q2 = ap.cubic.shift_coeff
-    roots: list[tuple] = []
-    if q2.is_zero:
-        roots.append((spec.zero, spec.one))
-    if not (q1.is_zero and q2.is_zero):
-        # Solve q0 + q1 t + q2 t^2 = 0 for t = beta/alpha.
-        if q2.is_zero:
-            if not q1.is_zero:
-                roots.append((spec.one, -q0 / q1))
-        else:
-            disc = square_root(q1 * q1 - 4 * q0 * q2)
-            if disc is not None:
-                two_q2 = q2 + q2
-                roots.append((spec.one, (-q1 + disc) / two_q2))
-                if not disc.is_zero:
-                    roots.append((spec.one, (-q1 - disc) / two_q2))
-    for alpha, beta in roots:
-        if not ap.cubic.base_at(alpha, beta).is_zero:
-            continue
-        member = combination(ap.pencil, alpha, beta)
-        d = degenerations(member)
-        if d.kind != DEGEN_FAMILY:
-            raise AssertionError("zero slope and zero base must give a family")
-        return d.family
-    return None
 
 
 def bisects_quadrilateral(line: Line, q: Quadrilateral) -> Midpoint | None:

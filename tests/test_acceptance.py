@@ -94,10 +94,11 @@ def test_criterion_07_maximality_and_gf3_search():
     detail = (
         "GF(5)/GF(7) forward+maximality scans pass; the exhaustive GF(3) "
         "search finds 990 maximal nontrivial arrangements of which only 810 "
-        "are asymptotic pencils. The other 180 (one transversal line paired "
-        "with every line of a parallel class, plus the class's midline "
-        "family) are honest, machine-verified counterexamples to the "
-        "backward equivalence; see the oracle witnesses below and the "
+        "are asymptotic pencils. The other 180, in two orbits, are honest, "
+        "machine-verified counterexamples to the backward equivalence: 108 "
+        "sets of one transversal line paired with every line of a parallel "
+        "class, plus the class's midline family, and 72 triangles, the three "
+        "sides paired two at a time; see the oracle witnesses below and the "
         "decisions ledger.\n" + json.dumps(backward.witnesses)
     )
     _verdict(7, "asymptotic pencils are bisector arrangements, unextendable, "

@@ -1,9 +1,12 @@
-"""Byte identity of every GF(3) check against the newest committed benchmark record.
+"""Byte identity of CLI output against the newest committed benchmark record.
 
-Each check id runs in process through ``cli.dispatch``; its exit code and the
-sha256 of its stdout must equal the ``"F3 <id>"`` entry of the
+Each GF(3) check id runs in process through ``cli.dispatch``; its exit code
+and the sha256 of its stdout must equal the ``"F3 <id>"`` entry of the
 ``check_digests`` of the highest-numbered ``BENCH_*.json`` at the repository
-root, the record ``tools/check_digests.py`` writes and compares.
+root, the record ``tools/check_digests.py`` writes and compares.  The seed-0
+query rounds of ``bench/workloads.py`` must reproduce its ``queries_digest``:
+they reach the output over Q (cubics, involutions, family samples, net
+coordinates) that no GF(3) check prints.
 """
 
 import hashlib
@@ -19,6 +22,9 @@ from bisectrix.cli import dispatch
 from bisectrix.oracle import CHECK_IDS
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+
+import check_digests  # noqa: E402
 
 
 def _newest_bench() -> Path:
@@ -28,7 +34,8 @@ def _newest_bench() -> Path:
 
 
 NEWEST = _newest_bench()
-DIGESTS = json.loads(NEWEST.read_text())["check_digests"]["digests"]
+RECORD = json.loads(NEWEST.read_text())
+DIGESTS = RECORD["check_digests"]["digests"]
 
 
 @pytest.mark.parametrize("check_id", CHECK_IDS)
@@ -43,3 +50,8 @@ def test_f3_output_matches_the_record(check_id):
     found = {"exit": code,
              "stdout_sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest()}
     assert found == DIGESTS[f"F3 {check_id}"], f"differs from {NEWEST.name}"
+
+
+def test_queries_output_matches_the_record():
+    expected = RECORD["queries_digest"]["change"]
+    assert check_digests.queries_digest() == expected, f"differs from {NEWEST.name}"

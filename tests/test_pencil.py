@@ -557,7 +557,8 @@ class TestMixedFields:
                          lambda: cubic.shift_coeff_at(F5.one, bad),
                          lambda: cubic.base_at(bad, F5.one),
                          lambda: cubic.value(bad, F5.one, F5.one),
-                         lambda: are_independent(quad("x*y", F5), quad("x^2", bad.spec))):
+                         lambda: are_independent(quad("x*y", F5), quad("x^2", bad.spec)),
+                         lambda: Pencil(quad("x*y", F5), quad("x^2", bad.spec))):
                 with pytest.raises(FieldMismatchError):
                     call()
 

@@ -1,9 +1,13 @@
-"""The raw representation of quadratics, lines and points.
+"""The raw representation of every field-valued record.
 
-Each object holds its field ``spec`` and one tuple ``raw`` of canonical
-values: residues in [0, p) over GF(p), Fractions over Q, lines scaled so the
-first nonzero of (u, v) is 1 and points so the last nonzero coordinate is 1.
-Every construction path must reach the same tuple.
+Each quadratic, line, point, affine map, net coordinate triple, degeneracy
+cubic, parallel family and involution holds its field ``spec`` and one tuple
+``raw`` of canonical values: residues in [0, p) over GF(p), Fractions over
+Q, lines scaled so the first nonzero of (u, v) is 1, points so the last
+nonzero coordinate is 1, net coordinates so the first nonzero of (alpha,
+beta) is 1 and involutions so the first nonzero coefficient is 1.  Every
+construction path must reach the same tuple, and each object hashes as the
+tuple of its Scalars.
 """
 
 import random
@@ -29,7 +33,20 @@ from bisectrix.field import (
     raw_sqrt,
     square_root,
 )
+from bisectrix.bisector import BisectorError, Involution, desargues_involution, pair_through_line
+from bisectrix.conic import ParallelFamily
 from bisectrix.geometry import AffineMap, Line, ProjectivePoint, intersect
+from bisectrix.pencil import (
+    AsymptoticPencil,
+    DegeneracyCubic,
+    NetCoords,
+    Pencil,
+    PencilError,
+    degeneracy_cubic,
+    find_hyperbolas,
+    net_contains,
+    net_member,
+)
 
 Q = rationals()
 FIELDS = [GF(3), GF(5), GF(7), GF(10**9 + 7), Q]
@@ -68,6 +85,14 @@ def _scalars(obj):
         return obj.coefficients()
     if isinstance(obj, Line):
         return (obj.u, obj.v, obj.w)
+    if isinstance(obj, NetCoords):
+        return (obj.alpha, obj.beta, obj.shift)
+    if isinstance(obj, DegeneracyCubic):
+        return (*obj.shift_coeff, *obj.base)
+    if isinstance(obj, ParallelFamily):
+        return (obj.scale, *obj.axis, obj.linear, obj.constant)
+    if isinstance(obj, Involution):
+        return (obj.p, obj.q, obj.r)
     return (obj.x, obj.y, obj.z)
 
 
@@ -87,9 +112,23 @@ def _assert_canonical(obj, spec):
         assert next(x for x in raw[:2] if x != 0) == 1
     if isinstance(obj, ProjectivePoint):
         assert next(x for x in reversed(raw) if x != 0) == 1
+    if isinstance(obj, NetCoords):
+        assert next(x for x in raw[:2] if x != 0) == 1
+    if isinstance(obj, Involution):
+        assert next(x for x in raw if x != 0) == 1
+    # A Scalar hashes as its value, so the object hashes as its Scalars do.
+    assert hash(obj) == hash(tuple(scalars))
     # The public constructor of the object's own Scalars is the identity.
     again = type(obj)(*scalars)
     assert again.raw == raw and again == obj and hash(again) == hash(obj)
+
+
+def _pencil(rng, spec):
+    while True:
+        try:
+            return Pencil(_quadratic(rng, spec), _quadratic(rng, spec))
+        except PencilError:
+            continue
 
 
 class TestConstructionPaths:
@@ -181,6 +220,7 @@ class TestConstructionPaths:
         # (X + Y)^2 + 3(X + Y) + 1 and 2Y^2 + 4Y + 1: the two shapes of split.
         for coeffs in ((1, 2, 1, 3, 3, 1), (0, 0, 2, 0, 4, 1)):
             family = degenerations(Quadratic.from_ints(spec, coeffs)).family
+            _assert_canonical(family, spec)
             values = [family.scale, *family.axis, family.linear, family.constant]
             for s in values:
                 assert s.spec is spec
@@ -191,6 +231,43 @@ class TestConstructionPaths:
             pair = family.pair_at(spec.one)
             for obj in (family.midline, family.direction, pair.first, pair.second):
                 _assert_canonical(obj, spec)
+
+
+    @pytest.mark.parametrize("spec", FIELDS, ids=IDS)
+    def test_pencil_records(self, spec):
+        rng = random.Random(12)
+        involutions = 0
+        for _ in range(30):
+            pencil = _pencil(rng, spec)
+            _assert_canonical(degeneracy_cubic(pencil), spec)
+            for coords, member in find_hyperbolas(pencil):
+                _assert_canonical(coords, spec)
+                assert net_member(pencil, coords) == member
+                assert net_contains(pencil, member) == coords
+            k = _unit(rng, spec)
+            coords = NetCoords(k * _unit(rng, spec), _value(rng, spec), _value(rng, spec))
+            _assert_canonical(coords, spec)
+            assert net_contains(pencil, net_member(pencil, coords)) == coords
+            line = _line(rng, spec)
+            hit = pair_through_line(line, pencil)
+            if hit is not None:
+                _assert_canonical(hit.coords, spec)
+            try:
+                inv = desargues_involution(pencil, line)
+            except BisectorError:
+                continue
+            involutions += 1
+            _assert_canonical(inv, spec)
+            assert Involution(k * inv.p, k * inv.q, k * inv.r) == inv
+        assert involutions >= 5
+        if spec.p is not None and spec.p < 100:
+            for coords, _ in AsymptoticPencil(pencil).members():
+                _assert_canonical(coords, spec)
+
+
+def _xy_pencil(spec):
+    return Pencil(Quadratic.from_ints(spec, (0, 1, 0, 0, 0, 0)),
+                  Quadratic.from_ints(spec, (1, 0, -1, 0, 0, 0)))
 
 
 class TestFields:
@@ -204,6 +281,13 @@ class TestFields:
                  Line(spec_b.one, spec_b.zero, spec_b.one)),
                 (ProjectivePoint.affine(spec_a.one, spec_a.zero),
                  ProjectivePoint.affine(spec_b.one, spec_b.zero)),
+                (NetCoords(spec_a.one, spec_a.zero, spec_a.one),
+                 NetCoords(spec_b.one, spec_b.zero, spec_b.one)),
+                (degeneracy_cubic(_xy_pencil(spec_a)), degeneracy_cubic(_xy_pencil(spec_b))),
+                (degenerations(Quadratic.from_ints(spec_a, (1, 0, 0, 0, 0, -1))).family,
+                 degenerations(Quadratic.from_ints(spec_b, (1, 0, 0, 0, 0, -1))).family),
+                (Involution(spec_a.one, spec_a.zero, spec_a.one),
+                 Involution(spec_b.one, spec_b.zero, spec_b.one)),
             ]
             for a, b in objs:
                 with pytest.raises(FieldMismatchError):
