@@ -13,6 +13,7 @@ asymptotic pencils.
 from __future__ import annotations
 
 from itertools import combinations
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .conic import (
@@ -136,7 +137,8 @@ def pair_through_line(line: Line, pencil: Pencil) -> PairThroughLine | None:
 
 
 class ArrangementReport(Frozen):
-    """Verdict and per-line midpoints of a bisector-arrangement check."""
+    """Verdict and per-line midpoints (a read-only mapping) of a
+    bisector-arrangement check."""
 
     __slots__ = ("ok", "midpoints")
 
@@ -155,7 +157,7 @@ def is_bisector_arrangement(pairs: Sequence[LinePair]) -> ArrangementReport:
         midpoints[line] = m
         if m is None:
             ok = False
-    return ArrangementReport(ok, midpoints)
+    return ArrangementReport(ok, MappingProxyType(midpoints))
 
 
 NONTRIVIAL = "nontrivial"

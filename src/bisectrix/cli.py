@@ -61,7 +61,7 @@ def _field(text: str):
 
 
 def _emit(args, payload) -> None:
-    if getattr(args, "pretty", False):
+    if args.pretty:
         _emit_pretty(payload)
     else:
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
@@ -368,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--field", required=True, help="Q or F<p>, e.g. F5")
         p.add_argument("--pretty", action="store_true",
                        help="human-readable output instead of JSON")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized checks")
         if conics:
             p.add_argument("conics", nargs=conics,
                            help="conic as 'a,b,c,d,e,g' or a polynomial like 'x*y-1'")
@@ -409,6 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                        formatter_class=_CheckHelpFormatter)
     common(p)
     p.add_argument("checks", nargs="+", help="check ids or 'all'")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p.add_argument("--samples", type=int, default=0,
                    help="override the randomized sample count")
     p.add_argument("--timings", action="store_true",

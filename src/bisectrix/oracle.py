@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 import time
+from functools import cache
 from itertools import combinations, product
 
 from .bisector import (
@@ -50,7 +51,6 @@ from .pencil import (
     NetCoords,
     Pencil,
     are_independent,
-    combination,
     degeneracy_cubic,
     find_hyperbolas,
     net_contains,
@@ -139,7 +139,7 @@ class Report(Frozen):
     def __init__(self, check, field, policy, verdict, witnesses, wall_time):
         if verdict == "fail" and not witnesses:
             raise AssertionError("a failed report needs a counterexample witness")
-        super().__init__(check, field, policy, verdict, witnesses, wall_time)
+        super().__init__(check, field, policy, verdict, tuple(witnesses), wall_time)
 
     @property
     def passed(self) -> bool:
@@ -152,7 +152,7 @@ class Report(Frozen):
             "field": self.field,
             "policy": self.policy.to_json(),
             "verdict": self.verdict,
-            "witnesses": self.witnesses,
+            "witnesses": list(self.witnesses),
         }
         if include_wall_time:
             out["wall_time_seconds"] = self.wall_time
@@ -176,11 +176,6 @@ def default_policy(check_id: str) -> Policy:
 
 # --- enumeration and tables ---------------------------------------------------
 
-_LINE_CACHE: dict[int, list[Line]] = {}
-_PAIR_CACHE: dict[int, list[LinePair]] = {}
-_TABLE_CACHE: dict[int, dict] = {}
-_KEY_CACHE: dict[int, list[tuple[int, ...]]] = {}
-
 # Size budgets: past them a structure would take minutes and gigabytes (at
 # GF(101) a 10,302 x 10,302 line table, about 10^10 quadratics), so its
 # builder refuses with BudgetError, which the CLI reports as exit 3.
@@ -194,30 +189,27 @@ def _within_budget(spec: FieldSpec, size: int, what: str, budget: int) -> None:
         raise BudgetError(f"{size:,} {what} over {spec.name} exceed the budget of {budget:,}")
 
 
+@cache
 def enumerate_lines(spec: FieldSpec) -> list[Line]:
     """All p^2 + p affine lines over GF(p), canonically scaled, each once."""
     if not spec.is_finite:
         raise InfiniteFieldError("cannot enumerate lines over an infinite field")
-    if spec.p not in _LINE_CACHE:
-        one, zero = spec.one, spec.zero
-        lines = [Line(one, v, w) for v in spec.elements() for w in spec.elements()]
-        lines += [Line(zero, one, w) for w in spec.elements()]
-        _LINE_CACHE[spec.p] = lines
-    return _LINE_CACHE[spec.p]
+    one, zero = spec.one, spec.zero
+    lines = [Line(one, v, w) for v in spec.elements() for w in spec.elements()]
+    return lines + [Line(zero, one, w) for w in spec.elements()]
 
 
+@cache
 def enumerate_line_pairs(spec: FieldSpec) -> list[LinePair]:
     """All unordered pairs of lines, doubles included."""
-    if spec.p not in _PAIR_CACHE:
-        lines = enumerate_lines(spec)
-        n = len(lines)
-        _within_budget(spec, n * (n + 1) // 2, "line pairs", QUADRATIC_BUDGET)
-        pairs = [LinePair(l, l) for l in lines]
-        pairs += [LinePair(a, b) for a, b in combinations(lines, 2)]
-        _PAIR_CACHE[spec.p] = pairs
-    return _PAIR_CACHE[spec.p]
+    lines = enumerate_lines(spec)
+    n = len(lines)
+    _within_budget(spec, n * (n + 1) // 2, "line pairs", QUADRATIC_BUDGET)
+    pairs = [LinePair(l, l) for l in lines]
+    return pairs + [LinePair(a, b) for a, b in combinations(lines, 2)]
 
 
+@cache
 def reducible_table(spec: FieldSpec) -> dict:
     """Canonical coefficient tuple of every line-pair product -> its pair.
 
@@ -225,14 +217,10 @@ def reducible_table(spec: FieldSpec) -> dict:
     reducibility over GF(p), with the factorization attached.  Keys are int
     tuples, the form of ``Quadratic.key`` and ``quadratic_keys``.
     """
-    if spec.p not in _TABLE_CACHE:
-        table = {}
-        for pair in enumerate_line_pairs(spec):
-            table[pair.product().canonical().key()] = pair
-        _TABLE_CACHE[spec.p] = table
-    return _TABLE_CACHE[spec.p]
+    return {pair.product().canonical().key(): pair for pair in enumerate_line_pairs(spec)}
 
 
+@cache
 def quadratic_keys(spec: FieldSpec) -> list[tuple[int, ...]]:
     """Every quadratic over GF(p) up to scalar, as int tuples (a, b, c, d, e, g).
 
@@ -242,15 +230,13 @@ def quadratic_keys(spec: FieldSpec) -> list[tuple[int, ...]]:
     """
     if not spec.is_finite:
         raise InfiniteFieldError("cannot enumerate quadratics over an infinite field")
-    if spec.p not in _KEY_CACHE:
-        p = spec.p
-        _within_budget(spec, p**5 + p**4 + p**3, "quadratic classes", QUADRATIC_BUDGET)
-        keys = []
-        for lead in range(3):
-            head = (0,) * lead + (1,)
-            keys += [head + tail for tail in product(range(spec.p), repeat=5 - lead)]
-        _KEY_CACHE[spec.p] = keys
-    return _KEY_CACHE[spec.p]
+    p = spec.p
+    _within_budget(spec, p**5 + p**4 + p**3, "quadratic classes", QUADRATIC_BUDGET)
+    keys = []
+    for lead in range(3):
+        head = (0,) * lead + (1,)
+        keys += [head + tail for tail in product(range(p), repeat=5 - lead)]
+    return keys
 
 
 def enumerate_quadratics(spec: FieldSpec) -> list[Quadratic]:
@@ -350,13 +336,7 @@ class _Crossings:
         return _INF if m.is_infinite else _FREE
 
 
-_CROSSINGS_CACHE: dict[int, _Crossings] = {}
-
-
-def _crossings(spec: FieldSpec) -> _Crossings:
-    if spec.p not in _CROSSINGS_CACHE:
-        _CROSSINGS_CACHE[spec.p] = _Crossings(spec)
-    return _CROSSINGS_CACHE[spec.p]
+_crossings = cache(_Crossings)
 
 
 # --- randomized generators ----------------------------------------------------
@@ -508,16 +488,14 @@ class _Plane:
         return [self.pair_id[perm[i]][perm[j]] for i, j in self.pair_lines]
 
 
-_PLANE_CACHE: dict[int, _Plane] = {}
-
-
-def _plane(spec: FieldSpec) -> _Plane:
-    if spec.p not in _PLANE_CACHE:
-        _PLANE_CACHE[spec.p] = _Plane(spec)
-    return _PLANE_CACHE[spec.p]
+_plane = cache(_Plane)
 
 
 # --- checkers -----------------------------------------------------------------
+#
+# Every checker is a generator: it yields one witness dict per counterexample
+# and returns its list of pass witnesses.  ``run_check`` alone decides the
+# verdict and how many counterexamples a report keeps.
 
 
 def _pencil_witness(pencil: Pencil) -> dict:
@@ -530,7 +508,6 @@ def _check_prop_2_2(spec, policy, rng):
     p = spec.p
     elems = list(spec.elements())
     keys = quadratic_keys(spec)
-    fails = []
     counts = {"unique": 0, "family": 0, "none": 0}
     for key in keys:
         # f + lam stays canonical: the leading 1 is in a, b or c.
@@ -574,16 +551,11 @@ def _check_prop_2_2(spec, policy, rng):
             ok = not brute and d.kind == DEGEN_NONE
             counts["none"] += 1
         if not ok:
-            fails.append({"quadratic": format_quadratic_triple(f)})
-            if len(fails) >= 10:
-                break
-    if fails:
-        return False, fails
-    return True, [{"classes_checked": len(keys), **counts}]
+            yield {"quadratic": format_quadratic_triple(f)}
+    return [{"classes_checked": len(keys), **counts}]
 
 
 def _check_prop_3_4(spec, policy, rng):
-    fails = []
     need = 2 if spec.p > 3 else 1
     for _ in range(policy.count):
         pencil = _rand_pencil(rng, spec)
@@ -594,21 +566,19 @@ def _check_prop_3_4(spec, policy, rng):
         if len(hyps) == 2:
             ok = ok and are_independent(hyps[0][1], hyps[1][1])
         if not ok:
-            fails.append(_pencil_witness(pencil))
-            if len(fails) >= 10:
-                break
+            yield _pencil_witness(pencil)
     witnesses = [{"pencils_checked": policy.count, "minimum_required": need}]
     if spec.p == 3:
         tight = _example_3_6_pencil(spec)
         n_hyp = sum(
             1 for c in _directions(spec)
-            if classify(combination(tight, c.alpha, c.beta)).kind == HYPERBOLA
+            if classify(net_member(tight, c)).kind == HYPERBOLA
         )
         if n_hyp != 1:
-            fails.append({"tight-witness": _pencil_witness(tight)})
+            yield {"tight-witness": _pencil_witness(tight)}
         else:
             witnesses.append({"bound_attained_by": _pencil_witness(tight)})
-    return (not fails), fails or witnesses
+    return witnesses
 
 
 def _example_3_6_pencil(spec) -> Pencil:
@@ -619,23 +589,20 @@ def _example_3_6_pencil(spec) -> Pencil:
 
 
 def _check_cor_3_5(spec, policy, rng):
-    fails = []
     need = 2 if spec.p > 3 else 1
     for _ in range(policy.count):
         ap = AsymptoticPencil(_rand_pencil(rng, spec))
         crossing = [p for _, p in ap.members() if p.kind == CROSSING]
         if len(crossing) < need:
-            fails.append(_pencil_witness(ap.pencil))
-            if len(fails) >= 10:
-                break
+            yield _pencil_witness(ap.pencil)
     witnesses = [{"pencils_checked": policy.count, "minimum_required": need}]
     if spec.p == 3:
         ap = AsymptoticPencil(_example_3_6_pencil(spec))
         if len(ap.members()) != 1:
-            fails.append({"tight-witness": _pencil_witness(ap.pencil)})
+            yield {"tight-witness": _pencil_witness(ap.pencil)}
         else:
             witnesses.append({"bound_attained_by": _pencil_witness(ap.pencil)})
-    return (not fails), fails or witnesses
+    return witnesses
 
 
 def _check_example_3_6(spec, policy, rng):
@@ -643,14 +610,9 @@ def _check_example_3_6(spec, policy, rng):
         raise OracleError("example-3.6 is specific to GF(3)")
     pencil = _example_3_6_pencil(spec)
     table = reducible_table(spec)
-    issues = []
-    members = {}
-    for coords in _directions(spec):
-        members[(coords.alpha.value, coords.beta.value)] = combination(
-            pencil, coords.alpha, coords.beta
-        )
+    members = {(c.alpha.value, c.beta.value): net_member(pencil, c) for c in _directions(spec)}
     if len(members) != 4:
-        issues.append({"member_classes": len(members)})
+        yield {"member_classes": len(members)}
     want = {
         (1, 0): ("parabola", False),
         (0, 1): ("hyperbola", True),
@@ -660,10 +622,10 @@ def _check_example_3_6(spec, policy, rng):
     for key, (kind, degenerate) in want.items():
         cls = classify(members[key])
         if (cls.kind, cls.degenerate) != (kind, degenerate):
-            issues.append({"direction": list(key), "got": repr(cls)})
+            yield {"direction": list(key), "got": repr(cls)}
     # The mixed member is (y + 2x)^2 + y, expanded mod 3.
     if members[(1, 1)] != Quadratic.from_ints(spec, (4, 4, 1, 0, 1, 0)):
-        issues.append({"mixed_member": format_quadratic_triple(members[(1, 1)])})
+        yield {"mixed_member": format_quadratic_triple(members[(1, 1)])}
     ellipse = members[(1, 2)]
     zeros = sorted(
         (x.value, y.value)
@@ -671,7 +633,7 @@ def _check_example_3_6(spec, policy, rng):
         if ellipse.evaluate(x, y).is_zero
     )
     if zeros != [(0, 0), (0, 1), (1, 1), (1, 2)]:
-        issues.append({"ellipse_zero_set": zeros})
+        yield {"ellipse_zero_set": zeros}
     ap = AsymptoticPencil(pencil)
     pairs = [pair for _, pair in ap.members()]
     brute_pairs = set()
@@ -683,13 +645,11 @@ def _check_example_3_6(spec, policy, rng):
                 brute_pairs.add(hit)
     own = is_reducible(members[(0, 1)])
     if not (len(pairs) == 1 and brute_pairs == {pairs[0]} and pairs[0] == own):
-        issues.append({
+        yield {
             "asymptotic_members": [format_pair(p) for p in pairs],
             "brute_members": [format_pair(p) for p in sorted(brute_pairs, key=LinePair.sort_key)],
-        })
-    if issues:
-        return False, issues
-    return True, [{
+        }
+    return [{
         "member_classes": 4,
         "asymptotic_member": format_pair(pairs[0]),
         "ellipse_zero_set": [list(z) for z in zeros],
@@ -699,7 +659,6 @@ def _check_example_3_6(spec, policy, rng):
 def _check_prop_3_7(spec, policy, rng):
     # Every pencil is checked on all its (p+1)·p net members, one per line.
     _within_budget(spec, (spec.p + 1) * spec.p, "net members per pencil", PLANE_LINE_BUDGET)
-    fails = []
     for _ in range(policy.count):
         pencil = _rand_pencil(rng, spec)
         cubic = degeneracy_cubic(pencil)
@@ -718,17 +677,14 @@ def _check_prop_3_7(spec, policy, rng):
             if not ok:
                 break
         if not ok:
-            fails.append(_pencil_witness(pencil))
-            if len(fails) >= 10:
-                break
-    return (not fails), fails or [{"pencils_checked": policy.count}]
+            yield _pencil_witness(pencil)
+    return [{"pencils_checked": policy.count}]
 
 
 def _check_prop_4_3(spec, policy, rng):
     from .conic import pullback
     from .geometry import ProjectivePoint
 
-    fails = []
     solvable = unsolvable = 0
     one, zero = spec.one, spec.zero
 
@@ -777,10 +733,9 @@ def _check_prop_4_3(spec, policy, rng):
                 # No double line may exist anywhere in the pencil then.
                 norm = Pencil(xy, prod)
                 for coords in _directions(spec):
-                    red = is_reducible(combination(norm, coords.alpha, coords.beta))
+                    red = is_reducible(net_member(norm, coords))
                     if red is not None and red.kind == DOUBLE:
-                        fails.append({"pair": format_pair(pair2),
-                                      "issue": "unexpected double line"})
+                        yield {"pair": format_pair(pair2), "issue": "unexpected double line"}
                         break
                 unsolvable += 1
                 continue
@@ -791,16 +746,12 @@ def _check_prop_4_3(spec, policy, rng):
         square = Quadratic(e * e, 2 * e * f, f * f, zero, zero, zero)
         red = is_reducible(member)
         if not (member == square and red is not None and red.kind == DOUBLE):
-            fails.append({"pair": format_pair(pair2),
-                          "member": format_quadratic_triple(member)})
+            yield {"pair": format_pair(pair2), "member": format_quadratic_triple(member)}
         solvable += 1
-        if len(fails) >= 10:
-            break
-    return (not fails), fails or [{"solvable": solvable, "unsolvable": unsolvable}]
+    return [{"solvable": solvable, "unsolvable": unsolvable}]
 
 
 def _check_lemma_3_2(spec, policy, rng):
-    fails = []
     for _ in range(policy.count):
         pencil = _rand_pencil(rng, spec)
         base = {pair for _, pair in AsymptoticPencil(pencil).members()}
@@ -818,14 +769,11 @@ def _check_lemma_3_2(spec, policy, rng):
                 picked.append(g)
         other = {pair for _, pair in AsymptoticPencil(Pencil(*picked)).members()}
         if base != other:
-            fails.append(_pencil_witness(pencil))
-            if len(fails) >= 10:
-                break
-    return (not fails), fails or [{"pencils_checked": policy.count}]
+            yield _pencil_witness(pencil)
+    return [{"pencils_checked": policy.count}]
 
 
 def _check_lemma_3_3(spec, policy, rng):
-    fails = []
     for _ in range(policy.count):
         ap = AsymptoticPencil(_rand_pencil(rng, spec))
         entries = ap.members()
@@ -847,14 +795,11 @@ def _check_lemma_3_3(spec, policy, rng):
                 ok = False
                 break
         if not ok:
-            fails.append(_pencil_witness(ap.pencil))
-            if len(fails) >= 10:
-                break
-    return (not fails), fails or [{"pencils_checked": policy.count}]
+            yield _pencil_witness(ap.pencil)
+    return [{"pencils_checked": policy.count}]
 
 
 def _check_lemma_4_5(spec, policy, rng):
-    fails = []
     shared_seen = 0
     for k in range(policy.count):
         if k % 2 == 0:
@@ -891,37 +836,28 @@ def _check_lemma_4_5(spec, policy, rng):
         else:
             ok = found is None
         if not ok:
-            fails.append(_pencil_witness(pencil))
-            if len(fails) >= 10:
-                break
-    return (not fails), fails or [{"pencils_checked": policy.count,
-                                   "with_shared_line": shared_seen}]
+            yield _pencil_witness(pencil)
+    return [{"pencils_checked": policy.count, "with_shared_line": shared_seen}]
 
 
 def _check_prop_4_6(spec, policy, rng):
-    fails = []
     for _ in range(policy.count):
         ap = _rand_nontrivial_ap(rng, spec)
         try:
             q = quadrilateral_of(ap)
         except (AssertionError, QuadrilateralError) as exc:
-            fails.append({**_pencil_witness(ap.pencil), "error": str(exc)})
-            if len(fails) >= 10:
-                break
+            yield {**_pencil_witness(ap.pencil), "error": str(exc)}
             continue
         regenerated = AsymptoticPencil(pencil_of(q))
         ok = {p for _, p in regenerated.members()} == {p for _, p in ap.members()}
         if spec.p > 3:
             ok = ok and not q.degenerate
         if not ok:
-            fails.append(_pencil_witness(ap.pencil))
-            if len(fails) >= 10:
-                break
-    return (not fails), fails or [{"pencils_checked": policy.count}]
+            yield _pencil_witness(ap.pencil)
+    return [{"pencils_checked": policy.count}]
 
 
 def _check_lemma_5_2(spec, policy, rng):
-    fails = []
     lines = enumerate_lines(spec)
     checked = 0
     for _ in range(policy.count):
@@ -937,18 +873,13 @@ def _check_lemma_5_2(spec, policy, rng):
                     and net_contains(pencil, by_algebra.pair.product()) is not None
                 )
             if not ok:
-                fails.append({**_pencil_witness(pencil),
-                              "line": format_line_triple(line)})
+                yield {**_pencil_witness(pencil), "line": format_line_triple(line)}
                 break
-        if len(fails) >= 10:
-            break
-    return (not fails), fails or [{"pencils_checked": checked,
-                                   "lines_each": len(lines)}]
+    return [{"pencils_checked": checked, "lines_each": len(lines)}]
 
 
 def _check_thm_5_4(spec, policy, rng):
     kernel = _crossings(spec)
-    fails = []
     bisector_cases = 0
     checked = 0
     for _ in range(policy.count):
@@ -965,18 +896,13 @@ def _check_thm_5_4(spec, policy, rng):
             # Every crossed member must have m's midpoint; none may be
             # crossed when m is undetermined.
             if not kernel.crossings(members, i) <= {kernel.midpoint(m, i)}:
-                fails.append({**_pencil_witness(pencil),
-                              "line": format_line_triple(line)})
+                yield {**_pencil_witness(pencil), "line": format_line_triple(line)}
                 break
-        if len(fails) >= 10:
-            break
-    return (not fails), fails or [{"pencils_checked": checked,
-                                   "bisector_cases": bisector_cases}]
+    return [{"pencils_checked": checked, "bisector_cases": bisector_cases}]
 
 
 def _check_cor_5_5(spec, policy, rng):
     kernel = _crossings(spec)
-    fails = []
     checked = 0
     for _ in range(policy.count):
         q = _rand_quadrilateral(rng, spec)
@@ -990,17 +916,13 @@ def _check_cor_5_5(spec, policy, rng):
             else:
                 ok = crossings == {kernel.midpoint(lhs, i)} - {_FREE}
             if not ok:
-                fails.append({"pairs": format_pair(q.first) + "|" + format_pair(q.second),
-                              "line": format_line_triple(line)})
+                yield {"pairs": format_pair(q.first) + "|" + format_pair(q.second),
+                       "line": format_line_triple(line)}
                 break
-        if len(fails) >= 10:
-            break
-    return (not fails), fails or [{"quadrilaterals_checked": checked,
-                                   "lines_each": len(kernel.lines)}]
+    return [{"quadrilaterals_checked": checked, "lines_each": len(kernel.lines)}]
 
 
 def _check_cor_5_6(spec, policy, rng):
-    fails = []
     lines = enumerate_lines(spec)
     checked = 0
     attempts = 0
@@ -1021,16 +943,13 @@ def _check_cor_5_6(spec, policy, rng):
             got = bisects_set(line, through)
             ok = got is not None and (m.is_undetermined or got == m)
             if not ok:
-                fails.append({"pairs": format_pair(q.first) + "|" + format_pair(q.second),
-                              "line": format_line_triple(line)})
+                yield {"pairs": format_pair(q.first) + "|" + format_pair(q.second),
+                       "line": format_line_triple(line)}
                 break
-        if len(fails) >= 10:
-            break
-    return (not fails), fails or [{"quadrilaterals_checked": checked}]
+    return [{"quadrilaterals_checked": checked}]
 
 
 def _check_cor_5_7(spec, policy, rng):
-    fails = []
     done = 0
     attempts = 0
     while done < policy.count and attempts < 200 * policy.count:
@@ -1049,7 +968,7 @@ def _check_cor_5_7(spec, policy, rng):
                 ok = False
         conditions = []
         for coords in _directions(spec):
-            g = combination(pencil, coords.alpha, coords.beta)
+            g = net_member(pencil, coords)
             A, B, C = restrict_to_line(g, line)
             if A.is_zero and B.is_zero and C.is_zero:
                 continue
@@ -1079,18 +998,15 @@ def _check_cor_5_7(spec, policy, rng):
             if refits >= 3:
                 break
         if not ok:
-            fails.append({**_pencil_witness(pencil), "line": format_line_triple(line)})
-            if len(fails) >= 10:
-                break
-    return (not fails), fails or [{"instances": done}]
+            yield {**_pencil_witness(pencil), "line": format_line_triple(line)}
+    return [{"instances": done}]
 
 
 def _check_lemma_6_2(spec, policy, rng):
     plane = _plane(spec)
     pairs = plane.pairs
     nlines = len(plane.lines)
-    fails = []
-    instances = 0
+    found = instances = 0
     attempts = 0
     while instances < policy.count and attempts < 500 * policy.count:
         attempts += 1
@@ -1128,7 +1044,7 @@ def _check_lemma_6_2(spec, policy, rng):
                     is_bisector_arrangement(base + [pairs[plane.pair_id[i][j]]]).ok
                     for i, js in partner_lists.items() for j in js
                 )
-                fails.append({
+                yield {
                     "arrangement": format_pair(base[0]) + "|" + format_pair(base[1]),
                     "extension": format_pair(pairs[k]),
                     "partner_counts": {
@@ -1136,13 +1052,14 @@ def _check_lemma_6_2(spec, policy, rng):
                         for i, js in partner_lists.items()
                     },
                     "confirmed_by_midpoint_path": honest,
-                })
+                }
+                found += 1
             instances += 1
-            if instances >= policy.count or len(fails) >= 5:
+            if instances >= policy.count or found >= 5:
                 break
-        if len(fails) >= 5:
+        if found >= 5:
             break
-    return (not fails), fails or [{"extension_instances": instances}]
+    return [{"extension_instances": instances}]
 
 
 def _orbit(perms: list[list[int]], members: frozenset[int]) -> set[frozenset[int]]:
@@ -1232,16 +1149,13 @@ def _is_asymptotic_pencil(pairs: list[LinePair]) -> bool:
 
 def _check_thm_6_3(spec, policy, rng):
     if spec.p == 3:
-        return _check_thm_6_3_gf3(spec)
+        return (yield from _check_thm_6_3_gf3(spec))
     plane = _plane(spec)
-    fails = []
     for _ in range(policy.count):
         ap = _rand_nontrivial_ap(rng, spec)
         member_pairs = [pair for _, pair in ap.members()]
         if not is_bisector_arrangement(member_pairs).ok:
-            fails.append({**_pencil_witness(ap.pencil), "issue": "not an arrangement"})
-            if len(fails) >= 10:
-                break
+            yield {**_pencil_witness(ap.pencil), "issue": "not an arrangement"}
             continue
         members = [plane.pair_of(pair) for pair in member_pairs]
         state = plane.empty
@@ -1249,16 +1163,12 @@ def _check_thm_6_3(spec, policy, rng):
             state = plane.add(state, k)
         lines = plane.line_ids(member_pairs)
         if any(state[i] == _CONFLICT for i in lines):
-            fails.append({**_pencil_witness(ap.pencil),
-                          "issue": "fast path disagrees with arrangement check"})
-            if len(fails) >= 10:
-                break
+            yield {**_pencil_witness(ap.pencil),
+                   "issue": "fast path disagrees with arrangement check"}
             continue
         if not all(plane.extends(state, lines, k) for k in members):
-            fails.append({**_pencil_witness(ap.pencil),
-                          "issue": "a member failed its own extension test"})
-            if len(fails) >= 10:
-                break
+            yield {**_pencil_witness(ap.pencil),
+                   "issue": "a member failed its own extension test"}
             continue
         member_set = set(members)
         survivors = [
@@ -1268,16 +1178,12 @@ def _check_thm_6_3(spec, policy, rng):
         for k in survivors:
             pair = plane.pairs[k]
             verdict = is_bisector_arrangement(member_pairs + [pair]).ok
-            fails.append({
+            yield {
                 **_pencil_witness(ap.pencil),
                 "extension": format_pair(pair),
                 "issue": "proper extension" if verdict else "fast-path inconsistency",
-            })
-        if len(fails) >= 10:
-            break
-    return (not fails), fails or [
-        {"pencils_checked": policy.count, "pairs_scanned": len(plane.pairs)}
-    ]
+            }
+    return [{"pencils_checked": policy.count, "pairs_scanned": len(plane.pairs)}]
 
 
 def _check_thm_6_3_gf3(spec):
@@ -1286,11 +1192,11 @@ def _check_thm_6_3_gf3(spec):
     verdicts = [_is_asymptotic_pencil([by_key[r] for r in orbit[0]]) for orbit in orbits]
     found = sum(len(orbit) for orbit in orbits)
     matched = sum(len(orbit) for orbit, ok in zip(orbits, verdicts) if ok)
-    fails = []
+    counts = {"maximal_nontrivial_arrangements": found, "asymptotic_pencils_among_them": matched}
     escaping = sorted(s for orbit, ok in zip(orbits, verdicts) if not ok for s in orbit)
     for s in escaping[:5]:
         pairs = [by_key[r] for r in s]
-        fails.append({
+        yield {
             "arrangement": "|".join(format_pair(p) for p in pairs),
             "confirmed_by_midpoint_path": bool(
                 is_bisector_arrangement(pairs).ok
@@ -1299,12 +1205,10 @@ def _check_thm_6_3_gf3(spec):
                     for q in enumerate_line_pairs(spec) if q not in pairs
                 )
             ),
-        })
-    if fails:
-        fails.append({"maximal_nontrivial_arrangements": found,
-                      "asymptotic_pencils_among_them": matched})
-    return (not fails), fails or [{"maximal_nontrivial_arrangements": found,
-                                   "asymptotic_pencils_among_them": matched}]
+        }
+    if escaping:
+        yield counts
+    return [counts]
 
 
 _CHECKERS = {
@@ -1329,7 +1233,12 @@ _CHECKERS = {
 
 
 def run_check(check_id: str, spec: FieldSpec, policy: Policy | None = None) -> Report:
-    """Run one checker and wrap the outcome in a report."""
+    """Run one checker and wrap the outcome in a report.
+
+    The check fails exactly when its checker yields a counterexample; the
+    report keeps the first 10 and stops the checker there.  A passing
+    report holds the pass witnesses the checker returns.
+    """
     if check_id not in _CHECKERS:
         raise OracleError(f"unknown check id {check_id!r}")
     if not spec.is_finite:
@@ -1338,13 +1247,19 @@ def run_check(check_id: str, spec: FieldSpec, policy: Policy | None = None) -> R
         policy = default_policy(check_id)
     rng = random.Random(policy.seed)
     started = time.perf_counter()
-    passed, witnesses = _CHECKERS[check_id](spec, policy, rng)
+    checker = _CHECKERS[check_id](spec, policy, rng)
+    fails, passes = [], None
+    try:
+        while len(fails) < 10:
+            fails.append(next(checker))
+    except StopIteration as done:
+        passes = done.value
     elapsed = time.perf_counter() - started
     return Report(
         check=check_id,
         field=spec.name,
         policy=policy,
-        verdict="pass" if passed else "fail",
-        witnesses=witnesses,
+        verdict="fail" if fails else "pass",
+        witnesses=fails or passes,
         wall_time=elapsed,
     )

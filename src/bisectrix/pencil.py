@@ -29,7 +29,6 @@ from .conic import (
     classify,
     degenerations,
     is_reducible,
-    linear_combination,
     points_at_infinity,
     pullback,
 )
@@ -138,10 +137,6 @@ def _net_member(pencil: Pencil, alpha, beta, shift) -> Quadratic:
     raw = [alpha * x + beta * y for x, y in zip(pencil.f1.raw, pencil.f2.raw)]
     raw[5] += shift
     return _quadratic(pencil.spec, *raw)
-
-
-def combination(pencil: Pencil, alpha: Scalar, beta: Scalar) -> Quadratic:
-    return linear_combination([(alpha, pencil.f1), (beta, pencil.f2)])
 
 
 def net_contains(pencil: Pencil, g: Quadratic) -> NetCoords | None:

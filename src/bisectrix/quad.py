@@ -8,14 +8,15 @@ which case the quadrilateral is degenerate.
 
 from __future__ import annotations
 
-from .conic import (
-    CROSSING,
-    DOUBLE,
-    PARALLEL,
-    LinePair,
-    distinct_lines,
-    pairs_are_translates,
+from .bisector import (
+    ALL_CONCURRENT,
+    ALL_PARALLEL,
+    ALL_TRANSLATES,
+    NONTRIVIAL,
+    bisects_set,
+    classify_trivial_arrangement,
 )
+from .conic import CROSSING, DOUBLE, PARALLEL, LinePair
 from .field import Frozen
 from .geometry import GeometryError, Line, Midpoint, ProjectivePoint, intersect
 from .pencil import (
@@ -28,8 +29,11 @@ from .pencil import (
 
 TRANSLATION_PAIR = "translation-pair"
 SHARED_LINE = "shared-line"
-ALL_CONCURRENT = "all-concurrent"
-ALL_PARALLEL = "all-parallel"
+
+_TRIVIAL_MESSAGES = {
+    ALL_PARALLEL: "all four sides are parallel",
+    ALL_CONCURRENT: "all four sides share a point",
+}
 
 
 class QuadrilateralError(ValueError):
@@ -59,22 +63,20 @@ class Quadrilateral(Frozen):
 
 
 def validate(pair1: LinePair, pair2: LinePair) -> Quadrilateral:
-    """Check the quadrilateral clauses; raise a tagged error on violation."""
-    if pairs_are_translates(pair1, pair2):
+    """Check the quadrilateral clauses; raise a tagged error on violation.
+
+    The clauses are the triviality tags of the two-pair arrangement, with a
+    shared line checked between the translation clause and the others.
+    """
+    tag = classify_trivial_arrangement([pair1, pair2])
+    if tag == ALL_TRANSLATES:
         raise QuadrilateralError(
             TRANSLATION_PAIR, "one pair of opposite sides is a translation of the other"
         )
     if pair1.line_set() & pair2.line_set():
         raise QuadrilateralError(SHARED_LINE, "the opposite-side pairs share a line")
-    lines = distinct_lines([pair1, pair2])
-    if all(line.is_parallel_to(lines[0]) for line in lines[1:]):
-        raise QuadrilateralError(ALL_PARALLEL, "all four sides are parallel")
-    pt = intersect(lines[0], lines[1])
-    if not isinstance(pt, ProjectivePoint):
-        raise AssertionError("distinct canonical lines cannot coincide")
-    if all(line.contains(pt) for line in lines[2:]):
-        reason = ALL_PARALLEL if pt.is_infinite else ALL_CONCURRENT
-        raise QuadrilateralError(reason, "all four sides share a point")
+    if tag != NONTRIVIAL:
+        raise QuadrilateralError(tag, _TRIVIAL_MESSAGES[tag])
     degenerate = pair1.kind == DOUBLE or pair2.kind == DOUBLE
     return Quadrilateral(pair1, pair2, degenerate)
 
@@ -182,6 +184,4 @@ def quadrilateral_of(ap: AsymptoticPencil) -> Quadrilateral:
 
 def bisects_quadrilateral(line: Line, q: Quadrilateral) -> Midpoint | None:
     """The common midpoint when the line bisects both opposite-side pairs."""
-    from .bisector import bisects_set
-
     return bisects_set(line, [q.first.product(), q.second.product()])

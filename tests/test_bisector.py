@@ -27,8 +27,8 @@ from bisectrix.pencil import (
     NetCoords,
     Pencil,
     TrivialPencilError,
-    combination,
     net_contains,
+    net_member,
     _directions,
 )
 from bisectrix.textforms import parse_quadratic
@@ -148,6 +148,17 @@ class TestArrangements:
             assert m.is_infinite or m.is_undetermined
         assert classify_trivial_arrangement(pairs) == ALL_TRANSLATES
 
+    def test_midpoints_cannot_be_changed(self):
+        report = is_bisector_arrangement([
+            LinePair(line(1, 0, 0), line(0, 1, 0)),
+            LinePair(line(1, 1, -1), line(1, 2, -5)),
+        ])
+        with pytest.raises(AttributeError):
+            report.midpoints.clear()
+        with pytest.raises(TypeError):
+            report.midpoints[line(1, 0, 0)] = None
+        assert report.ok and len(report.midpoints) == 4
+
     def test_two_pair_sets_always_pass(self):
         # Each line is a component of its own pair's product and crosses at
         # most the one other product, so a two-pair set can never disagree.
@@ -224,7 +235,7 @@ class TestDesargues:
         # Every pencil member's crossing parameters are conjugate, checked
         # concretely against the restriction roots over all 8 directions.
         for coords in _directions(F7):
-            member = combination(pencil, coords.alpha, coords.beta)
+            member = net_member(pencil, coords)
             A, B, C = restrict_to_line(member, probe)
             assert inv.conjugates_restriction(A, B, C)
             if not A.is_zero:
@@ -244,8 +255,8 @@ class TestDesargues:
         probe = line(0, 1, -2, F7)
         inv = desargues_involution(pencil, probe)
         other = Pencil(
-            combination(pencil, F7.one, F7.one),
-            combination(pencil, F7.one, F7.scalar(3)),
+            net_member(pencil, NetCoords(F7.one, F7.one, F7.zero)),
+            net_member(pencil, NetCoords(F7.one, F7.scalar(3), F7.zero)),
         )
         assert desargues_involution(other, probe) == inv
 

@@ -192,6 +192,11 @@ class TestErrors:
         assert run(["classify", "--field", "Q", "--json", "x*y-1"]) == (2, "")
         assert "--json" in capsys.readouterr().err
 
+    def test_seed_belongs_to_check_only(self, capsys):
+        # Only check draws random instances, so only check takes --seed.
+        assert run(["classify", "--field", "Q", "--seed", "1", "x*y-1"])[0] == 2
+        assert "--seed" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["check", "--field", "F5", "--samples", "-5", "thm-6.3"],
         ["render", "--field", "Q", "--kind", "pencil", "--samples", "-1",

@@ -162,6 +162,41 @@ def test_gf11_soak(check_id, policy):
     assert report.passed, report.witnesses
 
 
+class TestCounterexampleCap:
+    """run_check alone decides the verdict and keeps at most 10 counterexamples."""
+
+    def test_a_failed_report_keeps_the_first_ten(self, monkeypatch):
+        advanced = []
+
+        def many(spec, policy, rng):
+            for i in range(25):
+                advanced.append(i)
+                yield {"counterexample": i}
+            return [{"unreachable": True}]
+
+        monkeypatch.setitem(oracle._CHECKERS, "prop-3.4", many)
+        report = run_check("prop-3.4", F5, Policy.randomized(1))
+        assert report.verdict == "fail"
+        assert report.witnesses == tuple({"counterexample": i} for i in range(10))
+        assert advanced == list(range(10))
+
+    def test_a_checker_without_counterexamples_passes_with_its_summary(self, monkeypatch):
+        def clean(spec, policy, rng):
+            return [{"instances": policy.count}]
+            yield
+
+        monkeypatch.setitem(oracle._CHECKERS, "prop-3.4", clean)
+        report = run_check("prop-3.4", F5, Policy.randomized(7))
+        assert report.verdict == "pass"
+        assert report.witnesses == ({"instances": 7},)
+
+    def test_witnesses_cannot_be_changed(self):
+        report = run_check("example-3.6", F3)
+        with pytest.raises(AttributeError):
+            report.witnesses.append({"forged": True})
+        assert report.to_json()["witnesses"] == list(report.witnesses)
+
+
 def test_prop_4_3_checks_every_requested_instance():
     # Draws whose two direction pairs coincide are redrawn, not skipped.
     policy = Policy.randomized(200, seed=0)

@@ -68,6 +68,10 @@ class TestValidate:
         with pytest.raises(QuadrilateralError) as err:
             validate(AXES, pair(line(1, 0, 0), line(1, 1, -1)))
         assert err.value.reason == SHARED_LINE
+        # All four sides are parallel too; the shared line is reported.
+        with pytest.raises(QuadrilateralError) as err:
+            validate(pair(line(1, 0, 0), line(1, 0, -1)), pair(line(1, 0, 0), line(1, 0, -2)))
+        assert err.value.reason == SHARED_LINE
 
     def test_all_parallel_rejected(self):
         with pytest.raises(QuadrilateralError) as err:
