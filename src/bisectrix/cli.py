@@ -14,6 +14,7 @@ import json
 import sys
 
 from .bisector import (
+    bisector_field_of,
     bisects_set,
     classify_trivial_arrangement,
     desargues_involution,
@@ -228,8 +229,6 @@ def _cmd_bisect(args) -> int:
 
 
 def _cmd_field_membership(args) -> int:
-    from .bisector import bisector_field_of
-
     spec = _field(args.field)
     pencil = _parse_pencil(spec, args)
     field = bisector_field_of(pencil)

@@ -192,10 +192,11 @@ def parse_fieldspec(text: str) -> FieldSpec:
 class Scalar(Frozen):
     """An exact element of Q or GF(p), tagged with its field spec.
 
-    Results are built directly through the slot descriptors rather than
-    through ``__init__``; ``_operand`` takes scalars of the very same
-    ``FieldSpec`` object (``GF`` is cached and ``rationals`` is a singleton)
-    on an identity test before any other check.
+    The operators are clients of the value helpers below: each reads the
+    operands' values, computes on them raw and builds its result through
+    ``wrap`` (and divides through ``raw_inverse``).  ``_operand`` checks a
+    Scalar operand's field only when its ``FieldSpec`` object differs
+    (``GF`` is cached and ``rationals`` is a singleton).
     """
 
     __slots__ = ("spec", "value")
@@ -207,13 +208,9 @@ class Scalar(Frozen):
 
     def _operand(self, other):
         """The value of ``other`` in this field, or None for a foreign type."""
-        if other.__class__ is Scalar and other.spec is self.spec:
-            return other.value
         if isinstance(other, Scalar):
-            if other.spec != self.spec:
-                raise FieldMismatchError(
-                    f"cannot combine {self.spec} scalar with {other.spec} scalar"
-                )
+            if other.spec is not self.spec:
+                same_field(self.spec, other.spec)
             return other.value
         if isinstance(other, int):
             return other % self.spec.p if self.spec.p is not None else Fraction(other)
@@ -221,42 +218,21 @@ class Scalar(Frozen):
 
     def __add__(self, other):
         v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        p = self.spec.p
-        r = _new(Scalar)
-        _set_spec(r, self.spec)
-        _set_value(r, (self.value + v) % p if p else self.value + v)
-        return r
+        return NotImplemented if v is None else wrap(self.spec, self.value + v)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        p = self.spec.p
-        r = _new(Scalar)
-        _set_spec(r, self.spec)
-        _set_value(r, (self.value - v) % p if p else self.value - v)
-        return r
+        return NotImplemented if v is None else wrap(self.spec, self.value - v)
 
     def __rsub__(self, other):
         v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        p = self.spec.p
-        return Scalar(self.spec, (v - self.value) % p if p else v - self.value)
+        return NotImplemented if v is None else wrap(self.spec, v - self.value)
 
     def __mul__(self, other):
         v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        p = self.spec.p
-        r = _new(Scalar)
-        _set_spec(r, self.spec)
-        _set_value(r, (self.value * v) % p if p else self.value * v)
-        return r
+        return NotImplemented if v is None else wrap(self.spec, self.value * v)
 
     __rmul__ = __mul__
 
@@ -264,40 +240,24 @@ class Scalar(Frozen):
         v = self._operand(other)
         if v is None:
             return NotImplemented
-        p = self.spec.p
-        if p is None:
-            if v == 0:
-                raise ZeroDivisionError("division by zero scalar")
-            value = self.value / v
-        else:
-            if v % p == 0:
-                raise ZeroDivisionError("division by zero scalar")
-            value = (self.value * pow(v, p - 2, p)) % p
-        r = _new(Scalar)
-        _set_spec(r, self.spec)
-        _set_value(r, value)
-        return r
+        return wrap(self.spec, self.value * raw_inverse(self.spec, v))
 
     def __rtruediv__(self, other):
         v = self._operand(other)
         if v is None:
             return NotImplemented
-        return Scalar(self.spec, v) / self
+        return wrap(self.spec, v * raw_inverse(self.spec, self.value))
 
     def __neg__(self):
-        p = self.spec.p
-        r = _new(Scalar)
-        _set_spec(r, self.spec)
-        _set_value(r, (-self.value) % p if p else -self.value)
-        return r
+        return wrap(self.spec, -self.value)
 
     def __pow__(self, exponent: int):
         p = self.spec.p
-        if p is not None:
-            if exponent < 0:
-                return (self.spec.one / self) ** (-exponent)
-            return Scalar(self.spec, pow(self.value, exponent, p))
-        return Scalar(self.spec, self.value ** exponent)
+        if p is None:
+            return wrap(self.spec, self.value ** exponent)
+        if exponent < 0:
+            return (self.spec.one / self) ** -exponent
+        return wrap(self.spec, pow(self.value, exponent, p))
 
     def inverse(self) -> "Scalar":
         return self.spec.one / self
@@ -342,7 +302,8 @@ _RATIONALS = FieldSpec(None)
 # ints (GF(p)) or Fractions (Q), and wraps each result once.  Raw GF(p)
 # values may be unreduced.  ``wrap``, ``raw_inverse`` and ``raw_is_zero`` are
 # the only code that knows which field a raw value lives in, so Q and GF(p)
-# run the same kernel bodies.
+# run the same kernel bodies; Scalar's own operators and ``halve`` are
+# kernels too, and ``wrap`` is the one place a result Scalar is built.
 
 _FRACTION_ONE = Fraction(1)
 
@@ -462,11 +423,7 @@ def as_fractions(*raw) -> tuple:
 
 def halve(x: Scalar) -> Scalar:
     """The unique y with 2y = x (total because char != 2)."""
-    p = x.spec.p
-    r = _new(Scalar)
-    _set_spec(r, x.spec)
-    _set_value(r, x.value / 2 if p is None else (x.value * ((p + 1) // 2)) % p)
-    return r
+    return wrap(x.spec, x.value * raw_inverse(x.spec, 2))
 
 
 def _tonelli_shanks(n: int, p: int) -> int:

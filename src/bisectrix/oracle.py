@@ -42,10 +42,11 @@ from .conic import (
     distinct_lines,
     is_reducible,
     meets,
+    pullback,
     restrict_to_line,
 )
 from .field import FieldSpec, Frozen, InfiniteFieldError, square_root
-from .geometry import AffineMap, Line, Midpoint, intersect
+from .geometry import AffineMap, Line, Midpoint, ProjectivePoint, intersect
 from .pencil import (
     AsymptoticPencil,
     NetCoords,
@@ -682,9 +683,6 @@ def _check_prop_3_7(spec, policy, rng):
 
 
 def _check_prop_4_3(spec, policy, rng):
-    from .conic import pullback
-    from .geometry import ProjectivePoint
-
     solvable = unsolvable = 0
     one, zero = spec.one, spec.zero
 

@@ -375,20 +375,14 @@ class AsymptoticPencil(Frozen):
     predicates and finitely many distinguished members.
     """
 
-    __slots__ = ("pencil", "_cubic", "_members")
+    __slots__ = ("pencil", "cubic", "_members")
 
     def __init__(self, pencil: Pencil):
-        super().__init__(pencil, None, None)
+        super().__init__(pencil, degeneracy_cubic(pencil), None)
 
     @property
     def spec(self) -> FieldSpec:
         return self.pencil.spec
-
-    @property
-    def cubic(self) -> DegeneracyCubic:
-        if self._cubic is None:
-            object.__setattr__(self, "_cubic", degeneracy_cubic(self.pencil))
-        return self._cubic
 
     def members(self) -> tuple[tuple[NetCoords, LinePair], ...]:
         """All reducible net members over a finite field, each pair once.
@@ -402,7 +396,7 @@ class AsymptoticPencil(Frozen):
         if not self.spec.is_finite:
             raise InfiniteFieldError(
                 "asymptotic pencils over Q are not materialized; "
-                "use contains_quadratic/contains_pair membership predicates"
+                "use the contains_pair membership predicate"
             )
         if self._members is not None:
             return self._members
@@ -456,12 +450,6 @@ class AsymptoticPencil(Frozen):
                 raise AssertionError("zero slope and zero base must give a family")
             return d.family
         return None
-
-    def contains_quadratic(self, g: Quadratic) -> NetCoords | None:
-        coords = net_contains(self.pencil, g)
-        if coords is None:
-            return None
-        return coords if is_reducible(g) is not None else None
 
     def contains_pair(self, pair: LinePair) -> bool:
         return net_contains(self.pencil, pair.product()) is not None

@@ -49,9 +49,6 @@ class Quadrilateral(Frozen):
 
     __slots__ = ("first", "second", "degenerate")
 
-    def all_lines(self) -> list[Line]:
-        return [*self.first.lines(), *self.second.lines()]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Quadrilateral):
             return NotImplemented

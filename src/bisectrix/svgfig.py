@@ -14,8 +14,8 @@ from fractions import Fraction
 from .bisector import bisects_set, pair_through_line
 from .conic import CROSSING, HYPERBOLA, LinePair, Quadratic, center, classify, is_reducible
 from .field import FieldSpec
-from .geometry import Line
-from .pencil import Pencil
+from .geometry import Line, ProjectivePoint
+from .pencil import NetCoords, Pencil, net_member
 
 SAMPLES_PER_BRANCH = 256
 
@@ -44,7 +44,9 @@ class _Canvas:
         self.black_dots: list[tuple[float, float]] = []
         self.white_dots: list[tuple[float, float]] = []
 
-    def anchor(self, x, y):
+    def anchor(self, point: ProjectivePoint):
+        """Keep an affine point in view."""
+        x, y, _ = point.raw
         self.anchors.append((float(x), float(y)))
 
     def bbox(self):
@@ -186,17 +188,25 @@ def _line_floats(line: Line) -> tuple[float, float, float]:
     return float(u), float(v), float(w)
 
 
-def _pair_dots(canvas: _Canvas, pair: LinePair, pencil: Pencil):
-    if pair.kind == CROSSING:
-        cx, cy = pair.center.affine_xy()
-        canvas.white_dots.append((float(Fraction(cx.value)), float(Fraction(cy.value))))
-        canvas.anchor(Fraction(cx.value), Fraction(cy.value))
-    for line in pair.line_set():
-        m = bisects_set(line, [pencil.f1, pencil.f2])
-        if m is not None and m.is_finite:
-            x, y = m.point.affine_xy()
-            canvas.black_dots.append((float(Fraction(x.value)), float(Fraction(y.value))))
-            canvas.anchor(Fraction(x.value), Fraction(y.value))
+def _dot(canvas: _Canvas, dots: list, point: ProjectivePoint):
+    """Mark an affine point with a dot, kept in view."""
+    canvas.anchor(point)
+    dots.append(canvas.anchors[-1])
+
+
+def _render_pairs(pairs: list[LinePair], quadratics: list[Quadratic]) -> str:
+    """The pairs' lines, a white dot at each crossing and a black dot at
+    each midpoint where a line bisects ``quadratics``."""
+    canvas = _Canvas()
+    for pair in pairs:
+        if pair.kind == CROSSING:
+            _dot(canvas, canvas.white_dots, pair.center)
+        for line in pair.line_set():
+            canvas.lines.append(_line_floats(line))
+            m = bisects_set(line, quadratics)
+            if m is not None and m.is_finite:
+                _dot(canvas, canvas.black_dots, m.point)
+    return _emit(canvas)
 
 
 def _sweep_bisector_pairs(pencil: Pencil, samples: int) -> list[LinePair]:
@@ -236,15 +246,13 @@ def render_pencil(f1: Quadratic, f2: Quadratic, samples: int) -> str:
     pencil = Pencil(f1, f2)
     spec = pencil.spec
     canvas = _Canvas()
-    members = []
     coeffs = [Fraction(0), Fraction(1), Fraction(-1)]
     t = 2
     while len(coeffs) < max(samples - 1, 1):
         coeffs += [Fraction(t), Fraction(-t), Fraction(1, t), Fraction(-1, t)]
         t += 1
-    for tval in coeffs[: max(samples - 1, 1)]:
-        members.append(Quadratic(*(x + spec.scalar(tval) * y for x, y in
-                                   zip(f1.coefficients(), f2.coefficients()))))
+    members = [net_member(pencil, NetCoords(spec.one, spec.scalar(tval), spec.zero))
+               for tval in coeffs[: max(samples - 1, 1)]]
     members.append(f2)
     for g in members:
         red = is_reducible(g)
@@ -252,11 +260,9 @@ def render_pencil(f1: Quadratic, f2: Quadratic, samples: int) -> str:
             for line in red.line_set():
                 canvas.lines.append(_line_floats(line))
             if red.kind == CROSSING:
-                cx, cy = red.center.affine_xy()
-                canvas.anchor(Fraction(cx.value), Fraction(cy.value))
+                canvas.anchor(red.center)
         if classify(g).kind == HYPERBOLA:
-            cx, cy = center(g).affine_xy()
-            canvas.anchor(Fraction(cx.value), Fraction(cy.value))
+            canvas.anchor(center(g))
     box = canvas.bbox()
     for g in members:
         if is_reducible(g) is None:
@@ -267,14 +273,7 @@ def render_pencil(f1: Quadratic, f2: Quadratic, samples: int) -> str:
 def render_asymptotic_pencil(f1: Quadratic, f2: Quadratic, samples: int) -> str:
     """Bisector pairs of the asymptotic pencil, with midpoint and center dots."""
     _require_rationals(f1.spec)
-    pencil = Pencil(f1, f2)
-    pairs = _sweep_bisector_pairs(pencil, samples)
-    canvas = _Canvas()
-    for pair in pairs:
-        for line in pair.line_set():
-            canvas.lines.append(_line_floats(line))
-        _pair_dots(canvas, pair, pencil)
-    return _emit(canvas)
+    return _render_pairs(_sweep_bisector_pairs(Pencil(f1, f2), samples), [f1, f2])
 
 
 def render_arrangement(pairs: list[LinePair]) -> str:
@@ -282,20 +281,4 @@ def render_arrangement(pairs: list[LinePair]) -> str:
     if not pairs:
         raise RenderError("an arrangement scene needs at least one pair")
     _require_rationals(pairs[0].spec)
-    canvas = _Canvas()
-    products = [pair.product() for pair in pairs]
-    for pair in pairs:
-        if pair.kind == CROSSING:
-            cx, cy = pair.center.affine_xy()
-            canvas.white_dots.append((float(Fraction(cx.value)),
-                                      float(Fraction(cy.value))))
-            canvas.anchor(Fraction(cx.value), Fraction(cy.value))
-        for line in pair.line_set():
-            canvas.lines.append(_line_floats(line))
-            m = bisects_set(line, products)
-            if m is not None and m.is_finite:
-                x, y = m.point.affine_xy()
-                canvas.black_dots.append((float(Fraction(x.value)),
-                                          float(Fraction(y.value))))
-                canvas.anchor(Fraction(x.value), Fraction(y.value))
-    return _emit(canvas)
+    return _render_pairs(pairs, [pair.product() for pair in pairs])

@@ -133,10 +133,12 @@ class TestArithmetic:
             F5.scalar(1) == F7.scalar(1)
 
     def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            F5.scalar(1) / F5.scalar(0)
-        with pytest.raises(ZeroDivisionError):
-            q(1) / q(0)
+        for spec in (F5, Q):
+            zero = spec.scalar(0)
+            with pytest.raises(ZeroDivisionError, match="division by zero scalar"):
+                spec.scalar(1) / zero
+            with pytest.raises(ZeroDivisionError, match="division by zero scalar"):
+                1 / zero
 
 
 class TestSquareRoots:
@@ -274,8 +276,21 @@ class TestSameSpecFastPath:
         assert (x * y).value == (a * b) % p
         assert (x == y) == ((a - b) % p == 0)
         assert (x == b) == ((a - b) % p == 0)
+        assert (-x).value == -a % p
+        assert (b - x).value == (b - a) % p
+        results = [x + y, x - y, x * y, -x, b - x]
+        for k in range(-2, 4):
+            if k >= 0 or a % p:
+                results.append(x ** k)
+                assert results[-1].value == pow(a, k, p)
         if b % p:
             assert (x / y).value * b % p == a % p
+            results.append(x / y)
+        if a % p:
+            assert (b / x).value * a % p == b % p
+            results.append(b / x)
+        for r in results:
+            assert type(r.value) is int and 0 <= r.value < p
 
     @given(a=rational_values, b=rational_values)
     @settings(deadline=None)
@@ -285,8 +300,22 @@ class TestSameSpecFastPath:
         assert (x - y).value == a - b
         assert (x * y).value == a * b
         assert (x == y) == (a == b)
+        n = b.numerator
+        assert (-x).value == -a
+        assert (n - x).value == n - a
+        results = [x + y, x - y, x * y, -x, n - x]
+        for k in range(-2, 4):
+            if k >= 0 or a:
+                results.append(x ** k)
+                assert results[-1].value == a ** k
         if b:
             assert (x / y).value == a / b
+            results.append(x / y)
+        if a:
+            assert (n / x).value == n / a
+            results.append(n / x)
+        for r in results:
+            assert type(r.value) is Fraction
 
 
 KERNEL_FIELDS = [GF(3), F5, F7, GF(10**9 + 7), Q]
