@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 from .conic import (
     LinePair,
     Quadratic,
+    _has_root,
     _restrict,
     distinct_lines,
     mid,
@@ -34,7 +35,6 @@ from .field import (
     fill_reduced,
     raw_inverse,
     raw_is_zero,
-    raw_sqrt,
     wrap,
 )
 from .geometry import (
@@ -258,12 +258,6 @@ class Involution(FieldTuple):
         return "Involution(p={}, q={}, r={})".format(*self.raw)
 
 
-def _rational_projective_root(spec: FieldSpec, A, B, C) -> bool:
-    """Whether A t^2 + B t s + C s^2, of raw values, has a root on the projective line."""
-    # [1 : 0] is a root when A = 0.
-    return raw_is_zero(spec, A) or raw_sqrt(spec, B * B - 4 * A * C) is not None
-
-
 def desargues_involution(pencil: Pencil, line: Line) -> Involution:
     """The involution pairing the crossings of the pencil's members with a line.
 
@@ -282,7 +276,7 @@ def desargues_involution(pencil: Pencil, line: Line) -> Involution:
     if zero1 or zero2:
         if zero1 and zero2:
             raise BasepointError("the line is a common component of both generators")
-        if _rational_projective_root(spec, *(r2 if zero1 else r1)):
+        if _has_root(spec, *(r2 if zero1 else r1)):
             raise BasepointError(
                 "the line is a generator component and meets the other generator"
             )
@@ -299,7 +293,7 @@ def desargues_involution(pencil: Pencil, line: Line) -> Involution:
         return _normalize_involution(_new(Involution), spec, p, q, r)
     if not all(raw_is_zero(spec, x) for x in (p, q, r)):
         raise BasepointError("the line passes through a basepoint of the pencil")
-    if _rational_projective_root(spec, A1, B1, C1):
+    if _has_root(spec, A1, B1, C1):
         raise BasepointError("the line passes through two basepoints of the pencil")
     raise InsufficientDataError(
         "all members restrict proportionally on this line and no rational "

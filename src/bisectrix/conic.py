@@ -243,31 +243,46 @@ class ConicClass(Frozen):
         return f"ConicClass({self.kind}, {flag})"
 
 
+def _form_roots(spec: FieldSpec, A, B, C) -> list[tuple]:
+    """The rational roots [x : y] of A x^2 + B xy + C y^2 != 0, as raw pairs.
+
+    A and B are reduced raw values.  [1 : 0] comes first when A = 0; the
+    roots [x : 1] follow, (r - B)/2A before -(B + r)/2A with r^2 = B^2 - 4AC,
+    and a double root once.  The one solver of binary quadratic forms:
+    directions at infinity, asymptote and parallel-pair components, and
+    parabola directions of a net.
+    """
+    if A == 0:
+        if B == 0:
+            return [(1, 0)]
+        return [(1, 0), (-C * raw_inverse(spec, B), 1)]
+    r = raw_sqrt(spec, B * B - 4 * A * C)
+    if r is None:
+        return []
+    h = raw_inverse(spec, A + A)
+    if r == 0:
+        return [(-B * h, 1)]
+    return [((r - B) * h, 1), (-(B + r) * h, 1)]
+
+
+def _has_root(spec: FieldSpec, A, B, C) -> bool:
+    """Whether A x^2 + B xy + C y^2, of raw values, has a root [x : y]."""
+    return raw_is_zero(spec, A) or raw_sqrt(spec, B * B - 4 * A * C) is not None
+
+
 def points_at_infinity(f: Quadratic) -> list[ProjectivePoint]:
     """The rational roots of the homogeneous part on the line of directions."""
     spec = f.spec
-    a, b, c = f.raw[:3]
-    if a == 0:
-        pts = [_point(spec, 1, 0, 0)]
-        if b != 0:
-            pts.append(_point(spec, -c * raw_inverse(spec, b), 1, 0))
-        return sorted(pts, key=ProjectivePoint.sort_key)
-    root = raw_sqrt(spec, _disc(f.raw))
-    if root is None:
-        return []
-    h = raw_inverse(spec, a + a)
-    if root == 0:
-        return [_point(spec, -b * h, 1, 0)]
-    pts = [_point(spec, (root - b) * h, 1, 0), _point(spec, -(b + root) * h, 1, 0)]
+    pts = [_point(spec, x, y, 0) for x, y in _form_roots(spec, *f.raw[:3])]
     return sorted(pts, key=ProjectivePoint.sort_key)
 
 
 def classify(f: Quadratic) -> ConicClass:
     """Hyperbola / parabola / ellipse by the count of points at infinity."""
-    n = len(points_at_infinity(f))
-    kind = (ELLIPSE, PARABOLA, HYPERBOLA)[n]
+    spec, raw = f.spec, f.raw
+    kind = (ELLIPSE, PARABOLA, HYPERBOLA)[len(_form_roots(spec, *raw[:3]))]
     if kind == ELLIPSE:
-        degenerate = raw_is_zero(f.spec, _det3_times_4(f.raw))
+        degenerate = raw_is_zero(spec, _det3_times_4(raw))
     else:
         degenerate = is_reducible(f) is not None
     return ConicClass(kind, degenerate)
@@ -275,18 +290,16 @@ def classify(f: Quadratic) -> ConicClass:
 
 def center(f: Quadratic) -> ProjectivePoint:
     """The center of a hyperbola: the unique zero of the gradient."""
-    disc = _disc(f.raw)
-    root = raw_sqrt(f.spec, disc)
-    if root is None or root == 0:
+    if len(_form_roots(f.spec, *f.raw[:3])) != 2:
         raise ConicError("center is defined for hyperbolas only")
-    return _center(f, disc)
+    return _center(f)
 
 
-def _center(f: Quadratic, disc) -> ProjectivePoint:
-    """The zero of the gradient, given the raw disc(f) != 0."""
+def _center(f: Quadratic) -> ProjectivePoint:
+    """The zero of the gradient, given disc(f) != 0."""
     spec = f.spec
     a, b, c, d, e, _ = f.raw
-    k = raw_inverse(spec, disc)
+    k = raw_inverse(spec, _disc(f.raw))
     return _point(spec, (c * d + c * d - b * e) * k, (a * e + a * e - b * d) * k, 1)
 
 
@@ -398,76 +411,63 @@ def pairs_are_translates(p1: LinePair, p2: LinePair) -> bool:
     return raw_is_zero(spec, a - c - b + d) or raw_is_zero(spec, a - d - b + c)
 
 
-def _split_homogeneous_square(spec: FieldSpec, raw):
-    """Raw (scale, u, v) with homogeneous part scale * (uX + vY)^2, for disc = 0."""
-    a, b, c = raw[:3]
-    one = spec.one.value  # a Fraction over Q
-    if a != 0:
-        return a, one, b * raw_inverse(spec, a + a)
-    # disc = 0 with a = 0 forces b = 0, so the part is c Y^2.
-    return c, spec.zero.value, one
+def _square_axis(raw, root) -> tuple:
+    """Raw (scale, u, v) with homogeneous part scale (uX + vY)^2.
+
+    ``root`` is the double root [x : y] of the part: a (X - xY)^2, or c Y^2
+    when the root is [1 : 0].
+    """
+    x, y = root
+    return (raw[0], 1, -x) if y else (raw[2], 0, 1)
 
 
 def is_reducible(f: Quadratic) -> LinePair | None:
     """The factorization of f into two lines over the ground field, if any.
 
-    det3(f) != 0 rules reducibility out.  With det3(f) = 0 the discriminant
-    of the homogeneous part decides the shape: a nonzero square gives two
-    crossing lines through the center; zero gives parallel or double lines
-    exactly when the shifted 1-variable discriminant is a square (so X^2 - 2
-    stays irreducible over Q); a non-square gives a point-like conic with no
-    rational components.
+    det3(f) != 0 rules reducibility out.  With det3(f) = 0 the roots of the
+    homogeneous part decide the shape: two give crossing lines through the
+    center; a double root gives parallel or double lines exactly when the
+    shifted 1-variable quadratic has a root (so X^2 - 2 stays irreducible
+    over Q); none gives a point-like conic with no rational components.
     """
     spec, raw = f.spec, f.raw
     if not raw_is_zero(spec, _det3_times_4(raw)):
         return None
-    disc = _disc(raw)
-    root = raw_sqrt(spec, disc)
-    if root is None:
+    directions = _form_roots(spec, *raw[:3])
+    if len(directions) == 2:
+        return _crossing_pair(f, directions)
+    if not directions:
         return None
-    if root != 0:
-        return _crossing_pair(f, disc, root)
-    scale, u, v = _split_homogeneous_square(spec, raw)
+    scale, u, v = _square_axis(raw, directions[0])
     # With det3 = 0 the linear part is a multiple m of uX + vY, where u = 1
     # or (u, v) = (0, 1).
     _, _, _, d, e, g = raw
     m = d if u else e
     if not raw_is_zero(spec, e - m * v if u else d):
         raise AssertionError("det3 = 0 but the linear part is not aligned")
-    root = raw_sqrt(spec, m * m - 4 * scale * g)
-    if root is None:
+    # The components are uX + vY = t for the roots t of scale t^2 + m t + g.
+    lines = [_line(spec, u, v, -t) for t, _ in _form_roots(spec, scale, m, g)]
+    if not lines:
         return None
-    # The components are uX + vY = t for t = (-m +- root) / 2 scale.
-    k = raw_inverse(spec, scale + scale)
-    pair = LinePair(_line(spec, u, v, (m - root) * k), _line(spec, u, v, (m + root) * k))
+    pair = LinePair(lines[0], lines[-1])
     if not pair.product().same_up_to_scalar(f):
         raise AssertionError("parallel factorization failed to reproduce input")
     return pair
 
 
-def _crossing_pair(f: Quadratic, disc, root) -> LinePair:
-    """The two lines of f, given det3(f) = 0 and the raw disc = root^2 != 0.
+def _crossing_pair(f: Quadratic, directions) -> LinePair:
+    """The two lines of f through its center, given det3(f) = 0.
 
-    Both lines pass through the center, the zero of the gradient, and their
-    directions are the roots of the homogeneous part: [1 : 0] and
-    [-c/b : 1] when a = 0, else [(-b +- root)/2a : 1].
+    ``directions`` are the two raw roots [x : y] of the homogeneous part, as
+    ``_form_roots`` gives them; the center is the zero of the gradient.
     """
     spec = f.spec
-    ctr = _center(f, disc)
+    ctr = _center(f)
     cx, cy, _ = ctr.raw
-    a, b, c = f.raw[:3]
-
-    def through_center(x) -> Line:  # direction [x : 1], x a raw value
-        return _line(spec, 1, -x, x * cy - cx)
-
-    if a == 0:
-        # b != 0 as disc = b^2; the horizontal line has direction [1 : 0].
-        pair = LinePair._crossing(
-            _line(spec, 0, 1, -cy), through_center(-c * raw_inverse(spec, b)), ctr)
-    else:
-        h = raw_inverse(spec, a + a)
-        pair = LinePair._crossing(
-            through_center((root - b) * h), through_center(-(b + root) * h), ctr)
+    (x1, y1), (x2, _) = directions
+    # [x : 1] gives X - xY = cx - x cy; [1 : 0], always first, gives Y = cy.
+    first = _line(spec, 1, -x1, x1 * cy - cx) if y1 else _line(spec, 0, 1, -cy)
+    pair = LinePair._crossing(first, _line(spec, 1, -x2, x2 * cy - cx), ctr)
     if not pair.product().same_up_to_scalar(f):
         raise AssertionError("crossing factorization failed to reproduce input")
     return pair
@@ -538,18 +538,15 @@ def degenerations(f: Quadratic) -> Degenerations:
     with det3 != 0 have none.
     """
     spec, raw = f.spec, f.raw
-    disc = _disc(raw)
-    root = raw_sqrt(spec, disc)
-    if root is None:
-        return NO_DEGENERATIONS
-    if root != 0:
+    directions = _form_roots(spec, *raw[:3])
+    if len(directions) == 2:
         # det3(f + t) = det3(f) - t disc / 4, so this shift makes det3 zero.
-        shift = _det3_times_4(raw) * raw_inverse(spec, disc)
+        shift = _det3_times_4(raw) * raw_inverse(spec, _disc(raw))
         a, b, c, d, e, g = raw
-        pair = _crossing_pair(_quadratic(spec, a, b, c, d, e, g + shift), disc, root)
+        pair = _crossing_pair(_quadratic(spec, a, b, c, d, e, g + shift), directions)
         return Degenerations(DEGEN_UNIQUE, pair, wrap(spec, shift), None)
-    if raw_is_zero(spec, _det3_times_4(raw)):
-        scale, u, v = _split_homogeneous_square(spec, raw)
+    if directions and raw_is_zero(spec, _det3_times_4(raw)):
+        scale, u, v = _square_axis(raw, directions[0])
         m = raw[3] if u else raw[4]
         family = fill_reduced(_new(ParallelFamily), spec, scale, u, v, m, raw[5])
         return Degenerations(DEGEN_FAMILY, None, None, family)
@@ -630,9 +627,7 @@ def _restrict(f: Quadratic, line: Line) -> tuple:
 
 def meets(f: Quadratic, line: Line) -> bool:
     """Whether the projective closures of line and conic intersect."""
-    A, B, C = _restrict(f, line)
-    spec = f.spec
-    return raw_is_zero(spec, A) or raw_sqrt(spec, B * B - 4 * A * C) is not None
+    return _has_root(f.spec, *_restrict(f, line))
 
 
 def mid(f: Quadratic, line: Line) -> MidResult:

@@ -11,6 +11,7 @@ carries at least one counterexample.
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from functools import cache
@@ -82,32 +83,17 @@ class BudgetError(OracleError):
     """A check refused because one of its tables would pass a size budget."""
 
 
-CHECK_IDS = (
-    "prop-2.2", "prop-3.4", "cor-3.5", "example-3.6", "prop-3.7-delta",
-    "prop-4.3-construction", "lemma-3.2", "lemma-3.3", "lemma-4.5",
-    "prop-4.6", "lemma-5.2", "thm-5.4", "cor-5.5", "cor-5.6", "cor-5.7",
-    "lemma-6.2", "thm-6.3",
-)
+# check id -> (checker, description, default count or None for exhaustive),
+# filled by ``_check`` in the order of the checkers below.
+_CHECKS: dict[str, tuple] = {}
 
-CHECK_DESCRIPTIONS = {
-    "prop-2.2": "degeneration taxonomy: hyperbolas one, parallel families share a midline, else none",
-    "prop-3.4": "every pencil contains a hyperbola; two independent ones when |k| > 3",
-    "cor-3.5": "every asymptotic pencil contains a degenerate hyperbola; two when |k| > 3",
-    "example-3.6": "the tight GF(3) pencil with a single-member asymptotic pencil",
-    "prop-3.7-delta": "closure-reducibility of net members matches the degeneracy cubic",
-    "prop-4.3-construction": "same-center pairs admit a double line iff the square condition holds",
-    "lemma-3.2": "any two independent net members regenerate the same asymptotic pencil",
-    "lemma-3.3": "dependent reducible members are parallel pairs sharing a midline",
-    "lemma-4.5": "two members sharing a line forces all crossing members through it",
-    "prop-4.6": "nontrivial asymptotic pencils come from quadrilaterals (round trip)",
-    "lemma-5.2": "bisecting the generators equals being a component of a reducible member",
-    "thm-5.4": "a bisector of the generators bisects every net member it crosses",
-    "cor-5.5": "bisecting a quadrilateral equals bisecting its whole net",
-    "cor-5.6": "a bisector of a quadrilateral bisects every conic through its vertices",
-    "cor-5.7": "the crossing involution is order 2 and member-independent",
-    "lemma-6.2": "extensions of a two-pair arrangement are pinned by one of their lines",
-    "thm-6.3": "asymptotic pencils are exactly the maximal nontrivial arrangements",
-}
+
+def _check(check_id: str, description: str, count: int | None = None):
+    """Register the decorated checker; ``count=None`` makes it exhaustive."""
+    def register(checker):
+        _CHECKS[check_id] = (checker, description, count)
+        return checker
+    return register
 
 
 class Policy(Frozen):
@@ -133,18 +119,26 @@ class Policy(Frozen):
 
 
 class Report(Frozen):
-    """Outcome of one check run."""
+    """Outcome of one check run.
 
-    __slots__ = ("check", "field", "policy", "verdict", "witnesses", "wall_time")
+    The witnesses are kept as JSON text, so no caller can change a report
+    through them: ``witnesses`` and ``to_json`` each decode a fresh copy.
+    """
+
+    __slots__ = ("check", "field", "policy", "verdict", "witness_json", "wall_time")
 
     def __init__(self, check, field, policy, verdict, witnesses, wall_time):
         if verdict == "fail" and not witnesses:
             raise AssertionError("a failed report needs a counterexample witness")
-        super().__init__(check, field, policy, verdict, tuple(witnesses), wall_time)
+        super().__init__(check, field, policy, verdict, json.dumps(witnesses), wall_time)
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
+
+    @property
+    def witnesses(self) -> tuple:
+        return tuple(json.loads(self.witness_json))
 
     def to_json(self, include_wall_time: bool = False):
         out = {
@@ -153,26 +147,16 @@ class Report(Frozen):
             "field": self.field,
             "policy": self.policy.to_json(),
             "verdict": self.verdict,
-            "witnesses": list(self.witnesses),
+            "witnesses": json.loads(self.witness_json),
         }
         if include_wall_time:
             out["wall_time_seconds"] = self.wall_time
         return out
 
 
-_DEFAULT_COUNTS = {
-    "prop-3.4": 500, "cor-3.5": 500, "prop-3.7-delta": 200,
-    "prop-4.3-construction": 200, "lemma-3.2": 100, "lemma-3.3": 100,
-    "lemma-4.5": 100, "prop-4.6": 200, "lemma-5.2": 100, "thm-5.4": 100,
-    "cor-5.5": 30, "cor-5.6": 20, "cor-5.7": 50, "lemma-6.2": 200,
-    "thm-6.3": 100,
-}
-
-
 def default_policy(check_id: str) -> Policy:
-    if check_id in ("prop-2.2", "example-3.6"):
-        return Policy.exhaustive()
-    return Policy.randomized(_DEFAULT_COUNTS[check_id])
+    count = _CHECKS[check_id][2]
+    return Policy.exhaustive() if count is None else Policy.randomized(count)
 
 
 # --- enumeration and tables ---------------------------------------------------
@@ -504,6 +488,8 @@ def _pencil_witness(pencil: Pencil) -> dict:
             "f2": format_quadratic_triple(pencil.f2)}
 
 
+@_check("prop-2.2",
+        "degeneration taxonomy: hyperbolas one, parallel families share a midline, else none")
 def _check_prop_2_2(spec, policy, rng):
     table = reducible_table(spec)
     p = spec.p
@@ -556,6 +542,8 @@ def _check_prop_2_2(spec, policy, rng):
     return [{"classes_checked": len(keys), **counts}]
 
 
+@_check("prop-3.4",
+        "every pencil contains a hyperbola; two independent ones when |k| > 3", count=500)
 def _check_prop_3_4(spec, policy, rng):
     need = 2 if spec.p > 3 else 1
     for _ in range(policy.count):
@@ -589,6 +577,8 @@ def _example_3_6_pencil(spec) -> Pencil:
     )
 
 
+@_check("cor-3.5",
+        "every asymptotic pencil contains a degenerate hyperbola; two when |k| > 3", count=500)
 def _check_cor_3_5(spec, policy, rng):
     need = 2 if spec.p > 3 else 1
     for _ in range(policy.count):
@@ -606,6 +596,7 @@ def _check_cor_3_5(spec, policy, rng):
     return witnesses
 
 
+@_check("example-3.6", "the tight GF(3) pencil with a single-member asymptotic pencil")
 def _check_example_3_6(spec, policy, rng):
     if spec.p != 3:
         raise OracleError("example-3.6 is specific to GF(3)")
@@ -657,6 +648,8 @@ def _check_example_3_6(spec, policy, rng):
     }]
 
 
+@_check("prop-3.7-delta",
+        "closure-reducibility of net members matches the degeneracy cubic", count=200)
 def _check_prop_3_7(spec, policy, rng):
     # Every pencil is checked on all its (p+1)·p net members, one per line.
     _within_budget(spec, (spec.p + 1) * spec.p, "net members per pencil", PLANE_LINE_BUDGET)
@@ -682,6 +675,8 @@ def _check_prop_3_7(spec, policy, rng):
     return [{"pencils_checked": policy.count}]
 
 
+@_check("prop-4.3-construction",
+        "same-center pairs admit a double line iff the square condition holds", count=200)
 def _check_prop_4_3(spec, policy, rng):
     solvable = unsolvable = 0
     one, zero = spec.one, spec.zero
@@ -749,6 +744,8 @@ def _check_prop_4_3(spec, policy, rng):
     return [{"solvable": solvable, "unsolvable": unsolvable}]
 
 
+@_check("lemma-3.2",
+        "any two independent net members regenerate the same asymptotic pencil", count=100)
 def _check_lemma_3_2(spec, policy, rng):
     for _ in range(policy.count):
         pencil = _rand_pencil(rng, spec)
@@ -771,6 +768,8 @@ def _check_lemma_3_2(spec, policy, rng):
     return [{"pencils_checked": policy.count}]
 
 
+@_check("lemma-3.3",
+        "dependent reducible members are parallel pairs sharing a midline", count=100)
 def _check_lemma_3_3(spec, policy, rng):
     for _ in range(policy.count):
         ap = AsymptoticPencil(_rand_pencil(rng, spec))
@@ -797,6 +796,8 @@ def _check_lemma_3_3(spec, policy, rng):
     return [{"pencils_checked": policy.count}]
 
 
+@_check("lemma-4.5",
+        "two members sharing a line forces all crossing members through it", count=100)
 def _check_lemma_4_5(spec, policy, rng):
     shared_seen = 0
     for k in range(policy.count):
@@ -838,6 +839,8 @@ def _check_lemma_4_5(spec, policy, rng):
     return [{"pencils_checked": policy.count, "with_shared_line": shared_seen}]
 
 
+@_check("prop-4.6",
+        "nontrivial asymptotic pencils come from quadrilaterals (round trip)", count=200)
 def _check_prop_4_6(spec, policy, rng):
     for _ in range(policy.count):
         ap = _rand_nontrivial_ap(rng, spec)
@@ -855,6 +858,8 @@ def _check_prop_4_6(spec, policy, rng):
     return [{"pencils_checked": policy.count}]
 
 
+@_check("lemma-5.2",
+        "bisecting the generators equals being a component of a reducible member", count=100)
 def _check_lemma_5_2(spec, policy, rng):
     lines = enumerate_lines(spec)
     checked = 0
@@ -876,6 +881,7 @@ def _check_lemma_5_2(spec, policy, rng):
     return [{"pencils_checked": checked, "lines_each": len(lines)}]
 
 
+@_check("thm-5.4", "a bisector of the generators bisects every net member it crosses", count=100)
 def _check_thm_5_4(spec, policy, rng):
     kernel = _crossings(spec)
     bisector_cases = 0
@@ -899,6 +905,7 @@ def _check_thm_5_4(spec, policy, rng):
     return [{"pencils_checked": checked, "bisector_cases": bisector_cases}]
 
 
+@_check("cor-5.5", "bisecting a quadrilateral equals bisecting its whole net", count=30)
 def _check_cor_5_5(spec, policy, rng):
     kernel = _crossings(spec)
     checked = 0
@@ -920,6 +927,8 @@ def _check_cor_5_5(spec, policy, rng):
     return [{"quadrilaterals_checked": checked, "lines_each": len(kernel.lines)}]
 
 
+@_check("cor-5.6",
+        "a bisector of a quadrilateral bisects every conic through its vertices", count=20)
 def _check_cor_5_6(spec, policy, rng):
     lines = enumerate_lines(spec)
     checked = 0
@@ -947,6 +956,7 @@ def _check_cor_5_6(spec, policy, rng):
     return [{"quadrilaterals_checked": checked}]
 
 
+@_check("cor-5.7", "the crossing involution is order 2 and member-independent", count=50)
 def _check_cor_5_7(spec, policy, rng):
     done = 0
     attempts = 0
@@ -1000,6 +1010,8 @@ def _check_cor_5_7(spec, policy, rng):
     return [{"instances": done}]
 
 
+@_check("lemma-6.2",
+        "extensions of a two-pair arrangement are pinned by one of their lines", count=200)
 def _check_lemma_6_2(spec, policy, rng):
     plane = _plane(spec)
     pairs = plane.pairs
@@ -1145,6 +1157,8 @@ def _is_asymptotic_pencil(pairs: list[LinePair]) -> bool:
     return False
 
 
+@_check("thm-6.3",
+        "asymptotic pencils are exactly the maximal nontrivial arrangements", count=100)
 def _check_thm_6_3(spec, policy, rng):
     if spec.p == 3:
         return (yield from _check_thm_6_3_gf3(spec))
@@ -1209,25 +1223,8 @@ def _check_thm_6_3_gf3(spec):
     return [counts]
 
 
-_CHECKERS = {
-    "prop-2.2": _check_prop_2_2,
-    "prop-3.4": _check_prop_3_4,
-    "cor-3.5": _check_cor_3_5,
-    "example-3.6": _check_example_3_6,
-    "prop-3.7-delta": _check_prop_3_7,
-    "prop-4.3-construction": _check_prop_4_3,
-    "lemma-3.2": _check_lemma_3_2,
-    "lemma-3.3": _check_lemma_3_3,
-    "lemma-4.5": _check_lemma_4_5,
-    "prop-4.6": _check_prop_4_6,
-    "lemma-5.2": _check_lemma_5_2,
-    "thm-5.4": _check_thm_5_4,
-    "cor-5.5": _check_cor_5_5,
-    "cor-5.6": _check_cor_5_6,
-    "cor-5.7": _check_cor_5_7,
-    "lemma-6.2": _check_lemma_6_2,
-    "thm-6.3": _check_thm_6_3,
-}
+CHECK_IDS = tuple(_CHECKS)
+CHECK_DESCRIPTIONS = {check_id: entry[1] for check_id, entry in _CHECKS.items()}
 
 
 def run_check(check_id: str, spec: FieldSpec, policy: Policy | None = None) -> Report:
@@ -1237,7 +1234,7 @@ def run_check(check_id: str, spec: FieldSpec, policy: Policy | None = None) -> R
     report keeps the first 10 and stops the checker there.  A passing
     report holds the pass witnesses the checker returns.
     """
-    if check_id not in _CHECKERS:
+    if check_id not in _CHECKS:
         raise OracleError(f"unknown check id {check_id!r}")
     if not spec.is_finite:
         raise OracleError("oracle checks enumerate small Galois fields; use F3/F5/F7")
@@ -1245,7 +1242,7 @@ def run_check(check_id: str, spec: FieldSpec, policy: Policy | None = None) -> R
         policy = default_policy(check_id)
     rng = random.Random(policy.seed)
     started = time.perf_counter()
-    checker = _CHECKERS[check_id](spec, policy, rng)
+    checker = _CHECKS[check_id][0](spec, policy, rng)
     fails, passes = [], None
     try:
         while len(fails) < 10:

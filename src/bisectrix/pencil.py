@@ -25,6 +25,7 @@ from .conic import (
     LinePair,
     ParallelFamily,
     Quadratic,
+    _form_roots,
     _quadratic,
     classify,
     degenerations,
@@ -429,20 +430,8 @@ class AsymptoticPencil(Frozen):
         """
         spec, raw = self.spec, self.cubic.raw
         q0, q1, q2 = raw[:3]
-        roots: list[tuple] = []
-        if q2 == 0:
-            roots.append((0, 1))
-            if q1 != 0:
-                roots.append((1, -q0 * raw_inverse(spec, q1)))
-        else:
-            # Solve q0 + q1 t + q2 t^2 = 0 for t = beta/alpha.
-            disc = raw_sqrt(spec, q1 * q1 - 4 * q0 * q2)
-            if disc is not None:
-                k = raw_inverse(spec, q2 + q2)
-                roots.append((1, (disc - q1) * k))
-                if disc != 0:
-                    roots.append((1, -(q1 + disc) * k))
-        for a, b in roots:
+        # Zeros [a : b] of the slope q0 a^2 + q1 ab + q2 b^2, solved as roots [b : a].
+        for b, a in _form_roots(spec, q2, q1, q0):
             if not raw_is_zero(spec, _forms(raw, a, b)[1]):
                 continue
             d = degenerations(_net_member(self.pencil, a, b, 0))

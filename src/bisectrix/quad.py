@@ -55,6 +55,9 @@ class Quadrilateral(Frozen):
         mine = {self.first, self.second}
         return mine == {other.first, other.second}
 
+    def __hash__(self) -> int:
+        return hash(frozenset((self.first, self.second)))
+
     def __repr__(self) -> str:
         return f"Quadrilateral({self.first}, {self.second})"
 

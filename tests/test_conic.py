@@ -16,6 +16,8 @@ from bisectrix.conic import (
     ConicError,
     LinePair,
     Quadratic,
+    _form_roots,
+    _has_root,
     center,
     classify,
     degenerations,
@@ -28,7 +30,7 @@ from bisectrix.conic import (
     pullback,
     restrict_to_line,
 )
-from bisectrix.field import GF, rationals, square_root
+from bisectrix.field import GF, rationals, raw_sqrt, square_root
 from bisectrix.geometry import AffineMap, Line, Midpoint, ProjectivePoint
 from bisectrix.textforms import parse_quadratic
 
@@ -75,6 +77,40 @@ class TestPointsAtInfinity:
         # has the two directions [2:1] and [-2:1] = [3:1].
         pts = points_at_infinity(quad("x^2+y^2-1", F5))
         assert set(pts) == {pt_inf(2, 1, F5), pt_inf(3, 1, F5)}
+
+
+class TestFormRoots:
+    """The one solver of binary quadratic forms against a scan of the p + 1 points."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_every_form_against_the_projective_line(self, p):
+        spec = GF(p)
+        line_points = [(1, 0)] + [(x, 1) for x in range(p)]
+        for A in range(p):
+            for B in range(p):
+                for C in range(p):
+                    if not (A or B or C):
+                        continue
+                    scan = [(x, y) for x, y in line_points
+                            if (A * x * x + B * x * y + C * y * y) % p == 0]
+                    roots = [(x % p, y % p) for x, y in _form_roots(spec, A, B, C)]
+                    assert sorted(roots) == sorted(scan), (A, B, C)
+                    assert len(set(roots)) == len(roots), (A, B, C)
+                    assert _has_root(spec, A, B, C) == bool(scan), (A, B, C)
+                    # [1 : 0] first, then (r - B)/2A before -(B + r)/2A.
+                    if A == 0:
+                        assert roots[0] == (1, 0), (A, B, C)
+                    elif roots:
+                        r = raw_sqrt(spec, B * B - 4 * A * C)
+                        assert (2 * A * roots[0][0] + B) % p == r, (A, B, C)
+
+    def test_rationals(self):
+        one = Fraction(1)
+        assert _form_roots(Q, one, Fraction(0), Fraction(-2)) == []
+        assert not _has_root(Q, one, Fraction(0), Fraction(-2))
+        assert _form_roots(Q, one, Fraction(0), -one) == [(1, 1), (-1, 1)]
+        assert _form_roots(Q, Fraction(0), Fraction(0), Fraction(3)) == [(1, 0)]
+        assert _has_root(Q, Fraction(0), Fraction(0), Fraction(3))
 
 
 class TestClassify:

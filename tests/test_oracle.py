@@ -174,7 +174,7 @@ class TestCounterexampleCap:
                 yield {"counterexample": i}
             return [{"unreachable": True}]
 
-        monkeypatch.setitem(oracle._CHECKERS, "prop-3.4", many)
+        monkeypatch.setitem(oracle._CHECKS, "prop-3.4", (many, "stub", 1))
         report = run_check("prop-3.4", F5, Policy.randomized(1))
         assert report.verdict == "fail"
         assert report.witnesses == tuple({"counterexample": i} for i in range(10))
@@ -185,7 +185,7 @@ class TestCounterexampleCap:
             return [{"instances": policy.count}]
             yield
 
-        monkeypatch.setitem(oracle._CHECKERS, "prop-3.4", clean)
+        monkeypatch.setitem(oracle._CHECKS, "prop-3.4", (clean, "stub", 7))
         report = run_check("prop-3.4", F5, Policy.randomized(7))
         assert report.verdict == "pass"
         assert report.witnesses == ({"instances": 7},)
@@ -195,6 +195,15 @@ class TestCounterexampleCap:
         with pytest.raises(AttributeError):
             report.witnesses.append({"forged": True})
         assert report.to_json()["witnesses"] == list(report.witnesses)
+        # Neither a witness read through the report nor one read from its
+        # JSON form reaches the report itself.
+        before = list(report.witnesses)
+        assert before and all(before)
+        report.witnesses[0].clear()
+        report.to_json()["witnesses"][0]["forged"] = True
+        report.to_json()["witnesses"].clear()
+        assert list(report.witnesses) == before
+        assert report.to_json()["witnesses"] == before
 
 
 def test_prop_4_3_checks_every_requested_instance():

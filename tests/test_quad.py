@@ -84,6 +84,12 @@ class TestValidate:
                      pair(line(0, 1, 0), line(1, 1, -1)))
         assert q.degenerate
 
+    def test_swapped_pairs_are_equal_and_hash_equal(self):
+        swapped = validate(SIDES_PAIR, AXES)
+        assert swapped == STANDARD
+        assert hash(swapped) == hash(STANDARD)
+        assert len({STANDARD, swapped}) == 1
+
 
 class TestVerticesAndDiagonals:
     def test_vertices(self):

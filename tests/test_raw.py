@@ -20,6 +20,7 @@ from bisectrix.conic import (
     Quadratic,
     _crossing_pair,
     _disc,
+    _form_roots,
     center,
     degenerations,
     linear_combination,
@@ -211,7 +212,7 @@ class TestConstructionPaths:
             for obj in (pair.center, pair.first, pair.second):
                 _assert_canonical(obj, spec)
             shifted = f.add_constant(degenerations(f).shift)
-            assert _crossing_pair(shifted, _disc(f.raw), root) == pair
+            assert _crossing_pair(shifted, _form_roots(spec, *f.raw[:3])) == pair
         assert seen >= 10
 
 
