@@ -36,7 +36,6 @@ from .geometry import (
     map_line_to_y0,
     midline,
     midpoint_on_line,
-    reflect_through,
 )
 from .conic import (
     ConicClass,

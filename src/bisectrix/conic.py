@@ -93,9 +93,6 @@ class Quadratic(FieldTuple):
         return (self.a * x * x + self.b * x * y + self.c * y * y
                 + self.d * x + self.e * y + self.g)
 
-    def homogeneous_at(self, dx: Scalar, dy: Scalar) -> Scalar:
-        return self.a * dx * dx + self.b * dx * dy + self.c * dy * dy
-
     def disc(self) -> Scalar:
         """b^2 - 4ac, the discriminant of the homogeneous part."""
         return wrap(self.spec, _disc(self.raw))
@@ -265,9 +262,17 @@ def _form_roots(spec: FieldSpec, A, B, C) -> list[tuple]:
     return [((r - B) * h, 1), (-(B + r) * h, 1)]
 
 
+def _root_count(spec: FieldSpec, disc) -> int:
+    """How many roots [x : y] a form A x^2 + B xy + C y^2 != 0 has: 0, 1 or 2
+    as its raw discriminant B^2 - 4AC is a non-square, zero or a nonzero
+    square.  With A = 0 it is B^2: the roots are [1 : 0] and, if B != 0, [-C : B]."""
+    r = raw_sqrt(spec, disc)
+    return 0 if r is None else 2 if r else 1
+
+
 def _has_root(spec: FieldSpec, A, B, C) -> bool:
     """Whether A x^2 + B xy + C y^2, of raw values, has a root [x : y]."""
-    return raw_is_zero(spec, A) or raw_sqrt(spec, B * B - 4 * A * C) is not None
+    return _root_count(spec, B * B - 4 * A * C) != 0
 
 
 def points_at_infinity(f: Quadratic) -> list[ProjectivePoint]:
@@ -280,7 +285,7 @@ def points_at_infinity(f: Quadratic) -> list[ProjectivePoint]:
 def classify(f: Quadratic) -> ConicClass:
     """Hyperbola / parabola / ellipse by the count of points at infinity."""
     spec, raw = f.spec, f.raw
-    kind = (ELLIPSE, PARABOLA, HYPERBOLA)[len(_form_roots(spec, *raw[:3]))]
+    kind = (ELLIPSE, PARABOLA, HYPERBOLA)[_root_count(spec, _disc(raw))]
     if kind == ELLIPSE:
         degenerate = raw_is_zero(spec, _det3_times_4(raw))
     else:
@@ -290,16 +295,17 @@ def classify(f: Quadratic) -> ConicClass:
 
 def center(f: Quadratic) -> ProjectivePoint:
     """The center of a hyperbola: the unique zero of the gradient."""
-    if len(_form_roots(f.spec, *f.raw[:3])) != 2:
+    disc = _disc(f.raw)
+    if _root_count(f.spec, disc) != 2:
         raise ConicError("center is defined for hyperbolas only")
-    return _center(f)
+    return _center(f, disc)
 
 
-def _center(f: Quadratic) -> ProjectivePoint:
-    """The zero of the gradient, given disc(f) != 0."""
+def _center(f: Quadratic, disc) -> ProjectivePoint:
+    """The zero of the gradient, given the raw discriminant disc(f) != 0."""
     spec = f.spec
     a, b, c, d, e, _ = f.raw
-    k = raw_inverse(spec, _disc(f.raw))
+    k = raw_inverse(spec, disc)
     return _point(spec, (c * d + c * d - b * e) * k, (a * e + a * e - b * d) * k, 1)
 
 
@@ -328,23 +334,16 @@ class LinePair(Frozen):
             kind, ctr, mid = PARALLEL, None, midline(l1, l2)
         else:
             kind, ctr, mid = CROSSING, intersect(l1, l2), None
-        self._fill(l1, l2, kind, ctr, mid)
+        super().__init__(l1, l2, kind, ctr, mid)
 
     @classmethod
     def _crossing(cls, l1: Line, l2: Line, center: ProjectivePoint) -> "LinePair":
         """The crossing pair of two lines whose intersection is already known."""
-        pair = object.__new__(cls)
+        pair = _new(cls)
         if l1.sort_key() > l2.sort_key():
             l1, l2 = l2, l1
-        pair._fill(l1, l2, CROSSING, center, None)
+        Frozen.__init__(pair, l1, l2, CROSSING, center, None)
         return pair
-
-    def _fill(self, first, second, kind, center, mid) -> None:
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "midline", mid)
 
     @property
     def spec(self) -> FieldSpec:
@@ -435,7 +434,7 @@ def is_reducible(f: Quadratic) -> LinePair | None:
         return None
     directions = _form_roots(spec, *raw[:3])
     if len(directions) == 2:
-        return _crossing_pair(f, directions)
+        return _crossing_pair(f, directions, _disc(raw))
     if not directions:
         return None
     scale, u, v = _square_axis(raw, directions[0])
@@ -455,14 +454,15 @@ def is_reducible(f: Quadratic) -> LinePair | None:
     return pair
 
 
-def _crossing_pair(f: Quadratic, directions) -> LinePair:
+def _crossing_pair(f: Quadratic, directions, disc) -> LinePair:
     """The two lines of f through its center, given det3(f) = 0.
 
     ``directions`` are the two raw roots [x : y] of the homogeneous part, as
-    ``_form_roots`` gives them; the center is the zero of the gradient.
+    ``_form_roots`` gives them, and ``disc`` is its raw discriminant; the
+    center is the zero of the gradient.
     """
     spec = f.spec
-    ctr = _center(f)
+    ctr = _center(f, disc)
     cx, cy, _ = ctr.raw
     (x1, y1), (x2, _) = directions
     # [x : 1] gives X - xY = cx - x cy; [1 : 0], always first, gives Y = cy.
@@ -541,9 +541,10 @@ def degenerations(f: Quadratic) -> Degenerations:
     directions = _form_roots(spec, *raw[:3])
     if len(directions) == 2:
         # det3(f + t) = det3(f) - t disc / 4, so this shift makes det3 zero.
-        shift = _det3_times_4(raw) * raw_inverse(spec, _disc(raw))
+        disc = _disc(raw)
+        shift = _det3_times_4(raw) * raw_inverse(spec, disc)
         a, b, c, d, e, g = raw
-        pair = _crossing_pair(_quadratic(spec, a, b, c, d, e, g + shift), directions)
+        pair = _crossing_pair(_quadratic(spec, a, b, c, d, e, g + shift), directions, disc)
         return Degenerations(DEGEN_UNIQUE, pair, wrap(spec, shift), None)
     if directions and raw_is_zero(spec, _det3_times_4(raw)):
         scale, u, v = _square_axis(raw, directions[0])
@@ -570,8 +571,7 @@ class MidResult(Frozen):
             raise ConicError("crossing results carry a midpoint; others do not")
         if midpoint is not None and midpoint.is_undetermined:
             raise ConicError("a crossing midpoint is finite or infinite")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "midpoint", midpoint)
+        super().__init__(kind, midpoint)
 
     @property
     def crosses(self) -> bool:

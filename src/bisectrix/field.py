@@ -77,15 +77,20 @@ class Frozen:
 
     Assignment and ``del`` raise ``AttributeError``.  ``__init__`` fills
     ``__slots__`` in order; constructors that validate or normalize do so
-    first, and the hot ones store their slots directly instead.  Copying
-    returns the object itself, as for tuples.
+    first.  Copying returns the object itself, as for tuples.
     """
 
     __slots__ = ()
+    _setters: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # The slot descriptors' setters in order: ``__init__`` looks up no names.
+        cls._setters = tuple([getattr(cls, name).__set__ for name in cls.__slots__])
 
     def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+        for put, value in zip(self._setters, values, strict=True):
+            put(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

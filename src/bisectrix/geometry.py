@@ -164,9 +164,6 @@ class Line(FieldTuple):
             raise GeometryError("the line at infinity is not representable")
         return _line(spec, u, v, px * qy - qx * py)
 
-    def evaluate(self, x: Scalar, y: Scalar) -> Scalar:
-        return self.u * x + self.v * y + self.w
-
     def contains(self, p: ProjectivePoint) -> bool:
         """Membership in the projective closure of the line."""
         spec = self.spec
@@ -276,8 +273,7 @@ class Midpoint(Frozen):
                 raise GeometryError("finite midpoint needs an affine point")
         elif point is not None:
             raise GeometryError(f"{kind} midpoint carries no point")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "point", point)
+        super().__init__(kind, point)
 
     @classmethod
     def finite(cls, point: ProjectivePoint) -> "Midpoint":
@@ -337,13 +333,6 @@ def midpoint_on_line(p: ProjectivePoint, q: ProjectivePoint, line: Line) -> Midp
     if not line.contains(p) or not line.contains(q):
         raise GeometryError("both points must lie on the closure of the line")
     return midpoint_of_points(p, q)
-
-
-def reflect_through(m: ProjectivePoint, p: ProjectivePoint) -> ProjectivePoint:
-    """Point reflection: p maps to 2m - p (affine points only)."""
-    mx, my = m.affine_xy()
-    px, py = p.affine_xy()
-    return ProjectivePoint.affine(mx + mx - px, my + my - py)
 
 
 def _normalize_map(mapping, spec: FieldSpec, m11, m12, m21, m22, t1, t2):

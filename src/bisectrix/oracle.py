@@ -276,7 +276,8 @@ class _Crossings:
     """``conic.mid`` in ints on every line of GF(p).
 
     ``frames[i]`` is line i's parameterization t -> (bx + t dx, by + t dy)
-    from ``Line.parameterization``, as ints, in ``enumerate_lines`` order.
+    in ints, in ``enumerate_lines`` order, by the library's convention: base
+    (0, -w/v), or (-w, 0) on a vertical line, and direction (-v, u).
     A result is the crossing midpoint's parameter t >= 0, _INF for an
     infinite midpoint, or _FREE when the line does not cross (it misses
     the conic, or meets it without crossing): a member that is not
@@ -288,9 +289,11 @@ class _Crossings:
         self.lines = enumerate_lines(spec)
         _within_budget(spec, len(self.lines), "kernel lines", PLANE_LINE_BUDGET)
         self.frames = []
-        for line in self.lines:
-            (bx, by), (dx, dy) = line.parameterization()
-            self.frames.append((bx.value, by.value, dx.value, dy.value))
+        for u, v, w in (line.raw for line in self.lines):
+            if v:
+                self.frames.append((0, -w * pow(v, -1, p) % p, -v % p, u))
+            else:
+                self.frames.append((-w % p, 0, 0, u))
         self.is_square = [False] * p
         for x in range(p):
             self.is_square[x * x % p] = True
@@ -618,12 +621,9 @@ def _check_example_3_6(spec, policy, rng):
     # The mixed member is (y + 2x)^2 + y, expanded mod 3.
     if members[(1, 1)] != Quadratic.from_ints(spec, (4, 4, 1, 0, 1, 0)):
         yield {"mixed_member": format_quadratic_triple(members[(1, 1)])}
-    ellipse = members[(1, 2)]
-    zeros = sorted(
-        (x.value, y.value)
-        for x in spec.elements() for y in spec.elements()
-        if ellipse.evaluate(x, y).is_zero
-    )
+    a, b, c, d, e, g = members[(1, 2)].raw
+    zeros = [(x, y) for x in range(3) for y in range(3)  # sorted, as GF(3) pairs
+             if (a * x * x + b * x * y + c * y * y + d * x + e * y + g) % 3 == 0]
     if zeros != [(0, 0), (0, 1), (1, 1), (1, 2)]:
         yield {"ellipse_zero_set": zeros}
     ap = AsymptoticPencil(pencil)
@@ -709,7 +709,8 @@ def _check_prop_4_3(spec, policy, rng):
         pair2 = LinePair(line_through_center(d3), line_through_center(d4))
         det = d1.x * d2.y - d2.x * d1.y
         lin = AffineMap.linear(d2.y / det, -d2.x / det, -d1.y / det, d1.x / det)
-        tx, ty = lin.apply_xy(-cx, -cy)
+        # The translation sends the center to the origin: t = -lin (cx, cy).
+        tx, ty = -(lin.m11 * cx + lin.m12 * cy), -(lin.m21 * cx + lin.m22 * cy)
         mapping = AffineMap(lin.m11, lin.m12, lin.m21, lin.m22, tx, ty)
         factor = is_reducible(pullback(mapping.inverse(), pair2.product()))
         l1, l2 = factor.lines()

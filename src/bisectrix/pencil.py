@@ -358,6 +358,32 @@ def find_hyperbolas(pencil: Pencil) -> list[tuple[NetCoords, Quadratic]]:
     return found
 
 
+def _net_pairs(pencil: Pencil, cubic: DegeneracyCubic) -> tuple:
+    """The reducible net members over GF(p), as (coords, pair), each pair once.
+
+    Per direction: a nonzero shift-slope pins the unique shift zeroing the
+    determinant; a vanishing slope with vanishing base means every shift
+    does (the parallel families); otherwise no member.  Candidates are then
+    filtered for rationality over the ground field, on raw values.
+    """
+    spec, p, raw = pencil.spec, pencil.spec.p, cubic.raw
+    out: list[tuple[NetCoords, LinePair]] = []
+    seen: set[LinePair] = set()
+    for a, b in [(1, t) for t in range(p)] + [(0, 1)]:  # as _directions
+        phi, psi = _forms(raw, a, b)
+        phi %= p
+        if phi:
+            shifts = [-psi * raw_inverse(spec, phi)]
+        else:
+            shifts = range(p) if psi % p == 0 else ()
+        for shift in shifts:
+            pair = is_reducible(_net_member(pencil, a, b, shift))
+            if pair is not None and pair not in seen:
+                seen.add(pair)
+                out.append((_coords(spec, a, b, shift), pair))
+    return tuple(out)
+
+
 def _directions(spec: FieldSpec):
     """Pencil directions [1 : t] for t in residue order, then [0 : 1]."""
     for t in range(spec.p):
@@ -371,53 +397,29 @@ def _directions(spec: FieldSpec):
 class AsymptoticPencil(Frozen):
     """The reducible members of the affine net of a pencil.
 
-    Over a finite field the members are materialized; over the rationals the
-    set can be infinite and is represented intensionally through membership
-    predicates and finitely many distinguished members.
+    Over a finite field the members are materialized at construction; over
+    the rationals the set can be infinite and is represented intensionally
+    through membership predicates and finitely many distinguished members.
     """
 
     __slots__ = ("pencil", "cubic", "_members")
 
     def __init__(self, pencil: Pencil):
-        super().__init__(pencil, degeneracy_cubic(pencil), None)
+        cubic = degeneracy_cubic(pencil)
+        members = _net_pairs(pencil, cubic) if pencil.spec.is_finite else None
+        super().__init__(pencil, cubic, members)
 
     @property
     def spec(self) -> FieldSpec:
         return self.pencil.spec
 
     def members(self) -> tuple[tuple[NetCoords, LinePair], ...]:
-        """All reducible net members over a finite field, each pair once.
-
-        Per direction: a nonzero shift-slope pins the unique shift zeroing
-        the determinant; a vanishing slope with vanishing base means every
-        shift does (the parallel families); otherwise no member.  Candidates
-        are then filtered for rationality over the ground field.  The
-        members are computed once, on raw values, and shared as a tuple.
-        """
-        if not self.spec.is_finite:
+        """All reducible net members over a finite field, each pair once."""
+        if self._members is None:
             raise InfiniteFieldError(
                 "asymptotic pencils over Q are not materialized; "
                 "use the contains_pair membership predicate"
             )
-        if self._members is not None:
-            return self._members
-        spec, p = self.spec, self.spec.p
-        raw = self.cubic.raw
-        out: list[tuple[NetCoords, LinePair]] = []
-        seen: set[LinePair] = set()
-        for a, b in [(1, t) for t in range(p)] + [(0, 1)]:  # as _directions
-            phi, psi = _forms(raw, a, b)
-            phi %= p
-            if phi:
-                shifts = [-psi * raw_inverse(spec, phi)]
-            else:
-                shifts = range(p) if psi % p == 0 else ()
-            for shift in shifts:
-                pair = is_reducible(_net_member(self.pencil, a, b, shift))
-                if pair is not None and pair not in seen:
-                    seen.add(pair)
-                    out.append((_coords(spec, a, b, shift), pair))
-        object.__setattr__(self, "_members", tuple(out))
         return self._members
 
     def parallel_family(self) -> ParallelFamily | None:

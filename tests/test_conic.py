@@ -30,7 +30,7 @@ from bisectrix.conic import (
     pullback,
     restrict_to_line,
 )
-from bisectrix.field import GF, rationals, raw_sqrt, square_root
+from bisectrix.field import GF, rationals, raw_is_zero, raw_sqrt, square_root
 from bisectrix.geometry import AffineMap, Line, Midpoint, ProjectivePoint
 from bisectrix.textforms import parse_quadratic
 
@@ -259,6 +259,45 @@ class TestCenter:
             center(quad("x^2-y"))
 
 
+def _has_center(f):
+    try:
+        center(f)
+    except ConicError:
+        return False
+    return True
+
+
+class TestDiscriminantRule:
+    """The kind, the points at infinity and the center agree on every form.
+
+    ``classify`` and ``center`` read the count of points at infinity off
+    b^2 - 4ac; ``points_at_infinity`` solves for the points themselves.
+    """
+
+    @staticmethod
+    def _assert_agree(f):
+        kind = classify(f).kind
+        assert kind == (ELLIPSE, PARABOLA, HYPERBOLA)[len(points_at_infinity(f))], f
+        assert _has_center(f) == (kind == HYPERBOLA), f
+
+    @pytest.mark.parametrize("spec", [F3, F5], ids=["F3", "F5"])
+    def test_every_class(self, spec):
+        from bisectrix.oracle import quadratic_keys
+
+        for key in quadratic_keys(spec):
+            self._assert_agree(Quadratic.from_ints(spec, key))
+
+    @pytest.mark.parametrize("text, kind", [
+        ("x*y+1", HYPERBOLA),    # a = 0
+        ("y^2+x", PARABOLA),     # a = b = 0
+        ("x^2-2*y^2", ELLIPSE),  # b^2 - 4ac = 8 is not a square over Q
+    ])
+    def test_rationals(self, text, kind):
+        f = quad(text)
+        self._assert_agree(f)
+        assert classify(f).kind == kind
+
+
 class TestDegenerations:
     def test_hyperbola_unique(self):
         d = degenerations(XY1)
@@ -318,7 +357,8 @@ def _mid_by_zero_scan(f, l, spec):
         values.append(v)
         if v.is_zero:
             zeros.append(p)
-    direction_on_conic = f.homogeneous_at(*_direction(l)).is_zero
+    lu, lv, _ = l.raw  # the line's direction is [-v : u]
+    direction_on_conic = raw_is_zero(spec, _form_at(f, -lv, lu))
     if all(v.is_zero for v in values):
         return "meets-no-cross", None
     if len(zeros) == 2:
@@ -332,8 +372,10 @@ def _mid_by_zero_scan(f, l, spec):
     return ("meets-no-cross" if direction_on_conic else "no-meet"), None
 
 
-def _direction(l):
-    return (-l.v, l.u)
+def _form_at(f, x, y):
+    """a x^2 + b xy + c y^2 on the raw coefficients of f at raw x and y, unreduced."""
+    a, b, c = f.raw[:3]
+    return a * x * x + b * x * y + c * y * y
 
 
 class TestMid:
@@ -378,7 +420,6 @@ class TestMid:
                     assert got.midpoint == midpoint
 
     def test_crossing_points_reflect_through_midpoint(self):
-        from bisectrix.geometry import reflect_through
         from bisectrix.oracle import enumerate_lines, enumerate_quadratics
 
         rng = random.Random(4)
@@ -391,7 +432,10 @@ class TestMid:
                 zeros = [l.point_at(t) for t in F5.elements()
                          if f.evaluate(*l.point_at(t).affine_xy()).is_zero]
                 if len(zeros) == 2:
-                    assert reflect_through(r.midpoint.point, zeros[0]) == zeros[1]
+                    # The point reflection of the first zero through m is 2m - p.
+                    mx, my, _ = r.midpoint.point.raw
+                    (px, py, _), (qx, qy, _) = zeros[0].raw, zeros[1].raw
+                    assert ((2 * mx - px) % 5, (2 * my - py) % 5) == (qx, qy)
 
 
 class TestProduct:
@@ -683,7 +727,7 @@ class TestValueKernels:
             disc = b * b - 4 * a * c
             root = square_root(disc)
             for p in points_at_infinity(f):
-                assert p.is_infinite and f.homogeneous_at(p.x, p.y).is_zero
+                assert p.is_infinite and raw_is_zero(spec, _form_at(f, *p.raw[:2]))
             if root is None or root.is_zero:
                 continue
             hyperbolas += 1

@@ -212,7 +212,7 @@ class TestConstructionPaths:
             for obj in (pair.center, pair.first, pair.second):
                 _assert_canonical(obj, spec)
             shifted = f.add_constant(degenerations(f).shift)
-            assert _crossing_pair(shifted, _form_roots(spec, *f.raw[:3])) == pair
+            assert _crossing_pair(shifted, _form_roots(spec, *f.raw[:3]), _disc(f.raw)) == pair
         assert seen >= 10
 
 
