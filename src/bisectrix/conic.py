@@ -593,6 +593,7 @@ class MidResult(Frozen):
 
 MEETS_NO_CROSS = MidResult(MR_MEETS_NO_CROSS)
 NO_MEET = MidResult(MR_NO_MEET)
+CROSSES_AT_INFINITY = MidResult(MR_CROSSES, MID_INFINITE)
 
 
 def restrict_to_line(f: Quadratic, line: Line) -> tuple[Scalar, Scalar, Scalar]:
@@ -643,6 +644,4 @@ def mid(f: Quadratic, line: Line) -> MidResult:
             return NO_MEET
         t_mid = -B * raw_inverse(spec, A + A)
         return MidResult(MR_CROSSES, Midpoint.finite(_point_at(line, t_mid)))
-    if not raw_is_zero(spec, B):
-        return MidResult(MR_CROSSES, MID_INFINITE)
-    return MEETS_NO_CROSS
+    return MEETS_NO_CROSS if raw_is_zero(spec, B) else CROSSES_AT_INFINITY

@@ -40,14 +40,13 @@ from .conic import (
     center,
     classify,
     degenerations,
-    distinct_lines,
     is_reducible,
     meets,
     pullback,
     restrict_to_line,
 )
 from .field import FieldSpec, Frozen, InfiniteFieldError, square_root
-from .geometry import AffineMap, Line, Midpoint, ProjectivePoint, intersect
+from .geometry import AffineMap, Line, Midpoint, ProjectivePoint
 from .pencil import (
     AsymptoticPencil,
     NetCoords,
@@ -384,12 +383,12 @@ class _Plane:
     """The oracle's one arrangement test, on line and pair ids over GF(p).
 
     Line ids index ``enumerate_lines`` and pair ids ``enumerate_line_pairs``.
-    ``param[i][j]`` is the parameter on line i of its crossing with line j,
-    as an int, or None when the lines are parallel or equal.  The demand of
-    pair k on line i is the midpoint of i's two crossings with it: _FREE
-    when i misses both or is a line of pair k, _INF when i misses one, else
-    the residue t1 + t2 (twice the midpoint parameter; halving is one to
-    one, so equal residues mean equal midpoints).
+    ``param[i][j]`` is the parameter on line i (``_Crossings.frames``) of
+    its crossing with line j, or None when the lines are parallel or equal.
+    The demand of pair k on line i is the midpoint of i's two crossings with
+    it: _FREE when i misses both or is a line of pair k, _INF when i misses
+    one, else the residue t1 + t2 (twice the midpoint parameter; halving is
+    one to one, so equal residues mean equal midpoints).
 
     A state holds one merged demand per line for a set of pairs: _FREE,
     _INF, a finite residue, or _CONFLICT once two pairs disagree.  The set
@@ -402,24 +401,32 @@ class _Plane:
         _within_budget(spec, len(self.lines), "engine lines", PLANE_LINE_BUDGET)
         self.pairs = enumerate_line_pairs(spec)
         self.index = {line: i for i, line in enumerate(self.lines)}
-        self.param = [
-            [None if li.is_parallel_to(lj) else li.param_of(intersect(li, lj)).value
-             for lj in self.lines]
-            for li in self.lines
-        ]
+        # Line j = (u, v, w) meets line i at t = -(u bx + v by + w) / (u dx + v dy).
+        p, raws = self.p, [line.raw for line in self.lines]
+        inverse = [None] + [pow(x, -1, p) for x in range(1, p)]
+        self.param = []
+        for bx, by, dx, dy in _crossings(spec).frames:
+            row = []
+            for u, v, w in raws:
+                den = (u * dx + v * dy) % p
+                row.append(-(u * bx + v * by + w) * inverse[den] % p if den else None)
+            self.param.append(row)
         self.pair_lines = [(self.index[pr.first], self.index[pr.second])
                            for pr in self.pairs]
         n = len(self.lines)
         self.pair_id = [[0] * n for _ in range(n)]
         for k, (i, j) in enumerate(self.pair_lines):
             self.pair_id[i][j] = self.pair_id[j][i] = k
-        self.empty = [_FREE] * n
 
     def pair_of(self, pair: LinePair) -> int:
         return self.pair_id[self.index[pair.first]][self.index[pair.second]]
 
-    def line_ids(self, pairs) -> list[int]:
-        return [self.index[line] for line in distinct_lines(pairs)]
+    def state(self, pair_ids) -> tuple[list[int], list[int]]:
+        """The merged state of the pairs and their line ids, each once."""
+        state = [_FREE] * len(self.lines)
+        for k in pair_ids:
+            state = self.add(state, k)
+        return state, list(dict.fromkeys(i for k in pair_ids for i in self.pair_lines[k]))
 
     def demand(self, i: int, k: int) -> int:
         j1, j2 = self.pair_lines[k]
@@ -470,6 +477,13 @@ class _Plane:
         maps += [AffineMap(self.spec.scalar(a), zero, zero, one, zero, zero)
                  for a in range(2, self.p)]
         return [[self.index[g.pull_line(line)] for line in self.lines] for g in maps]
+
+    def normal_forms(self) -> list[int]:
+        """The pair ids of {X=0, Y=0}, {Y=0, Y=1} and Y=0 doubled: an affine map
+        sends one line of any pair to Y=0, and the other to X=0, Y=1 or Y=0."""
+        one, zero = self.spec.one, self.spec.zero
+        x0, y0, y1 = Line(one, zero, zero), Line(zero, one, zero), Line(zero, one, -one)
+        return [self.pair_of(LinePair(a, b)) for a, b in ((x0, y0), (y0, y1), (y0, y0))]
 
     def pair_permutation(self, perm: list[int]) -> list[int]:
         """The permutation of pair ids that a line-id permutation induces."""
@@ -1023,18 +1037,13 @@ def _check_lemma_6_2(spec, policy, rng):
         attempts += 1
         k1 = rng.randrange(len(pairs))
         k2 = rng.randrange(len(pairs))
-        if k1 == k2:
-            continue
         base = [pairs[k1], pairs[k2]]
-        if classify_trivial_arrangement(base) != NONTRIVIAL:
+        if k1 == k2 or classify_trivial_arrangement(base) != NONTRIVIAL:
             continue
         # Any two pairs form an arrangement: each line sees only the other pair.
-        state = plane.add(plane.add(plane.empty, k1), k2)
-        lines = plane.line_ids(base)
-        extenders = [
-            k for k in range(len(pairs))
-            if k != k1 and k != k2 and plane.extends(state, lines, k)
-        ]
+        state, lines = plane.state((k1, k2))
+        extenders = [k for k in range(len(pairs))
+                     if k != k1 and k != k2 and plane.extends(state, lines, k)]
         for k in extenders:
             pinned = False
             partner_lists = {}
@@ -1089,13 +1098,15 @@ def _orbit(perms: list[list[int]], members: frozenset[int]) -> set[frozenset[int
 def _maximal_orbits(spec: FieldSpec) -> tuple[list[LinePair], list[list[tuple[int, ...]]]]:
     """The AGL(2,p) orbits of maximal nontrivial bisector arrangements.
 
-    Seeds are one representative per orbit of nontrivial two-pair sets,
-    grown by every pair that keeps the arrangement property until none
-    does; a stack entry carries its merged per-line state.  Affine maps
-    keep midpoints, so every maximal set is the image of one grown from a
-    seed: the orbits of the sets found hold them all.  Returns the pairs
-    in ``LinePair.sort_key`` order and the sorted orbits of sorted index
-    tuples into them.
+    Seeds are the nontrivial two-pair sets {A, Q} with A one of the three
+    ``_Plane.normal_forms``, grown by every pair that keeps the arrangement
+    property until none does; a stack entry carries its merged per-line
+    state.  A maximal set M holds a nontrivial {P, Q}; some affine g maps
+    P to an A, and gM, maximal too since affine maps keep midpoints, holds
+    the seed {A, gQ}.  Growth from a seed reaches every arrangement that
+    holds it (a subset of an arrangement is one), so the orbits of the sets
+    found hold every maximal set.  Returns the pairs in ``LinePair.sort_key``
+    order and the sorted orbits of sorted index tuples into them.
     """
     if not spec.is_finite:
         raise OracleError("the maximal-arrangement search needs a finite field")
@@ -1103,20 +1114,13 @@ def _maximal_orbits(spec: FieldSpec) -> tuple[list[LinePair], list[list[tuple[in
     _within_budget(spec, n * (n + 1) // 2, "search line pairs", SEARCH_PAIR_BUDGET)
     plane = _plane(spec)
     pairs = plane.pairs
-    perms = [plane.pair_permutation(g) for g in plane.affine_generators()]
     results: set[frozenset[int]] = set()
     visited: set[frozenset[int]] = set()
-    seeded: set[frozenset[int]] = set()
     all_idx = tuple(range(len(pairs)))
-    for i, j in combinations(all_idx, 2):
-        seed = frozenset((i, j))
-        if seed in seeded:
-            continue
-        seeded |= _orbit(perms, seed)
-        if classify_trivial_arrangement([pairs[i], pairs[j]]) != NONTRIVIAL:
-            continue
-        state = plane.add(plane.add(plane.empty, i), j)
-        stack = [(seed, state, plane.line_ids([pairs[i], pairs[j]]), all_idx)]
+    seeds = [(a, q) for a in plane.normal_forms() for q in all_idx
+             if q != a and classify_trivial_arrangement([pairs[a], pairs[q]]) == NONTRIVIAL]
+    for seed in seeds:
+        stack = [(frozenset(seed), *plane.state(seed), all_idx)]
         while stack:
             members, state, lines, cands = stack.pop()
             if members in visited:
@@ -1131,6 +1135,7 @@ def _maximal_orbits(spec: FieldSpec) -> tuple[list[LinePair], list[list[tuple[in
                 if nxt not in visited:
                     grown = lines + [i for i in set(plane.pair_lines[k]) if i not in lines]
                     stack.append((nxt, plane.add(state, k), grown, ext))
+    perms = [plane.pair_permutation(g) for g in plane.affine_generators()]
     orbits: list[set[frozenset[int]]] = []
     for members in results:
         if not any(members in orbit for orbit in orbits):
@@ -1171,10 +1176,7 @@ def _check_thm_6_3(spec, policy, rng):
             yield {**_pencil_witness(ap.pencil), "issue": "not an arrangement"}
             continue
         members = [plane.pair_of(pair) for pair in member_pairs]
-        state = plane.empty
-        for k in members:
-            state = plane.add(state, k)
-        lines = plane.line_ids(member_pairs)
+        state, lines = plane.state(members)
         if any(state[i] == _CONFLICT for i in lines):
             yield {**_pencil_witness(ap.pencil),
                    "issue": "fast path disagrees with arrangement check"}
@@ -1184,10 +1186,8 @@ def _check_thm_6_3(spec, policy, rng):
                    "issue": "a member failed its own extension test"}
             continue
         member_set = set(members)
-        survivors = [
-            k for k in range(len(plane.pairs))
-            if k not in member_set and plane.extends(state, lines, k)
-        ]
+        survivors = [k for k in range(len(plane.pairs))
+                     if k not in member_set and plane.extends(state, lines, k)]
         for k in survivors:
             pair = plane.pairs[k]
             verdict = is_bisector_arrangement(member_pairs + [pair]).ok

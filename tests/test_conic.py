@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bisectrix.conic import (
+    CROSSES_AT_INFINITY,
     CROSSING,
     DEGEN_FAMILY,
     DEGEN_NONE,
@@ -15,6 +16,7 @@ from bisectrix.conic import (
     PARABOLA,
     ConicError,
     LinePair,
+    MidResult,
     Quadratic,
     _form_roots,
     _has_root,
@@ -389,6 +391,15 @@ class TestMid:
     def test_one_affine_one_infinite(self):
         r = mid(XY, line(0, 1, -1))
         assert r.crosses and r.midpoint.is_infinite
+
+    def test_infinite_crossings_share_one_record(self):
+        from bisectrix.oracle import enumerate_lines, enumerate_quadratics
+
+        lines = enumerate_lines(F5)
+        found = [r for f in enumerate_quadratics(F5)[:200] for l in lines
+                 if (r := mid(f, l)).crosses and r.midpoint.is_infinite]
+        assert found and all(r is CROSSES_AT_INFINITY for r in found)
+        assert CROSSES_AT_INFINITY == MidResult("crosses", Midpoint(Midpoint.INFINITE))
 
     def test_component(self):
         assert not mid(XY, line(1, 0, 0)).crosses

@@ -12,9 +12,9 @@ from bisectrix.bisector import (
     classify_trivial_arrangement,
     is_bisector_arrangement,
 )
-from bisectrix.conic import LinePair, Quadratic, mid
+from bisectrix.conic import CROSSING, DOUBLE, PARALLEL, LinePair, Quadratic, mid
 from bisectrix.field import GF, rationals
-from bisectrix.geometry import AffineMap
+from bisectrix.geometry import AffineMap, intersect
 from bisectrix.oracle import (
     _FREE,
     _INF,
@@ -25,6 +25,7 @@ from bisectrix.oracle import (
     _is_asymptotic_pencil,
     _maximal_orbits,
     _net_keys,
+    _orbit,
     _plane,
     _rand_pencil,
     _through_points,
@@ -270,8 +271,7 @@ def test_engine_agrees_with_midpoint_path(spec, bases):
         if k1 == k2 or classify_trivial_arrangement(base) != NONTRIVIAL:
             continue
         done += 1
-        state = plane.add(plane.add(plane.empty, k1), k2)
-        lines = plane.line_ids(base)
+        state, lines = plane.state((k1, k2))
         for k, pair in enumerate(pairs):
             if k in (k1, k2):
                 continue
@@ -321,6 +321,19 @@ class TestIntKernels:
         assert seen == {_FREE, _INF, 0}
 
     @pytest.mark.parametrize("spec", [F3, F5], ids=["F3", "F5"])
+    def test_crossing_params_agree_with_intersect(self, spec):
+        # The engine's int crossing parameters against the library's
+        # intersection point, read back as a parameter of line i.
+        lines = enumerate_lines(spec)
+        param = _plane(spec).param
+        for i, li in enumerate(lines):
+            for j, lj in enumerate(lines):
+                if li.is_parallel_to(lj):
+                    assert param[i][j] is None, (li, lj)
+                else:
+                    assert param[i][j] == li.param_of(intersect(li, lj)).value, (li, lj)
+
+    @pytest.mark.parametrize("spec", [F3, F5], ids=["F3", "F5"])
     def test_vertex_filter_agrees_with_evaluate(self, spec):
         rng = random.Random(3)
         quads = enumerate_quadratics(spec)
@@ -360,10 +373,7 @@ def _plain_maximal_search(spec):
             if members in visited:
                 continue
             visited.add(members)
-            state = plane.empty
-            for k in members:
-                state = plane.add(state, k)
-            lines = plane.line_ids([plane.pairs[k] for k in members])
+            state, lines = plane.state(members)
             ext = [k for k in range(len(plane.pairs))
                    if k not in members and plane.extends(state, lines, k)]
             if not ext:
@@ -393,6 +403,24 @@ class TestAffineReduction:
                     group.add(composed)
                     todo.append(composed)
         assert len(group) == order
+
+    @pytest.mark.parametrize("spec", [F3, F5, F7], ids=["F3", "F5", "F7"])
+    def test_normal_forms_reach_every_pair(self, spec):
+        # The search seeds rest on this: the orbits of the three normal
+        # forms partition the pairs into doubles, parallels and crossings.
+        p, plane = spec.p, _plane(spec)
+        perms = [plane.pair_permutation(g) for g in plane.affine_generators()]
+        orbits = [{k for (k,) in _orbit(perms, frozenset([a]))}
+                  for a in plane.normal_forms()]
+        n = p * p + p
+        crossing, parallel, double = orbits
+        assert len(double) == n
+        assert len(parallel) == (p + 1) * p * (p - 1) // 2
+        assert len(crossing) == n * (n - 1) // 2 - len(parallel)
+        assert crossing | parallel | double == set(range(len(plane.pairs)))
+        assert {plane.pairs[k].kind for k in double} == {DOUBLE}
+        assert {plane.pairs[k].kind for k in parallel} == {PARALLEL}
+        assert {plane.pairs[k].kind for k in crossing} == {CROSSING}
 
     def test_orbits_flatten_to_the_plain_search(self):
         found = exhaustive_maximal_arrangements(F3)
