@@ -17,12 +17,15 @@ from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .conic import (
+    CROSSES_AT_INFINITY,
+    MEETS_NO_CROSS,
+    NO_MEET,
     LinePair,
     Quadratic,
     _has_root,
+    _mid_param,
     _restrict,
     distinct_lines,
-    mid,
     pairs_are_translates,
     pullback,
 )
@@ -39,10 +42,12 @@ from .field import (
 )
 from .geometry import (
     Line,
+    MID_INFINITE,
     MID_UNDETERMINED,
     Midpoint,
     ProjectivePoint,
     _line,
+    _point_at,
     intersect,
     map_line_to_y0,
 )
@@ -69,22 +74,23 @@ class InsufficientDataError(BisectorError):
 
 
 def bisects_set(line: Line, quadratics: Iterable[Quadratic]) -> Midpoint | None:
-    """The common crossing midpoint, undetermined when nothing is crossed.
-
-    Returns None when two crossed members disagree (finite midpoints are
-    compared exactly, and a finite midpoint never agrees with an infinite
-    one); members the line meets without crossing impose no constraint.
-    """
-    common: Midpoint | None = None
+    """The common crossing midpoint, undetermined when nothing is crossed,
+    None when two crossed members disagree; members met without crossing
+    impose nothing.  Members are compared by their line parameters
+    (``conic._mid_param``), a finite midpoint never agrees with an infinite
+    one, and one ``Midpoint`` is built, at the end."""
+    common = None
     for f in quadratics:
-        result = mid(f, line)
-        if not result.crosses:
+        t = _mid_param(f, line)
+        if t is NO_MEET or t is MEETS_NO_CROSS:
             continue
         if common is None:
-            common = result.midpoint
-        elif result.midpoint != common:
+            common = t
+        elif t is not common and t != common:  # CROSSES_AT_INFINITY is one shared record
             return None
-    return MID_UNDETERMINED if common is None else common
+    if common is None or common is CROSSES_AT_INFINITY:
+        return MID_UNDETERMINED if common is None else MID_INFINITE
+    return Midpoint.finite(_point_at(line, common))
 
 
 class PairThroughLine(Frozen):
@@ -150,13 +156,8 @@ def is_bisector_arrangement(pairs: Sequence[LinePair]) -> ArrangementReport:
     """Whether every line of every pair bisects all the product quadratics."""
     pairs = list(pairs)
     products = [pair.product() for pair in pairs]
-    midpoints: dict[Line, Midpoint | None] = {}
-    ok = True
-    for line in distinct_lines(pairs):
-        m = bisects_set(line, products)
-        midpoints[line] = m
-        if m is None:
-            ok = False
+    midpoints = {line: bisects_set(line, products) for line in distinct_lines(pairs)}
+    ok = all(m is not None for m in midpoints.values())
     return ArrangementReport(ok, MappingProxyType(midpoints))
 
 

@@ -89,10 +89,6 @@ class Quadratic(FieldTuple):
     def homogeneous_part(self) -> tuple[Scalar, Scalar, Scalar]:
         return (self.a, self.b, self.c)
 
-    def evaluate(self, x: Scalar, y: Scalar) -> Scalar:
-        return (self.a * x * x + self.b * x * y + self.c * y * y
-                + self.d * x + self.e * y + self.g)
-
     def disc(self) -> Scalar:
         """b^2 - 4ac, the discriminant of the homogeneous part."""
         return wrap(self.spec, _disc(self.raw))
@@ -631,17 +627,27 @@ def meets(f: Quadratic, line: Line) -> bool:
     return _has_root(f.spec, *_restrict(f, line))
 
 
+def _mid_param(f: Quadratic, line: Line):
+    """The reduced line parameter -B / 2A of the finite crossing midpoint (a
+    residue over GF(p), a Fraction over Q; equal parameters, equal midpoints),
+    else the shared NO_MEET, MEETS_NO_CROSS or CROSSES_AT_INFINITY."""
+    A, B, C = _restrict(f, line)
+    spec = f.spec
+    if not raw_is_zero(spec, A):
+        if raw_sqrt(spec, B * B - 4 * A * C) is None:
+            return NO_MEET
+        t = -B * raw_inverse(spec, A + A)
+        return t % spec.p if spec.p else t
+    return MEETS_NO_CROSS if raw_is_zero(spec, B) else CROSSES_AT_INFINITY
+
+
 def mid(f: Quadratic, line: Line) -> MidResult:
     """Crossing classification and midpoint of a line against a conic.
 
     Tangential crossings (double roots along the line) count as crossings
     with the tangency point as midpoint, the sum-of-roots convention.
     """
-    A, B, C = _restrict(f, line)
-    spec = f.spec
-    if not raw_is_zero(spec, A):
-        if raw_sqrt(spec, B * B - 4 * A * C) is None:
-            return NO_MEET
-        t_mid = -B * raw_inverse(spec, A + A)
-        return MidResult(MR_CROSSES, Midpoint.finite(_point_at(line, t_mid)))
-    return MEETS_NO_CROSS if raw_is_zero(spec, B) else CROSSES_AT_INFINITY
+    t = _mid_param(f, line)
+    if t.__class__ is MidResult:
+        return t
+    return MidResult(MR_CROSSES, Midpoint.finite(_point_at(line, t)))

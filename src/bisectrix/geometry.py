@@ -183,20 +183,9 @@ class Line(FieldTuple):
             same_field(self.spec, other.spec)
         return self.raw[:2] == other.raw[:2]
 
-    # A fixed parameterization of the line, t -> base + t * direction, with
-    # direction (-v, u) so the parameter point at infinity is [-v : u : 0].
-    # The base is (0, -w/v), or (-w, 0) on a vertical line, whose canonical
-    # u is 1.
-    def parameterization(self) -> tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]]:
-        spec = self.spec
-        u, v, w = self.raw
-        if v != 0:
-            base = (spec.zero, wrap(spec, -w * raw_inverse(spec, v)))
-        else:
-            base = (wrap(spec, -w), spec.zero)
-        return base, (wrap(spec, -v), self.u)
-
     def point_at(self, t: Scalar) -> ProjectivePoint:
+        """base + t (-v, u), so the point at infinity is [-v : u : 0]; the base is
+        (0, -w/v), or (-w, 0) on a vertical line, whose canonical u is 1."""
         if t.spec is not self.spec:
             same_field(self.spec, t.spec)
         return _point_at(self, t.value)
@@ -372,9 +361,6 @@ class AffineMap(FieldTuple):
     def determinant(self) -> Scalar:
         m11, m12, m21, m22, _, _ = self.raw
         return wrap(self.spec, m11 * m22 - m12 * m21)
-
-    def apply_xy(self, x: Scalar, y: Scalar) -> tuple[Scalar, Scalar]:
-        return self.apply(ProjectivePoint.affine(x, y)).affine_xy()
 
     def apply(self, p: ProjectivePoint) -> ProjectivePoint:
         m11, m12, m21, m22, t1, t2 = self.raw_in(p.spec)

@@ -46,7 +46,7 @@ from .conic import (
     restrict_to_line,
 )
 from .field import FieldSpec, Frozen, InfiniteFieldError, square_root
-from .geometry import AffineMap, Line, Midpoint, ProjectivePoint
+from .geometry import AffineMap, Line, Midpoint, ProjectivePoint, _affine_map
 from .pencil import (
     AsymptoticPencil,
     NetCoords,
@@ -467,16 +467,28 @@ class _Plane:
                 return False
         return True
 
+    def permutations(self, *maps) -> list[list[int]]:
+        """Line-id permutations, by ``pull_line``, of affine maps given as int
+        entries (m11, m12, m21, m22, t1, t2): (m11 x + m12 y + t1, m21 x + ...)."""
+        return [[self.index[_affine_map(self.spec, *m).pull_line(line)] for line in self.lines]
+                for m in maps]
+
     def affine_generators(self) -> list[list[int]]:
-        """Line-id permutations, by ``pull_line``, of maps generating AGL(2,p):
-        (x+1, y), (x+y, y), (y, x) and (a x, y) for a = 2 .. p-1."""
-        one, zero = self.spec.one, self.spec.zero
-        maps = [AffineMap(one, zero, zero, one, one, zero),
-                AffineMap(one, one, zero, one, zero, zero),
-                AffineMap(zero, one, one, zero, zero, zero)]
-        maps += [AffineMap(self.spec.scalar(a), zero, zero, one, zero, zero)
-                 for a in range(2, self.p)]
-        return [[self.index[g.pull_line(line)] for line in self.lines] for g in maps]
+        """Permutations of maps generating AGL(2,p): (x+1, y), (x+y, y),
+        (y, x) and (a x, y) for a = 2 .. p-1."""
+        return self.permutations((1, 0, 0, 1, 1, 0), (1, 1, 0, 1, 0, 0), (0, 1, 1, 0, 0, 0),
+                                 *[(a, 0, 0, 1, 0, 0) for a in range(2, self.p)])
+
+    def stabilizer_generators(self) -> list[list[list[int]]]:
+        """Per normal form, in ``normal_forms`` order, maps generating its stabilizer
+        in AGL(2,p), a = 2 .. p-1: {X=0, Y=0}: (y, x), (a x, y), (x, a y); {Y=0, Y=1}:
+        (x+1, y), (x+y, y), (a x, y), (x, 1-y); Y=0 doubled: the same but (x, a y)."""
+        xs = [(a, 0, 0, 1, 0, 0) for a in range(2, self.p)]
+        ys = [(1, 0, 0, a, 0, 0) for a in range(2, self.p)]
+        moves = [(1, 0, 0, 1, 1, 0), (1, 1, 0, 1, 0, 0), *xs]
+        return [self.permutations((0, 1, 1, 0, 0, 0), *xs, *ys),
+                self.permutations(*moves, (1, 0, 0, -1, 0, 1)),
+                self.permutations(*moves, *ys)]
 
     def normal_forms(self) -> list[int]:
         """The pair ids of {X=0, Y=0}, {Y=0, Y=1} and Y=0 doubled: an affine map
@@ -1095,19 +1107,31 @@ def _orbit(perms: list[list[int]], members: frozenset[int]) -> set[frozenset[int
     return orbit
 
 
+def _seeds(plane: _Plane) -> list[tuple[int, int]]:
+    """The nontrivial {A, R}, A a normal form and R one pair id per orbit of its stabilizer."""
+    pairs, seeds = plane.pairs, []
+    for a, gens in zip(plane.normal_forms(), plane.stabilizer_generators()):
+        perms, covered = [plane.pair_permutation(g) for g in gens], {a}
+        for r in range(len(pairs)):
+            if r not in covered:
+                covered |= {k for (k,) in _orbit(perms, frozenset([r]))}
+                if classify_trivial_arrangement([pairs[a], pairs[r]]) == NONTRIVIAL:
+                    seeds.append((a, r))
+    return seeds
+
+
 def _maximal_orbits(spec: FieldSpec) -> tuple[list[LinePair], list[list[tuple[int, ...]]]]:
     """The AGL(2,p) orbits of maximal nontrivial bisector arrangements.
 
-    Seeds are the nontrivial two-pair sets {A, Q} with A one of the three
-    ``_Plane.normal_forms``, grown by every pair that keeps the arrangement
+    Each ``_seeds`` {A, R} grows by every pair that keeps the arrangement
     property until none does; a stack entry carries its merged per-line
-    state.  A maximal set M holds a nontrivial {P, Q}; some affine g maps
-    P to an A, and gM, maximal too since affine maps keep midpoints, holds
-    the seed {A, gQ}.  Growth from a seed reaches every arrangement that
-    holds it (a subset of an arrangement is one), so the orbits of the sets
-    found hold every maximal set.  Returns the pairs in ``LinePair.sort_key``
-    order and the sorted orbits of sorted index tuples into them.
-    """
+    state.  A maximal M holds a nontrivial {P, Q}; an affine g maps P to a
+    normal form A, some h fixing A maps gQ to its orbit's representative R,
+    and hgM, maximal as affine maps keep midpoints and triviality, holds
+    {A, R}.  Growth from a seed reaches every arrangement holding it (a
+    subset of one is one), so the orbits found hold every maximal set.
+    Returns the pairs by ``LinePair.sort_key`` and the sorted orbits of
+    sorted index tuples into them."""
     if not spec.is_finite:
         raise OracleError("the maximal-arrangement search needs a finite field")
     n = spec.p * spec.p + spec.p
@@ -1117,9 +1141,7 @@ def _maximal_orbits(spec: FieldSpec) -> tuple[list[LinePair], list[list[tuple[in
     results: set[frozenset[int]] = set()
     visited: set[frozenset[int]] = set()
     all_idx = tuple(range(len(pairs)))
-    seeds = [(a, q) for a in plane.normal_forms() for q in all_idx
-             if q != a and classify_trivial_arrangement([pairs[a], pairs[q]]) == NONTRIVIAL]
-    for seed in seeds:
+    for seed in _seeds(plane):
         stack = [(frozenset(seed), *plane.state(seed), all_idx)]
         while stack:
             members, state, lines, cands = stack.pop()

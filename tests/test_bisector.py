@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,9 +20,18 @@ from bisectrix.bisector import (
     is_bisector_arrangement,
     pair_through_line,
 )
-from bisectrix.conic import LinePair, restrict_to_line
+from bisectrix.conic import (
+    CROSSES_AT_INFINITY,
+    MEETS_NO_CROSS,
+    NO_MEET,
+    LinePair,
+    Quadratic,
+    _mid_param,
+    mid,
+    restrict_to_line,
+)
 from bisectrix.field import GF, rationals, square_root
-from bisectrix.geometry import Line, Midpoint, ProjectivePoint
+from bisectrix.geometry import MID_UNDETERMINED, Line, Midpoint, ProjectivePoint
 from bisectrix.pencil import (
     AsymptoticPencil,
     NetCoords,
@@ -62,6 +72,83 @@ class TestBisectsSet:
     def test_vacuous(self):
         m = bisects_set(line(0, 1, 0), [quad("x^2+y^2+1")])
         assert m is not None and m.is_undetermined
+
+
+def _fold_of_mids(line, quadratics):
+    """The reference: a pairwise fold of ``conic.mid`` results."""
+    common = None
+    for f in quadratics:
+        result = mid(f, line)
+        if not result.crosses:
+            continue
+        if common is None:
+            common = result.midpoint
+        elif result.midpoint != common:
+            return None
+    return MID_UNDETERMINED if common is None else common
+
+
+def _random_quadratic(rng, spec):
+    while True:
+        coeffs = [spec.scalar(rng.randint(-3, 3)) for _ in range(6)]
+        if any(coeffs[:3]):
+            return Quadratic(*coeffs)
+
+
+class TestRawMidpointRoute:
+    """``bisects_set`` compares line parameters; ``mid`` builds the records."""
+
+    @pytest.mark.parametrize("spec", [F5, F7, Q], ids=["F5", "F7", "Q"])
+    def test_bisects_set_is_a_fold_of_mid(self, spec):
+        # Scaled members and members shifted by a constant keep -B / 2A, so
+        # agreeing sets occur; a scaled member has other unreduced values.
+        rng = random.Random(81)
+        seen = set()
+        for i in range(600):
+            l = line(1, 0, rng.randint(-3, 3), spec) if i % 4 == 0 else line(
+                rng.randint(-3, 3), rng.randint(1, 3), rng.randint(-3, 3), spec)
+            f = _random_quadratic(rng, spec)
+            family = [f, f.scale(spec.scalar(rng.randint(2, 4))),
+                      f.add_constant(spec.scalar(rng.randint(1, 4))), _random_quadratic(rng, spec)]
+            members = rng.sample(family, rng.randint(1, 4))
+            got = bisects_set(l, members)
+            assert got == _fold_of_mids(l, members), (l, members)
+            seen.add("disagree" if got is None else got.kind)
+            if got is not None and len(members) > 1 and got.is_finite:
+                seen.add("agree")
+        assert seen == {"disagree", "agree", "finite", "infinite", "undetermined"}
+
+    @pytest.mark.parametrize("spec", [F5, Q], ids=["F5", "Q"])
+    def test_finite_and_infinite_disagree_in_either_order(self, spec):
+        xy, sides, y1 = quad("x*y", spec), quad("x^2-y^2-4*x-2*y+3", spec), line(0, 1, -1, spec)
+        assert _mid_param(xy, y1) is CROSSES_AT_INFINITY
+        assert mid(sides, y1).midpoint.is_finite
+        assert bisects_set(y1, [xy, sides]) is None
+        assert bisects_set(y1, [sides, xy]) is None
+        assert bisects_set(y1, [xy, xy.add_constant(spec.one)]) == Midpoint(Midpoint.INFINITE)
+
+    def test_differently_scaled_quadratics_agree_over_q(self):
+        f = quad("3*x^2+5*x*y-2*y^2+x+9*y-4")  # (x + 2y - 1)(3x - y + 4)
+        g = f.scale(Q.scalar(Fraction(-7, 3)))
+        l = line(2, 3, -1)
+        assert f.raw != g.raw and _mid_param(f, l) == _mid_param(g, l)
+        assert isinstance(_mid_param(f, l), Fraction)
+        m = bisects_set(l, [f, g])
+        assert m.is_finite and m == mid(f, l).midpoint == mid(g, l).midpoint
+
+    @pytest.mark.parametrize("spec", [F5, F7], ids=["F5", "F7"])
+    def test_gf_parameters_are_reduced(self, spec):
+        from bisectrix.oracle import enumerate_lines, enumerate_quadratics
+
+        params = [t for f in enumerate_quadratics(spec)[::7] for l in enumerate_lines(spec)
+                  if (t := _mid_param(f, l)).__class__ is int]
+        assert params and all(0 <= t < spec.p for t in params)
+
+    def test_mid_returns_the_shared_records(self):
+        assert mid(XY, line(1, 0, 0)) is MEETS_NO_CROSS is _mid_param(XY, line(1, 0, 0))
+        circle = quad("x^2+y^2+1")
+        assert mid(circle, line(0, 1, 0)) is NO_MEET is _mid_param(circle, line(0, 1, 0))
+        assert mid(XY, line(0, 1, -1)) is CROSSES_AT_INFINITY is _mid_param(XY, line(0, 1, -1))
 
 
 class TestPairThroughLine:

@@ -290,7 +290,6 @@ class TestValueKernels:
             zero = spec.zero
             base = (zero, -l.w / l.v) if l.v else (-l.w / l.u, zero)
             direction = (-l.v, l.u)
-            assert l.parameterization() == (base, direction)
             t = _value(rng, spec)
             p = l.point_at(t)
             assert (p.x, p.y, p.z) == (base[0] + t * direction[0],
@@ -382,8 +381,6 @@ class TestAffineMapValues:
                 want = ProjectivePoint(m[0] * x + m[1] * y + m[4] * z,
                                        m[2] * x + m[3] * y + m[5] * z, z)
                 assert got == want
-                assert g.apply_xy(x, y) == (m[0] * x + m[1] * y + m[4],
-                                            m[2] * x + m[3] * y + m[5])
             u, v, w = (_value(rng, spec) for _ in range(3))
             if u or v:
                 want = Line(u * m[0] + v * m[2], u * m[1] + v * m[3],
@@ -436,7 +433,7 @@ class TestAffineMapValues:
         f7 = Quadratic(F7.one, F7.zero, F7.one, F7.zero, F7.zero, F7.zero)
         for call in (lambda: g5 == g7, lambda: g5.compose(g7), lambda: g7.compose(g5),
                      lambda: g5.apply(qpt(1, 2, F7)), lambda: g5.pull_line(qline(1, 2, 3, F7)),
-                     lambda: g5.apply_xy(F7.one, F7.one), lambda: pullback(g5, f7),
+                     lambda: pullback(g5, f7),
                      lambda: AffineMap(F5.one, F5.zero, F5.zero, F5.one, F7.one, F5.zero)):
             with pytest.raises(FieldMismatchError):
                 call()

@@ -28,6 +28,7 @@ from bisectrix.oracle import (
     _orbit,
     _plane,
     _rand_pencil,
+    _seeds,
     _through_points,
     enumerate_line_pairs,
     enumerate_lines,
@@ -287,6 +288,12 @@ def test_oracle_annotations_resolve():
             typing.get_type_hints(func)
 
 
+def _scalar_value(f, x, y):
+    """f(x, y) as a Scalar expression in the coefficients of f."""
+    a, b, c, d, e, g = f.coefficients()
+    return a * x * x + b * x * y + c * y * y + d * x + e * y + g
+
+
 class TestIntKernels:
     """The oracle's int kernels against the same quantities in Scalar."""
 
@@ -342,7 +349,7 @@ class TestIntKernels:
                                npoints)
             points = [(spec.scalar(x), spec.scalar(y)) for x, y in cells]
             want = [f.key() for f in quads
-                    if all(f.evaluate(x, y).is_zero for x, y in points)]
+                    if all(_scalar_value(f, x, y).is_zero for x, y in points)]
             assert _through_points(quadratic_keys(spec), cells, spec.p) == want
 
     @pytest.mark.parametrize("spec", [F3, F5], ids=["F3", "F5"])
@@ -382,6 +389,20 @@ def _plain_maximal_search(spec):
     return found
 
 
+def _closure(gens):
+    """The group of line permutations that the permutations generate."""
+    identity = tuple(range(len(gens[0])))
+    group, todo = {identity}, [identity]
+    while todo:
+        perm = todo.pop()
+        for g in gens:
+            composed = tuple(g[i] for i in perm)
+            if composed not in group:
+                group.add(composed)
+                todo.append(composed)
+    return group
+
+
 def _image(g, pair):
     return LinePair(g.apply_line(pair.first), g.apply_line(pair.second))
 
@@ -392,17 +413,42 @@ class TestAffineReduction:
     @pytest.mark.parametrize("spec,order", [(F3, 432), (F5, 12_000)], ids=["F3", "F5"])
     def test_generators_close_to_the_affine_group(self, spec, order):
         # |AGL(2,p)| = p^2 (p^2 - 1)(p^2 - p), and it acts faithfully on lines.
-        gens = _plane(spec).affine_generators()
-        identity = tuple(range(len(gens[0])))
-        group, todo = {identity}, [identity]
-        while todo:
-            perm = todo.pop()
-            for g in gens:
-                composed = tuple(g[i] for i in perm)
-                if composed not in group:
-                    group.add(composed)
-                    todo.append(composed)
-        assert len(group) == order
+        assert len(_closure(_plane(spec).affine_generators())) == order
+
+    @pytest.mark.parametrize("spec", [F3, F5, F7], ids=["F3", "F5", "F7"])
+    def test_stabilizer_generators_fix_their_normal_form(self, spec):
+        plane = _plane(spec)
+        stabilizers = plane.stabilizer_generators()
+        assert len(stabilizers) == len(plane.normal_forms()) == 3
+        for a, gens in zip(plane.normal_forms(), stabilizers):
+            assert gens and all(plane.pair_permutation(g)[a] == a for g in gens)
+
+    @pytest.mark.parametrize("spec,sizes", [
+        (F3, [(8, 54), (36, 12), (36, 12)]),
+        (F5, [(32, 375), (200, 60), (400, 30)]),
+    ], ids=["F3", "F5"])
+    def test_stabilizer_order_times_orbit_is_the_group(self, spec, sizes):
+        # Orbit-stabilizer: each generated group is the whole stabilizer of A.
+        p, plane = spec.p, _plane(spec)
+        perms = [plane.pair_permutation(g) for g in plane.affine_generators()]
+        found = [(len(_closure(gens)), len(_orbit(perms, frozenset([a]))))
+                 for a, gens in zip(plane.normal_forms(), plane.stabilizer_generators())]
+        assert found == sizes
+        assert {order * size for order, size in found} == {p * p * (p * p - 1) * (p * p - p)}
+
+    @pytest.mark.parametrize("spec,count", [(F3, 21), (F5, 31)], ids=["F3", "F5"])
+    def test_seeds_are_one_per_stabilizer_orbit(self, spec, count):
+        plane = _plane(spec)
+        pairs, seeds = plane.pairs, _seeds(plane)
+        assert len(seeds) == len(set(seeds)) == count
+        for a, gens in zip(plane.normal_forms(), plane.stabilizer_generators()):
+            perms = [plane.pair_permutation(g) for g in gens]
+            reps = [r for b, r in seeds if b == a]
+            for q in range(len(pairs)):
+                orbit = {k for (k,) in _orbit(perms, frozenset([q]))}
+                nontrivial = q != a and classify_trivial_arrangement(
+                    [pairs[a], pairs[q]]) == NONTRIVIAL
+                assert len(orbit.intersection(reps)) == nontrivial, (a, q)
 
     @pytest.mark.parametrize("spec", [F3, F5, F7], ids=["F3", "F5", "F7"])
     def test_normal_forms_reach_every_pair(self, spec):

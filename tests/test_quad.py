@@ -136,8 +136,9 @@ class TestPencilOf:
         p = pencil_of(STANDARD)
         for v in vertices(STANDARD):
             x, y = v.affine_xy()
-            assert p.f1.evaluate(x, y).is_zero
-            assert p.f2.evaluate(x, y).is_zero
+            for f in (p.f1, p.f2):
+                a, b, c, d, e, g = f.coefficients()
+                assert (a * x * x + b * x * y + c * y * y + d * x + e * y + g).is_zero
 
     def test_independence_on_random_quadrilaterals(self):
         from bisectrix.oracle import _rand_quadrilateral
