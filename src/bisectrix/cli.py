@@ -31,9 +31,9 @@ from .conic import (
 from .field import FieldError, parse_fieldspec
 from .pencil import (
     AsymptoticPencil,
+    NetCoords,
     Pencil,
     are_independent,
-    find_hyperbolas,
     net_contains,
 )
 from .textforms import (
@@ -158,6 +158,7 @@ def _cmd_pencil(args) -> int:
     spec = _field(args.field)
     pencil = _parse_pencil(spec, args)
     ap = AsymptoticPencil(pencil)
+    hyperbolas = ap.hyperbolas()
     payload = {
         "field": spec.name,
         "independent": are_independent(pencil.f1, pencil.f2),
@@ -168,7 +169,7 @@ def _cmd_pencil(args) -> int:
         "hyperbolas": [
             {"alpha": str(c.alpha), "beta": str(c.beta),
              "member": format_quadratic(h)}
-            for c, h in find_hyperbolas(pencil)
+            for c, h, _ in hyperbolas
         ],
         "trivial": ap.is_trivial(),
     }
@@ -178,12 +179,10 @@ def _cmd_pencil(args) -> int:
         payload["members"] = [_pair_record(c, p) for c, p in ap.members()]
         payload["complete"] = True
     else:
-        records = []
-        for _, h in find_hyperbolas(pencil):
-            d = degenerations(h)
-            coords = net_contains(pencil, h.add_constant(d.shift))
-            records.append(_pair_record(coords, d.pair))
-        payload["members"] = records
+        # The asymptote pair of the member at [alpha : beta : 0] is the
+        # member at [alpha : beta : shift].
+        payload["members"] = [_pair_record(NetCoords(c.alpha, c.beta, d.shift), d.pair)
+                              for c, _, d in hyperbolas]
         payload["complete"] = False
     _emit(args, payload)
     return EXIT_OK
@@ -231,13 +230,12 @@ def _cmd_bisect(args) -> int:
 def _cmd_field_membership(args) -> int:
     spec = _field(args.field)
     pencil = _parse_pencil(spec, args)
-    field = bisector_field_of(pencil)
+    bisector_field_of(pencil)  # refuses a trivial asymptotic pencil
     pair = parse_pair(spec, args.pair)
-    contained = field.contains(pair)
     coords = net_contains(pencil, pair.product())
     payload = {
         "nontrivial": True,
-        "contains": contained,
+        "contains": coords is not None,
         "coordinates": None if coords is None else
             {"alpha": str(coords.alpha), "beta": str(coords.beta),
              "lambda": str(coords.shift)},

@@ -378,12 +378,7 @@ class LinePair(Frozen):
 
 def distinct_lines(pairs: Iterable[LinePair]) -> list[Line]:
     """The lines of the pairs, each once, in order of first appearance."""
-    lines: list[Line] = []
-    for pair in pairs:
-        for line in pair.lines():
-            if line not in lines:
-                lines.append(line)
-    return lines
+    return list(dict.fromkeys(line for pair in pairs for line in pair.lines()))
 
 
 def pairs_are_translates(p1: LinePair, p2: LinePair) -> bool:

@@ -677,24 +677,29 @@ def _check_example_3_6(spec, policy, rng):
 @_check("prop-3.7-delta",
         "closure-reducibility of net members matches the degeneracy cubic", count=200)
 def _check_prop_3_7(spec, policy, rng):
-    # Every pencil is checked on all its (p+1)·p net members, one per line.
-    _within_budget(spec, (spec.p + 1) * spec.p, "net members per pencil", PLANE_LINE_BUDGET)
+    # Every pencil is checked on all its (p+1)·p net members, one per line,
+    # on ints: det3 by 4·det3 over 4, the cubic by its raw coefficients.
+    p = spec.p
+    _within_budget(spec, (p + 1) * p, "net members per pencil", PLANE_LINE_BUDGET)
+    quarter = pow(4, -1, p)
+    directions = [(1, t) for t in range(p)] + [(0, 1)]  # as _net_keys
     for _ in range(policy.count):
         pencil = _rand_pencil(rng, spec)
         cubic = degeneracy_cubic(pencil)
+        q0, q1, q2, c0, c1, c2, c3 = cubic.raw
         ok = not cubic.shift_coeff_is_zero
-        for coords in _directions(spec):
-            for lam in spec.elements():
-                member = net_member(
-                    pencil, NetCoords(coords.alpha, coords.beta, lam)
-                )
-                direct = member.det3()
-                via_cubic = cubic.value(lam, coords.alpha, coords.beta)
-                if direct != via_cubic:
-                    ok = False
-                if is_reducible(member) is not None and not via_cubic.is_zero:
-                    ok = False
-            if not ok:
+        for n, key in enumerate(_net_keys(pencil)):
+            (x, y), lam = directions[n // p], n % p
+            slope = q0 * x * x + q1 * x * y + q2 * y * y
+            base = c0 * x * x * x + c1 * x * x * y + c2 * x * y * y + c3 * y * y * y
+            via_cubic = (slope * lam + base) % p
+            a, b, c, d, e, g = key
+            direct = (4 * a * c * g + b * d * e - a * e * e - c * d * d - g * b * b) * quarter % p
+            # A member off the cubic's zeros must not factor.
+            if direct != via_cubic or (
+                via_cubic and is_reducible(Quadratic.from_ints(spec, key)) is not None
+            ):
+                ok = False
                 break
         if not ok:
             yield _pencil_witness(pencil)
@@ -957,7 +962,8 @@ def _check_cor_5_5(spec, policy, rng):
 @_check("cor-5.6",
         "a bisector of a quadrilateral bisects every conic through its vertices", count=20)
 def _check_cor_5_6(spec, policy, rng):
-    lines = enumerate_lines(spec)
+    keys = quadratic_keys(spec)
+    kernel = _crossings(spec)
     checked = 0
     attempts = 0
     while checked < policy.count and attempts < 100 * policy.count:
@@ -968,15 +974,16 @@ def _check_cor_5_6(spec, policy, rng):
             continue
         checked += 1
         points = [(v.x.value, v.y.value) for v in vs]
-        through = [Quadratic.from_ints(spec, key)
-                   for key in _through_points(quadratic_keys(spec), points, spec.p)]
-        for line in lines:
+        through = _through_points(keys, points, spec.p)
+        for i, line in enumerate(kernel.lines):
             m = bisects_quadrilateral(line, q)
             if m is None:
                 continue
-            got = bisects_set(line, through)
-            ok = got is not None and (m.is_undetermined or got == m)
-            if not ok:
+            # The crossed conics agree, on m's midpoint when m has one.
+            crossings = kernel.crossings(through, i)
+            if len(crossings) > 1 or (
+                not m.is_undetermined and crossings != {kernel.midpoint(m, i)}
+            ):
                 yield {"pairs": format_pair(q.first) + "|" + format_pair(q.second),
                        "line": format_line_triple(line)}
                 break
@@ -1231,13 +1238,14 @@ def _check_thm_6_3_gf3(spec):
     escaping = sorted(s for orbit, ok in zip(orbits, verdicts) if not ok for s in orbit)
     for s in escaping[:5]:
         pairs = [by_key[r] for r in s]
+        own = set(pairs)
         yield {
             "arrangement": "|".join(format_pair(p) for p in pairs),
             "confirmed_by_midpoint_path": bool(
                 is_bisector_arrangement(pairs).ok
                 and not any(
                     is_bisector_arrangement(pairs + [q]).ok
-                    for q in enumerate_line_pairs(spec) if q not in pairs
+                    for q in enumerate_line_pairs(spec) if q not in own
                 )
             ),
         }

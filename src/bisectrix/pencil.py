@@ -22,6 +22,7 @@ from .conic import (
     DEGEN_FAMILY,
     DEGEN_UNIQUE,
     HYPERBOLA,
+    Degenerations,
     LinePair,
     ParallelFamily,
     Quadratic,
@@ -358,6 +359,17 @@ def find_hyperbolas(pencil: Pencil) -> list[tuple[NetCoords, Quadratic]]:
     return found
 
 
+def _constructed_hyperbolas(pencil: Pencil) -> tuple:
+    """The ``find_hyperbolas`` members, each with its unique degeneration."""
+    out = []
+    for coords, h in find_hyperbolas(pencil):
+        d = degenerations(h)
+        if d.kind != DEGEN_UNIQUE:
+            raise AssertionError("hyperbola member must have a unique degeneration")
+        out.append((coords, h, d))
+    return tuple(out)
+
+
 def _net_pairs(pencil: Pencil, cubic: DegeneracyCubic) -> tuple:
     """The reducible net members over GF(p), as (coords, pair), each pair once.
 
@@ -399,15 +411,19 @@ class AsymptoticPencil(Frozen):
 
     Over a finite field the members are materialized at construction; over
     the rationals the set can be infinite and is represented intensionally
-    through membership predicates and finitely many distinguished members.
+    through membership predicates and the constructed hyperbolas, which are
+    built with the pencil and decide triviality, the shared line and the
+    quadrilateral.
     """
 
-    __slots__ = ("pencil", "cubic", "_members")
+    __slots__ = ("pencil", "cubic", "_members", "_hyperbolas")
 
     def __init__(self, pencil: Pencil):
         cubic = degeneracy_cubic(pencil)
-        members = _net_pairs(pencil, cubic) if pencil.spec.is_finite else None
-        super().__init__(pencil, cubic, members)
+        if pencil.spec.is_finite:
+            super().__init__(pencil, cubic, _net_pairs(pencil, cubic), None)
+        else:
+            super().__init__(pencil, cubic, None, _constructed_hyperbolas(pencil))
 
     @property
     def spec(self) -> FieldSpec:
@@ -421,6 +437,16 @@ class AsymptoticPencil(Frozen):
                 "use the contains_pair membership predicate"
             )
         return self._members
+
+    def hyperbolas(self) -> tuple[tuple[NetCoords, Quadratic, Degenerations], ...]:
+        """(coords, hyperbola, degeneration) per ``find_hyperbolas`` member.
+
+        Stored over the rationals; over a finite field, where no decision
+        reads them, built on each call.
+        """
+        if self._hyperbolas is None:
+            return _constructed_hyperbolas(self.pencil)
+        return self._hyperbolas
 
     def parallel_family(self) -> ParallelFamily | None:
         """The parallel family of a degenerate parabola in the net, if one exists.
@@ -447,14 +473,7 @@ class AsymptoticPencil(Frozen):
 
     def degenerate_hyperbola_pairs(self) -> list[LinePair]:
         """Distinguished crossing members: asymptote pairs of found hyperbolas."""
-        out = []
-        for _, h in find_hyperbolas(self.pencil):
-            d = degenerations(h)
-            if d.kind != DEGEN_UNIQUE:
-                raise AssertionError("hyperbola member must have a unique degeneration")
-            if d.pair not in out:
-                out.append(d.pair)
-        return out
+        return [d.pair for _, _, d in self.hyperbolas()]
 
     def is_trivial(self) -> bool:
         """Whether every member is a degenerate hyperbola with one shared center.
@@ -481,10 +500,10 @@ class AsymptoticPencil(Frozen):
         double line or parallel pair is precisely what a trivial pencil
         must not have.
         """
-        hyps = find_hyperbolas(self.pencil)
+        hyps = self.hyperbolas()
         if len(hyps) < 2:
             raise PencilError("the construction needs two hyperbolas (|k| > 3)")
-        pairs = [degenerations(h).pair for _, h in hyps]
+        pairs = [d.pair for _, _, d in hyps]
         if pairs[0].center != pairs[1].center:
             return False
         if pairs[0].line_set() & pairs[1].line_set():
@@ -522,19 +541,17 @@ class AsymptoticPencil(Frozen):
         Two members sharing a line forces every hyperbola member through
         it, so checking the two constructed asymptote pairs suffices.
         """
-        pairs = self.degenerate_hyperbola_pairs()
-        if len(pairs) < 2:
+        hyps = self.hyperbolas()
+        if len(hyps) < 2:
             return None
-        common = pairs[0].line_set() & pairs[1].line_set()
+        (_, h1, d1), (_, h2, d2) = hyps
+        common = d1.pair.line_set() & d2.pair.line_set()
         if not common:
             return None
         (line,) = common
         # Verify against a third member: the sum of the two exact
         # degenerations is again a net member divisible by the line.
-        hyps = find_hyperbolas(self.pencil)
-        degs = [h.add_constant(degenerations(h).shift) for _, h in hyps]
-        third = degs[0] + degs[1]
-        check = is_reducible(third)
+        check = is_reducible(h1.add_constant(d1.shift) + h2.add_constant(d2.shift))
         if check is None or not check.contains_line(line):
             raise AssertionError("shared line failed third-member verification")
         return line

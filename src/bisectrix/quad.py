@@ -113,23 +113,15 @@ def pencil_of(q: Quadrilateral) -> Pencil:
     return Pencil(q.first.product(), q.second.product())
 
 
-def _pick_parallel_partner(candidates: list[LinePair], avoid: LinePair,
-                           allow_double: bool) -> LinePair | None:
-    for pair in candidates:
-        if pair.kind == DOUBLE and not allow_double:
-            continue
-        if pair.line_set() & avoid.line_set():
-            continue
-        return pair
-    return None
-
-
 def quadrilateral_of(ap: AsymptoticPencil) -> Quadrilateral:
     """A quadrilateral whose asymptotic pencil equals the given one.
 
-    Requires a nontrivial pencil.  A crossing member is combined with
-    either a parallel member of a family (when the net has a degenerate
-    parabola) or a second crossing member with a different center; over
+    Requires a nontrivial pencil.  The field only supplies the candidates:
+    over GF(p) the crossing and the parallel or double members, over Q the
+    constructed asymptote pairs and the parallel family's pairs at
+    r = 0 ... 5.  One rule then pairs the first crossing candidate with the
+    first parallel pair sharing no line with it (a double pair only over
+    GF(3)), else with the first crossing pair of another center; over
     fields with more than 3 elements the result is nondegenerate.
     """
     if ap.is_trivial():
@@ -138,42 +130,26 @@ def quadrilateral_of(ap: AsymptoticPencil) -> Quadrilateral:
             "is not the asymptotic pencil of any quadrilateral"
         )
     spec = ap.spec
-    allow_double = spec.is_finite and spec.p == 3
-
     if spec.is_finite:
         members = [pair for _, pair in ap.members()]
         crossing = [p for p in members if p.kind == CROSSING]
-        parabolas = [p for p in members if p.kind in (PARALLEL, DOUBLE)]
-        base = crossing[0]
-        second = None
-        if parabolas:
-            ordered = [p for p in parabolas if p.kind == PARALLEL]
-            ordered += [p for p in parabolas if p.kind == DOUBLE]
-            second = _pick_parallel_partner(ordered, base, allow_double)
-        if second is None:
-            for cand in crossing[1:]:
-                if cand.center != base.center:
-                    second = cand
-                    break
-        if second is None:
-            raise AssertionError("nontrivial pencil must yield a quadrilateral partner")
+        parallel = [p for p in members if p.kind != CROSSING]
+        family = None
     else:
-        base = ap.degenerate_hyperbola_pairs()[0]
+        crossing = ap.degenerate_hyperbola_pairs()
         family = ap.parallel_family()
-        second = None
-        if family is not None:
-            candidates = [family.pair_at(spec.scalar(r)) for r in range(0, 6)]
-            ordered = [p for p in candidates if p.kind == PARALLEL]
-            second = _pick_parallel_partner(ordered, base, allow_double=False)
-            if second is None:
-                raise AssertionError("a parallel family admits a disjoint parallel pair")
-        else:
-            pairs = ap.degenerate_hyperbola_pairs()
-            if len(pairs) < 2 or pairs[0].center == pairs[1].center:
-                raise AssertionError(
-                    "a nontrivial pencil without parabolas has two centers"
-                )
-            second = pairs[1]
+        parallel = [] if family is None else [family.pair_at(spec.scalar(r)) for r in range(6)]
+    base = crossing[0]
+    allowed = [p for p in parallel if p.kind == PARALLEL]
+    if spec.p == 3:
+        allowed += [p for p in parallel if p.kind == DOUBLE]
+    partners = [p for p in allowed if not p.line_set() & base.line_set()]
+    partners += [p for p in crossing if p.center != base.center]
+    if not partners:
+        raise AssertionError("nontrivial pencil must yield a quadrilateral partner")
+    second = partners[0]
+    if family is not None and second.kind != PARALLEL:
+        raise AssertionError("a parallel family admits a disjoint parallel pair")
 
     q = validate(base, second)
     regenerated = pencil_of(q)

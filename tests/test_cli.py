@@ -90,6 +90,42 @@ class TestPencil:
         assert payload["cubic"]["shift_coefficient"] == ["-1/4", "0", "-1"]
 
 
+def _count_calls(monkeypatch, name):
+    """Count the calls of ``pencil.<name>`` through every module's binding."""
+    from bisectrix import pencil
+
+    real, calls = getattr(pencil, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "bisectrix" and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestRationalRoute:
+    """One Q query builds the constructed hyperbolas once and solves nothing twice."""
+
+    def test_pencil_report_constructs_once(self, monkeypatch):
+        found = _count_calls(monkeypatch, "find_hyperbolas")
+        solved = _count_calls(monkeypatch, "net_contains")
+        code, out = run(["pencil", "--field", "Q", "x*y-1", "x^2-y"])
+        assert code == 0 and (len(found), len(solved)) == (1, 0)
+        members = json.loads(out)["members"]
+        assert [(m["alpha"], m["beta"], m["lambda"]) for m in members] == [
+            ("1", "0", "1"), ("1", "-1", "2")]
+
+    def test_field_membership_solves_once(self, monkeypatch):
+        solved = _count_calls(monkeypatch, "net_contains")
+        code, out = run(["field-membership", "--field", "Q", "--pair", "1,0,0;0,1,0",
+                         "x*y", "x^2-y^2-4*x-2*y+3"])
+        assert code == 0 and len(solved) == 1
+        assert json.loads(out)["coordinates"] == {"alpha": "1", "beta": "0", "lambda": "0"}
+
+
 class TestBisect:
     def test_line_mode(self):
         code, out = run(["bisect", "--field", "Q", "--line", "1,0,0",

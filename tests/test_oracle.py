@@ -14,7 +14,7 @@ from bisectrix.bisector import (
 )
 from bisectrix.conic import CROSSING, DOUBLE, PARALLEL, LinePair, Quadratic, mid
 from bisectrix.field import GF, rationals
-from bisectrix.geometry import AffineMap, intersect
+from bisectrix.geometry import AffineMap, Midpoint, intersect
 from bisectrix.oracle import (
     _FREE,
     _INF,
@@ -38,7 +38,7 @@ from bisectrix.oracle import (
     reducible_table,
     run_check,
 )
-from bisectrix.pencil import NetCoords, _directions, net_member
+from bisectrix.pencil import DegeneracyCubic, NetCoords, _directions, net_member
 from bisectrix.textforms import parse_quadratic
 
 F3 = GF(3)
@@ -206,6 +206,32 @@ class TestCounterexampleCap:
         report.to_json()["witnesses"].clear()
         assert list(report.witnesses) == before
         assert report.to_json()["witnesses"] == before
+
+
+class TestChecksCatchAWrongLibrary:
+    """Checks on the oracle's int route fail when the library answer is wrong."""
+
+    @pytest.mark.parametrize("index", [0, 6], ids=["shift-coefficient", "base"])
+    def test_prop_3_7_catches_a_wrong_cubic(self, monkeypatch, index):
+        real = oracle.degeneracy_cubic
+
+        def off_by_one(pencil):
+            raw = list(real(pencil).raw)
+            raw[index] += 1
+            return DegeneracyCubic(*[pencil.spec.scalar(x) for x in raw])
+
+        monkeypatch.setattr(oracle, "degeneracy_cubic", off_by_one)
+        assert run_check("prop-3.7-delta", F5, Policy.randomized(5)).verdict == "fail"
+
+    def test_cor_5_6_catches_a_wrong_midpoint(self, monkeypatch):
+        real = oracle.bisects_quadrilateral
+
+        def at_infinity(line, q):
+            m = real(line, q)
+            return Midpoint(Midpoint.INFINITE) if m is not None and m.is_finite else m
+
+        monkeypatch.setattr(oracle, "bisects_quadrilateral", at_infinity)
+        assert run_check("cor-5.6", F5, Policy.randomized(3)).verdict == "fail"
 
 
 def test_prop_4_3_checks_every_requested_instance():

@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from bisectrix import pencil as pencil_module
 from bisectrix.conic import (
     CROSSING,
+    DEGEN_UNIQUE,
     DOUBLE,
     HYPERBOLA,
     LinePair,
     classify,
+    degenerations,
 )
 from bisectrix.field import GF, InfiniteFieldError, rationals
 from bisectrix.geometry import Line
@@ -354,6 +357,42 @@ class TestConstructionPathsAgainstEnumeration:
                 assert ap.shared_line_by_construction() == by_enum
                 hits += by_enum is not None
             assert hits >= 20
+
+
+class TestStoredConstruction:
+    """The constructed hyperbolas with their degenerations, built once."""
+
+    @pytest.mark.parametrize("spec", [Q, F5, F7], ids=["Q", "F5", "F7"])
+    def test_records_match_find_hyperbolas(self, spec):
+        rng = random.Random(20)
+        for _ in range(30):
+            f1, f2 = _any_quadratic(rng, spec), _any_quadratic(rng, spec)
+            if not are_independent(f1, f2):
+                continue
+            pencil = Pencil(f1, f2)
+            records = AsymptoticPencil(pencil).hyperbolas()
+            assert [(c, h) for c, h, _ in records] == find_hyperbolas(pencil)
+            for coords, h, d in records:
+                again = degenerations(h)
+                assert (d.kind, d.pair, d.shift) == (DEGEN_UNIQUE, again.pair, again.shift)
+                shifted = net_contains(pencil, h.add_constant(d.shift))
+                assert NetCoords(coords.alpha, coords.beta, d.shift) == shifted
+
+    def test_gf_construction_skips_find_hyperbolas(self, monkeypatch):
+        calls = []
+        real = pencil_module.find_hyperbolas
+        monkeypatch.setattr(pencil_module, "find_hyperbolas",
+                            lambda p: calls.append(p) or real(p))
+        rng = random.Random(21)
+        for _ in range(10):
+            AsymptoticPencil(Pencil(*_random_pencil(rng, F7)))
+        assert calls == []
+        # Over Q the construction runs once, when the pencil is built.
+        ap = AsymptoticPencil(Pencil(quad("x*y-1"), quad("x^2-y")))
+        ap.is_trivial()
+        ap.shared_line()
+        ap.degenerate_hyperbola_pairs()
+        assert len(calls) == 1
 
 
 def _three_lines(rng, spec):
