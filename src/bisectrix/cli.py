@@ -34,6 +34,7 @@ from .pencil import (
     NetCoords,
     Pencil,
     are_independent,
+    find_hyperbolas,
     net_contains,
 )
 from .textforms import (
@@ -158,7 +159,8 @@ def _cmd_pencil(args) -> int:
     spec = _field(args.field)
     pencil = _parse_pencil(spec, args)
     ap = AsymptoticPencil(pencil)
-    hyperbolas = ap.hyperbolas()
+    # Over GF(p) the report prints no degeneration, so none is computed.
+    hyperbolas = find_hyperbolas(pencil) if spec.is_finite else ap.hyperbolas()
     payload = {
         "field": spec.name,
         "independent": are_independent(pencil.f1, pencil.f2),
@@ -169,7 +171,7 @@ def _cmd_pencil(args) -> int:
         "hyperbolas": [
             {"alpha": str(c.alpha), "beta": str(c.beta),
              "member": format_quadratic(h)}
-            for c, h, _ in hyperbolas
+            for c, h, *_ in hyperbolas
         ],
         "trivial": ap.is_trivial(),
     }

@@ -46,7 +46,7 @@ from .conic import (
     restrict_to_line,
 )
 from .field import FieldSpec, Frozen, InfiniteFieldError, square_root
-from .geometry import AffineMap, Line, Midpoint, ProjectivePoint, _affine_map
+from .geometry import AffineMap, Line, Midpoint, ProjectivePoint
 from .pencil import (
     AsymptoticPencil,
     NetCoords,
@@ -400,10 +400,9 @@ class _Plane:
         self.lines = enumerate_lines(spec)
         _within_budget(spec, len(self.lines), "engine lines", PLANE_LINE_BUDGET)
         self.pairs = enumerate_line_pairs(spec)
-        self.index = {line: i for i, line in enumerate(self.lines)}
         # Line j = (u, v, w) meets line i at t = -(u bx + v by + w) / (u dx + v dy).
         p, raws = self.p, [line.raw for line in self.lines]
-        inverse = [None] + [pow(x, -1, p) for x in range(1, p)]
+        inverse = self.inverse = [None] + [pow(x, -1, p) for x in range(1, p)]
         self.param = []
         for bx, by, dx, dy in _crossings(spec).frames:
             row = []
@@ -411,15 +410,20 @@ class _Plane:
                 den = (u * dx + v * dy) % p
                 row.append(-(u * bx + v * by + w) * inverse[den] % p if den else None)
             self.param.append(row)
-        self.pair_lines = [(self.index[pr.first], self.index[pr.second])
-                           for pr in self.pairs]
+        ids = {raw: i for i, raw in enumerate(raws)}
+        self.pair_lines = [(ids[pr.first.raw], ids[pr.second.raw]) for pr in self.pairs]
         n = len(self.lines)
         self.pair_id = [[0] * n for _ in range(n)]
         for k, (i, j) in enumerate(self.pair_lines):
             self.pair_id[i][j] = self.pair_id[j][i] = k
 
+    def line_id(self, u: int, v: int, w: int) -> int:
+        """The id of uX + vY + w = 0 (ints): v'p + w' as (1, v', w'), else p^2 + w'."""
+        p, inverse, u = self.p, self.inverse, u % self.p
+        return v * inverse[u] % p * p + w * inverse[u] % p if u else p * p + w * inverse[v % p] % p
+
     def pair_of(self, pair: LinePair) -> int:
-        return self.pair_id[self.index[pair.first]][self.index[pair.second]]
+        return self.pair_id[self.line_id(*pair.first.raw)][self.line_id(*pair.second.raw)]
 
     def state(self, pair_ids) -> tuple[list[int], list[int]]:
         """The merged state of the pairs and their line ids, each once."""
@@ -468,17 +472,20 @@ class _Plane:
         return True
 
     def permutations(self, *maps) -> list[list[int]]:
-        """Line-id permutations, by ``pull_line``, of affine maps given as int
+        """Line-id permutations, by pulling lines back, of affine maps given as int
         entries (m11, m12, m21, m22, t1, t2): (m11 x + m12 y + t1, m21 x + ...)."""
-        return [[self.index[_affine_map(self.spec, *m).pull_line(line)] for line in self.lines]
-                for m in maps]
+        return [[self.line_id(u * m11 + v * m21, u * m12 + v * m22, u * t1 + v * t2 + w)
+                 for u, v, w in (line.raw for line in self.lines)]
+                for m11, m12, m21, m22, t1, t2 in maps]
 
+    @cache
     def affine_generators(self) -> list[list[int]]:
         """Permutations of maps generating AGL(2,p): (x+1, y), (x+y, y),
-        (y, x) and (a x, y) for a = 2 .. p-1."""
+        (y, x) and (a x, y) for a = 2 .. p-1; built once per plane."""
         return self.permutations((1, 0, 0, 1, 1, 0), (1, 1, 0, 1, 0, 0), (0, 1, 1, 0, 0, 0),
                                  *[(a, 0, 0, 1, 0, 0) for a in range(2, self.p)])
 
+    @cache
     def stabilizer_generators(self) -> list[list[list[int]]]:
         """Per normal form, in ``normal_forms`` order, maps generating its stabilizer
         in AGL(2,p), a = 2 .. p-1: {X=0, Y=0}: (y, x), (a x, y), (x, a y); {Y=0, Y=1}:
@@ -493,9 +500,8 @@ class _Plane:
     def normal_forms(self) -> list[int]:
         """The pair ids of {X=0, Y=0}, {Y=0, Y=1} and Y=0 doubled: an affine map
         sends one line of any pair to Y=0, and the other to X=0, Y=1 or Y=0."""
-        one, zero = self.spec.one, self.spec.zero
-        x0, y0, y1 = Line(one, zero, zero), Line(zero, one, zero), Line(zero, one, -one)
-        return [self.pair_of(LinePair(a, b)) for a, b in ((x0, y0), (y0, y1), (y0, y0))]
+        x0, y0, y1 = self.line_id(1, 0, 0), self.line_id(0, 1, 0), self.line_id(0, 1, -1)
+        return [self.pair_id[a][b] for a, b in ((x0, y0), (y0, y1), (y0, y0))]
 
     def pair_permutation(self, perm: list[int]) -> list[int]:
         """The permutation of pair ids that a line-id permutation induces."""
@@ -1127,8 +1133,9 @@ def _seeds(plane: _Plane) -> list[tuple[int, int]]:
     return seeds
 
 
-def _maximal_orbits(spec: FieldSpec) -> tuple[list[LinePair], list[list[tuple[int, ...]]]]:
-    """The AGL(2,p) orbits of maximal nontrivial bisector arrangements.
+def _maximal_orbits(spec: FieldSpec) -> list[tuple[tuple[int, ...], int]]:
+    """The AGL(2,p) orbits of maximal nontrivial bisector arrangements, as
+    sorted (canonical pair-id tuple, orbit size), none expanded.
 
     Each ``_seeds`` {A, R} grows by every pair that keeps the arrangement
     property until none does; a stack entry carries its merged per-line
@@ -1136,20 +1143,19 @@ def _maximal_orbits(spec: FieldSpec) -> tuple[list[LinePair], list[list[tuple[in
     normal form A, some h fixing A maps gQ to its orbit's representative R,
     and hgM, maximal as affine maps keep midpoints and triviality, holds
     {A, R}.  Growth from a seed reaches every arrangement holding it (a
-    subset of one is one), so the orbits found hold every maximal set.
-    Returns the pairs by ``LinePair.sort_key`` and the sorted orbits of
-    sorted index tuples into them."""
+    subset of one is one), so the sets found meet every maximal orbit.
+    With u[B] sending crossing pair B to A0 = {X=0, Y=0} (a BFS), the maps s u[B], s in
+    Stab(A0) and B in M, are those sending a pair of M to A0; |Stab(M)| of them reach
+    the least image, M's canonical form (two give one image exactly when they differ by
+    an element of Stab(M)), so M's orbit has |AGL(2,p)| / |Stab(M)| sets."""
     if not spec.is_finite:
         raise OracleError("the maximal-arrangement search needs a finite field")
-    n = spec.p * spec.p + spec.p
+    p, n = spec.p, spec.p * spec.p + spec.p
     _within_budget(spec, n * (n + 1) // 2, "search line pairs", SEARCH_PAIR_BUDGET)
     plane = _plane(spec)
-    pairs = plane.pairs
-    results: set[frozenset[int]] = set()
-    visited: set[frozenset[int]] = set()
-    all_idx = tuple(range(len(pairs)))
+    results, visited = set(), set()  # frozensets of pair ids
     for seed in _seeds(plane):
-        stack = [(frozenset(seed), *plane.state(seed), all_idx)]
+        stack = [(frozenset(seed), *plane.state(seed), range(len(plane.pairs)))]
         while stack:
             members, state, lines, cands = stack.pop()
             if members in visited:
@@ -1164,22 +1170,43 @@ def _maximal_orbits(spec: FieldSpec) -> tuple[list[LinePair], list[list[tuple[in
                 if nxt not in visited:
                     grown = lines + [i for i in set(plane.pair_lines[k]) if i not in lines]
                     stack.append((nxt, plane.add(state, k), grown, ext))
-    perms = [plane.pair_permutation(g) for g in plane.affine_generators()]
-    orbits: list[set[frozenset[int]]] = []
+    pair_id, pair_lines, a0 = plane.pair_id, plane.pair_lines, plane.normal_forms()[0]
+    (i0, j0), to_b, todo = pair_lines[a0], {a0: list(range(n))}, [a0]
+    for b in todo:  # grows while read: a BFS over the crossing pairs
+        for gen in plane.affine_generators():
+            image = pair_id[gen[to_b[b][i0]]][gen[to_b[b][j0]]]
+            if image not in to_b:
+                to_b[image] = [gen[x] for x in to_b[b]]
+                todo.append(image)
+    to_a0 = {b: sorted(range(n), key=g.__getitem__) for b, g in to_b.items()}  # inverses
+    stab = plane.permutations(*[m for a in range(1, p) for b in range(1, p)  # S0: (ax, by)
+                                for m in ((a, 0, 0, b, 0, 0), (0, b, a, 0, 0, 0))])  # (by, ax)
+    orbits = {}
     for members in results:
-        if not any(members in orbit for orbit in orbits):
-            orbits.append(_orbit(perms, members))
-    by_key = sorted(all_idx, key=lambda k: pairs[k].sort_key())
+        lines = [pair_lines[k] for k in members]
+        images = [tuple(sorted(pair_id[s[u[i]]][s[u[j]]] for i, j in lines))
+                  for u in (to_a0[b] for b in members if b in to_a0) for s in stab]
+        assert images, "every maximal set holds a crossing pair"
+        best = min(images)
+        orbits[best] = p * p * (p * p - 1) * (p * p - p) // images.count(best)
+    return sorted(orbits.items())
+
+
+def _expanded_sets(spec: FieldSpec, reps) -> list[list[LinePair]]:
+    """The sets in the orbits of pair-id sets, each as pairs by ``LinePair.sort_key``, sorted."""
+    plane = _plane(spec)
+    perms = [plane.pair_permutation(g) for g in plane.affine_generators()]
+    by_key = sorted(range(len(plane.pairs)), key=lambda k: plane.pairs[k].sort_key())
     rank = {k: r for r, k in enumerate(by_key)}
-    ranked = [sorted(tuple(sorted(rank[k] for k in s)) for s in orbit) for orbit in orbits]
-    return [pairs[k] for k in by_key], sorted(ranked)
+    ranked = sorted(tuple(sorted(rank[k] for k in s))
+                    for rep in reps for s in _orbit(perms, frozenset(rep)))
+    return [[plane.pairs[by_key[r]] for r in s] for s in ranked]
 
 
 def exhaustive_maximal_arrangements(spec: FieldSpec) -> list[frozenset[LinePair]]:
     """Every maximal nontrivial bisector arrangement over GF(p), sorted: the
-    flattened ``_maximal_orbits``.  GF(5) has 465 line pairs; GF(7) is refused."""
-    pairs, orbits = _maximal_orbits(spec)
-    return [frozenset(pairs[r] for r in s) for s in sorted(s for orbit in orbits for s in orbit)]
+    expanded ``_maximal_orbits``.  GF(5) has 465 line pairs; GF(7) is refused."""
+    return [frozenset(s) for s in _expanded_sets(spec, [rep for rep, _ in _maximal_orbits(spec)])]
 
 
 def _is_asymptotic_pencil(pairs: list[LinePair]) -> bool:
@@ -1228,25 +1255,28 @@ def _check_thm_6_3(spec, policy, rng):
     return [{"pencils_checked": policy.count, "pairs_scanned": len(plane.pairs)}]
 
 
+def _extension_candidates(spec: FieldSpec, pairs: list[LinePair]) -> list[LinePair]:
+    """The pairs outside ``pairs`` whose lines both bisect their products, as every
+    extending pair's lines do: dropping a member cannot make crossed ones disagree."""
+    products = [pair.product() for pair in pairs]
+    lines = {line for line in enumerate_lines(spec) if bisects_set(line, products) is not None}
+    return [q for q in enumerate_line_pairs(spec) if q.line_set() <= lines and q not in pairs]
+
+
 def _check_thm_6_3_gf3(spec):
     # Affine maps keep asymptotic pencils, so one verdict holds for an orbit.
-    by_key, orbits = _maximal_orbits(spec)
-    verdicts = [_is_asymptotic_pencil([by_key[r] for r in orbit[0]]) for orbit in orbits]
-    found = sum(len(orbit) for orbit in orbits)
-    matched = sum(len(orbit) for orbit, ok in zip(orbits, verdicts) if ok)
-    counts = {"maximal_nontrivial_arrangements": found, "asymptotic_pencils_among_them": matched}
-    escaping = sorted(s for orbit, ok in zip(orbits, verdicts) if not ok for s in orbit)
-    for s in escaping[:5]:
-        pairs = [by_key[r] for r in s]
-        own = set(pairs)
+    orbits = [(rep, size, _is_asymptotic_pencil([_plane(spec).pairs[k] for k in rep]))
+              for rep, size in _maximal_orbits(spec)]
+    counts = {"maximal_nontrivial_arrangements": sum(size for _, size, _ in orbits),
+              "asymptotic_pencils_among_them": sum(size for _, size, ok in orbits if ok)}
+    escaping = _expanded_sets(spec, [rep for rep, _, ok in orbits if not ok])
+    for witness in escaping[:5]:
         yield {
-            "arrangement": "|".join(format_pair(p) for p in pairs),
+            "arrangement": "|".join(format_pair(p) for p in witness),
             "confirmed_by_midpoint_path": bool(
-                is_bisector_arrangement(pairs).ok
-                and not any(
-                    is_bisector_arrangement(pairs + [q]).ok
-                    for q in enumerate_line_pairs(spec) if q not in own
-                )
+                is_bisector_arrangement(witness).ok
+                and not any(is_bisector_arrangement(witness + [q]).ok
+                            for q in _extension_candidates(spec, witness))
             ),
         }
     if escaping:

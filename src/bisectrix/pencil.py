@@ -264,19 +264,13 @@ def degeneracy_cubic(pencil: Pencil) -> DegeneracyCubic:
 # --- hyperbola members --------------------------------------------------------
 
 
-def _swap_pullback(f: Quadratic) -> Quadratic:
-    return pullback(_affine_map(f.spec, 0, 1, 1, 0, 0, 0), f)
-
-
-def _rref_rows(pencil: Pencil):
-    """Row-reduce the homogeneous 2x3 coefficient matrix, tracking the combos.
+def _rref_rows(spec: FieldSpec, rows: list[list]):
+    """Row-reduce a 2x3 matrix of raw values, tracking the combos.
 
     Returns (pivots, rows, transform) of raw, possibly unreduced, values,
     where transform is the 2x2 matrix R with row i of the reduced matrix
-    equal to R[i][0]*f1 + R[i][1]*f2.
+    equal to R[i][0] times the first row given plus R[i][1] times the second.
     """
-    spec = pencil.spec
-    rows = [list(pencil.f1.raw[:3]), list(pencil.f2.raw[:3])]
     R = [[1, 0], [0, 1]]
 
     def pivot(i: int, j: int) -> None:
@@ -308,7 +302,12 @@ def find_hyperbolas(pencil: Pencil) -> list[tuple[NetCoords, Quadratic]]:
     whenever the field has more than 3 elements; over GF(3) at least one.
     """
     spec = pencil.spec
-    pivots, rows, R = _rref_rows(pencil)
+    pivots, rows, R = _rref_rows(spec, [list(pencil.f1.raw[:3]), list(pencil.f2.raw[:3])])
+    if pivots != (0, 1) and not (pivots == (0, 2) and raw_is_zero(spec, rows[0][1])):
+        # Pivots (1, 2), or (0, 2) with an XY term: with X and Y swapped they are
+        # (0, 1), and the combos' members keep their classification.
+        pivots, rows, R = _rref_rows(spec, [list(pencil.f1.raw[2::-1]),
+                                            list(pencil.f2.raw[2::-1])])
     scan = range(1, spec.p) if spec.is_finite else count(1)
 
     def member(alpha, beta) -> tuple[NetCoords, Quadratic]:
@@ -325,7 +324,7 @@ def find_hyperbolas(pencil: Pencil) -> list[tuple[NetCoords, Quadratic]]:
             beta = -(r * r + c) * raw_inverse(spec, cp + r)
             found.append(member(*[x + beta * y for x, y in zip(R[0], R[1])]))
             break
-    elif pivots == (0, 2) and raw_is_zero(spec, rows[0][1]):
+    else:
         found.append(member(*[x - y for x, y in zip(R[0], R[1])]))
         for t in scan:
             t2 = t * t
@@ -333,12 +332,6 @@ def find_hyperbolas(pencil: Pencil) -> list[tuple[NetCoords, Quadratic]]:
                 continue
             found.append(member(*[x - t2 * y for x, y in zip(R[0], R[1])]))
             break
-    else:
-        swapped = Pencil(_swap_pullback(pencil.f1), _swap_pullback(pencil.f2))
-        return [
-            (coords, net_member(pencil, coords))
-            for coords, _ in find_hyperbolas(swapped)
-        ]
 
     if len(found) < 2 and spec.is_finite:
         for coords in _directions(spec):

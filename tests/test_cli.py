@@ -118,6 +118,24 @@ class TestRationalRoute:
         assert [(m["alpha"], m["beta"], m["lambda"]) for m in members] == [
             ("1", "0", "1"), ("1", "-1", "2")]
 
+    def test_swapped_pivots_construct_once(self, monkeypatch):
+        # y^2 - 1 and x*y + x need X and Y swapped; one call does the swap.
+        found = _count_calls(monkeypatch, "find_hyperbolas")
+        code, out = run(["pencil", "--field", "Q", "y^2-1", "x*y+x"])
+        assert code == 0 and len(found) == 1
+        assert json.loads(out)["hyperbolas"] == [
+            {"alpha": "0", "beta": "1", "member": "x*y+x"},
+            {"alpha": "1", "beta": "-1", "member": "-x*y+y^2-x-1"}]
+
+    def test_gf_pencil_report_computes_no_degeneration(self, monkeypatch):
+        degenerated = _count_calls(monkeypatch, "degenerations")
+        found = _count_calls(monkeypatch, "find_hyperbolas")
+        code, out = run(["pencil", "--field", "F7", "x*y-1", "x^2-y"])
+        assert code == 0 and (len(degenerated), len(found)) == (0, 1)
+        assert json.loads(out)["hyperbolas"] == [
+            {"alpha": "1", "beta": "0", "member": "x*y+6"},
+            {"alpha": "1", "beta": "6", "member": "6*x^2+x*y+y+6"}]
+
     def test_field_membership_solves_once(self, monkeypatch):
         solved = _count_calls(monkeypatch, "net_contains")
         code, out = run(["field-membership", "--field", "Q", "--pair", "1,0,0;0,1,0",

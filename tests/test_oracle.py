@@ -2,6 +2,7 @@ import inspect
 import itertools
 import json
 import random
+import sys
 import typing
 
 import pytest
@@ -14,13 +15,15 @@ from bisectrix.bisector import (
 )
 from bisectrix.conic import CROSSING, DOUBLE, PARALLEL, LinePair, Quadratic, mid
 from bisectrix.field import GF, rationals
-from bisectrix.geometry import AffineMap, Midpoint, intersect
+from bisectrix.geometry import AffineMap, Midpoint, _affine_map, intersect
 from bisectrix.oracle import (
     _FREE,
     _INF,
     OracleError,
     Policy,
     _crossings,
+    _expanded_sets,
+    _extension_candidates,
     _infinity_directions,
     _is_asymptotic_pencil,
     _maximal_orbits,
@@ -388,9 +391,18 @@ class TestIntKernels:
             assert _net_keys(pencil) == want
 
 
+def _expanded(spec):
+    """``_maximal_orbits`` expanded, orbit by orbit: the pairs by sort key, and
+    the sorted orbits of sorted index tuples into them."""
+    pairs = sorted(_plane(spec).pairs, key=LinePair.sort_key)
+    rank = {pair: r for r, pair in enumerate(pairs)}
+    return pairs, sorted([tuple(rank[p] for p in s) for s in _expanded_sets(spec, [rep])]
+                         for rep, _ in _maximal_orbits(spec))
+
+
 @pytest.fixture(scope="module")
 def gf5_orbits():
-    return _maximal_orbits(F5)
+    return _expanded(F5)
 
 
 def _plain_maximal_search(spec):
@@ -502,7 +514,7 @@ class TestAffineReduction:
         assert keys == sorted(keys)
 
     def test_orbit_verdict_is_the_per_set_verdict(self):
-        pairs, orbits = _maximal_orbits(F3)
+        pairs, orbits = _expanded(F3)
         assert len(orbits) == 9
         verdicts = {True: 0, False: 0}
         for orbit in orbits:
@@ -533,7 +545,7 @@ class TestAffineReduction:
     @pytest.mark.parametrize("spec", [F3, F5], ids=["F3", "F5"])
     def test_arrangement_verdict_is_affine_invariant(self, spec, gf5_orbits):
         # The reduction rests on this: g.S is an arrangement exactly when S is.
-        pairs, orbits = _maximal_orbits(spec) if spec is F3 else gf5_orbits
+        pairs, orbits = _expanded(spec) if spec is F3 else gf5_orbits
         rng = random.Random(6)
         verdicts = {True: 0, False: 0}
         for _ in range(12):
@@ -550,3 +562,185 @@ class TestAffineReduction:
                 assert ok == is_bisector_arrangement([_image(g, p) for p in s]).ok
                 verdicts[ok] += 1
         assert verdicts[True] and verdicts[False]
+
+
+def _closure_orbits(spec):
+    """The orbits as the search grouped them before orbit-stabilizer sizes:
+    every maximal set grown from the seeds, each new one closed under the
+    generators, in the shape of ``_expanded``."""
+    plane = _plane(spec)
+    pairs = plane.pairs
+    results, visited = set(), set()
+    all_idx = tuple(range(len(pairs)))
+    for seed in _seeds(plane):
+        stack = [(frozenset(seed), *plane.state(seed), all_idx)]
+        while stack:
+            members, state, lines, cands = stack.pop()
+            if members in visited:
+                continue
+            visited.add(members)
+            ext = tuple(k for k in cands if k not in members and plane.extends(state, lines, k))
+            if not ext:
+                results.add(members)
+                continue
+            for k in ext:
+                nxt = members | {k}
+                if nxt not in visited:
+                    grown = lines + [i for i in set(plane.pair_lines[k]) if i not in lines]
+                    stack.append((nxt, plane.add(state, k), grown, ext))
+    perms = [plane.pair_permutation(g) for g in plane.affine_generators()]
+    orbits = []
+    for members in results:
+        if not any(members in orbit for orbit in orbits):
+            orbits.append(_orbit(perms, members))
+    by_key = sorted(all_idx, key=lambda k: pairs[k].sort_key())
+    rank = {k: r for r, k in enumerate(by_key)}
+    ranked = [sorted(tuple(sorted(rank[k] for k in s)) for s in orbit) for orbit in orbits]
+    return [pairs[k] for k in by_key], sorted(ranked)
+
+
+def _pulled_permutations(plane, *maps):
+    """Line-id permutations through the library's ``AffineMap.pull_line``."""
+    index = {line: i for i, line in enumerate(plane.lines)}
+    return [[index[_affine_map(plane.spec, *m).pull_line(line)] for line in plane.lines]
+            for m in maps]
+
+
+def _count_calls(monkeypatch, real):
+    """Count the calls of ``real`` through every binding of it in a bisectrix module."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bisectrix":
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestOrbitStabilizer:
+    """Orbits sized by orbit-stabilizer and told apart by canonical forms."""
+
+    @pytest.mark.parametrize("spec,sizes", [
+        (F3, [216, 216, 144, 108, 72, 72, 72, 54, 36]),
+        (F5, [6000, 4000, 3000, 3000, 2000, 2000, 750, 600, 375, 150]),
+    ], ids=["F3", "F5"])
+    def test_sizes_are_the_expanded_orbits(self, spec, sizes):
+        plane = _plane(spec)
+        perms = [plane.pair_permutation(g) for g in plane.affine_generators()]
+        found = _maximal_orbits(spec)
+        assert sorted((size for _, size in found), reverse=True) == sizes
+        for rep, size in found:
+            # The representative is a set of its orbit, holding {X=0, Y=0}.
+            assert list(rep) == sorted(set(rep)) and plane.normal_forms()[0] in rep
+            assert len(_orbit(perms, frozenset(rep))) == size
+
+    @pytest.mark.parametrize("spec", [F3, F5], ids=["F3", "F5"])
+    def test_same_partition_as_the_closure(self, spec):
+        assert _expanded(spec) == _closure_orbits(spec)
+
+    def test_gf7_orbits(self, monkeypatch):
+        # The search refuses GF(7) by its budget only; lifted, it finds the
+        # 10 known orbits, 155,036 sets, without expanding one.
+        monkeypatch.setattr(oracle, "SEARCH_PAIR_BUDGET", 1596)
+        sizes = sorted(size for _, size in _maximal_orbits(F7))
+        assert sizes == [392, 1372, 2352, 2744, 16464, 16464, 16464, 16464, 32928, 49392]
+        assert sum(sizes) == 155_036
+
+
+class TestWitnessConfirmation:
+    """``thm-6.3`` confirms a witness against the pairs whose lines both bisect it."""
+
+    def test_members_pass_the_filter_over_f3(self):
+        # Each of the 990 sets, less any one member, is extended by it.
+        for found in exhaustive_maximal_arrangements(F3):
+            for member in found:
+                assert member in _extension_candidates(F3, [p for p in found if p != member])
+
+    def test_every_extension_passes_the_filter_over_f3(self):
+        pairs, orbits = _expanded(F3)
+        for orbit in orbits:
+            found = [pairs[r] for r in orbit[0]]
+            for member in found:
+                rest = [p for p in found if p != member]
+                candidates = _extension_candidates(F3, rest)
+                for q in pairs:
+                    if q not in rest and is_bisector_arrangement(rest + [q]).ok:
+                        assert q in candidates
+
+    def test_every_extension_passes_the_filter_over_f5(self):
+        # 600 random arrangements that still have extensions: each pair that
+        # extends one on the midpoint path is a candidate, and a sample of the
+        # pairs that are not candidates do not extend it.
+        plane, rng = _plane(F5), random.Random(23)
+        pairs, checked, extensions = plane.pairs, 0, 0
+        while checked < 600:
+            members, ext = [rng.randrange(len(pairs))], range(len(pairs))
+            for _ in range(rng.randint(1, 4)):
+                members.append(rng.choice([k for k in ext if k not in members]))
+                state, lines = plane.state(members)
+                ext = [k for k in ext if k not in members and plane.extends(state, lines, k)]
+                if not ext:
+                    break
+            if not ext:
+                continue
+            checked += 1
+            found = [pairs[k] for k in members]
+            candidates = set(_extension_candidates(F5, found))
+            for k in ext:
+                assert is_bisector_arrangement(found + [pairs[k]]).ok
+                assert pairs[k] in candidates
+                extensions += 1
+            others = [q for q in pairs if q not in candidates and q not in found]
+            for q in rng.sample(others, min(3, len(others))):
+                assert not is_bisector_arrangement(found + [q]).ok
+        assert extensions > checked
+
+    def test_confirmation_counts(self, monkeypatch):
+        from bisectrix import bisector, conic
+
+        arrangements = _count_calls(monkeypatch, bisector.is_bisector_arrangement)
+        mids = _count_calls(monkeypatch, conic._mid_param)
+        report = run_check("thm-6.3", F3)
+        assert report.verdict == "fail"
+        assert (len(arrangements), len(mids)) == (30, 900)
+
+
+class TestIntPermutations:
+    """``_Plane.permutations`` in ints equals the library's ``pull_line``."""
+
+    @pytest.mark.parametrize("spec", [F3, F5, F7], ids=["F3", "F5", "F7"])
+    def test_permutations_match_pull_line(self, spec):
+        p, plane, rng = spec.p, _plane(spec), random.Random(9)
+        maps = []
+        while len(maps) < 20:
+            m = tuple(rng.randrange(-p, 2 * p) for _ in range(6))
+            if (m[0] * m[3] - m[1] * m[2]) % p:
+                maps.append(m)
+        assert plane.permutations(*maps) == _pulled_permutations(plane, *maps)
+        assert plane.affine_generators() == _pulled_permutations(
+            plane, (1, 0, 0, 1, 1, 0), (1, 1, 0, 1, 0, 0), (0, 1, 1, 0, 0, 0),
+            *[(a, 0, 0, 1, 0, 0) for a in range(2, p)])
+
+    @pytest.mark.parametrize("spec", [F3, F5, F7], ids=["F3", "F5", "F7"])
+    def test_line_ids(self, spec):
+        plane = _plane(spec)
+        for i, line in enumerate(plane.lines):
+            u, v, w = line.raw
+            assert plane.line_id(u, v, w) == plane.line_id(2 * u, 2 * v, 2 * w - spec.p) == i
+
+    def test_generators_are_built_on_first_use_once(self, monkeypatch):
+        calls = []
+        real = oracle._Plane.permutations
+        monkeypatch.setattr(oracle._Plane, "permutations",
+                            lambda self, *maps: calls.append(maps) or real(self, *maps))
+        plane = oracle._Plane(F7)
+        assert calls == []
+        first = (plane.affine_generators(), plane.stabilizer_generators())
+        assert len(calls) == 4
+        assert (plane.affine_generators(), plane.stabilizer_generators()) == first
+        assert len(calls) == 4

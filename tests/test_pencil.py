@@ -10,11 +10,13 @@ from bisectrix.conic import (
     DOUBLE,
     HYPERBOLA,
     LinePair,
+    Quadratic,
     classify,
     degenerations,
+    pullback,
 )
 from bisectrix.field import GF, InfiniteFieldError, rationals
-from bisectrix.geometry import Line
+from bisectrix.geometry import Line, _affine_map
 from bisectrix.pencil import (
     AsymptoticPencil,
     NetCoords,
@@ -143,7 +145,49 @@ def _random_quadratic(rng, spec):
             return Quadratic(*coeffs)
 
 
+def _through_swapped_pencil(pencil):
+    """The members found on the pencil with X and Y swapped, taken back to the
+    pencil: the construction's route for pivots other than (0, 1) and (0, 2)."""
+    swap = _affine_map(pencil.spec, 0, 1, 1, 0, 0, 0)
+    swapped = Pencil(pullback(swap, pencil.f1), pullback(swap, pencil.f2))
+    return [(coords, net_member(pencil, coords)) for coords, _ in find_hyperbolas(swapped)]
+
+
+def _swap_needing_pencil(rng, spec):
+    """A pencil whose homogeneous parts have echelon pivots (1, 2), or (0, 2)
+    with rows X^2 + b XY and Y^2, b != 0: X and Y must be swapped."""
+    def draw(nonzero=False):
+        while True:
+            x = spec.scalar(rng.randrange(spec.p) if spec.is_finite else rng.randint(-4, 4))
+            if not (nonzero and x.is_zero):
+                return x
+    zero = spec.zero
+    while True:
+        if rng.random() < 0.5:
+            b1, c1, b2, c2 = (draw() for _ in range(4))
+            if (b1 * c2 - b2 * c1).is_zero:
+                continue
+            heads = [(zero, b1, c1), (zero, b2, c2)]
+        else:
+            s, b, u = draw(True), draw(True), draw(True)
+            heads = [(s, s * b, draw()), (zero, zero, u)]
+        return Pencil(*(Quadratic(*head, draw(), draw(), draw()) for head in heads))
+
+
 class TestFindHyperbolas:
+    @pytest.mark.parametrize("spec", [F5, F7, Q], ids=["F5", "F7", "Q"])
+    def test_swapped_pivots_in_one_call(self, monkeypatch, spec):
+        real, calls = find_hyperbolas, []
+        monkeypatch.setattr(pencil_module, "find_hyperbolas",
+                            lambda p: calls.append(p) or real(p))
+        rng = random.Random(12)
+        for _ in range(30):
+            pencil = _swap_needing_pencil(rng, spec)
+            calls.clear()
+            found = pencil_module.find_hyperbolas(pencil)
+            assert len(calls) == 1
+            assert found == _through_swapped_pencil(pencil)
+
     def test_rational_example(self):
         # The echelon form with parts X^2, Y^2 gives f1 - f2 and f1 - 4 f2.
         p = Pencil(quad("x^2+y"), quad("y^2+x"))
