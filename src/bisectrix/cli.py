@@ -54,6 +54,11 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 
+# The largest --samples each command accepts (instances per check, members per
+# figure); a larger count is a parse error, raised before any work starts.
+CHECK_SAMPLE_CEILING = 100_000
+RENDER_SAMPLE_CEILING = 1_000
+
 
 def _field(text: str):
     try:
@@ -260,9 +265,11 @@ def _cmd_desargues(args) -> int:
     return EXIT_OK
 
 
-def _samples(args) -> int:
+def _samples(args, ceiling: int) -> int:
     if args.samples < 0:
         raise ParseError(f"--samples must be >= 0, got {args.samples}")
+    if args.samples > ceiling:
+        raise ParseError(f"--samples must be <= {ceiling:,}, got {args.samples:,}")
     return args.samples
 
 
@@ -278,7 +285,7 @@ def _cmd_check(args) -> int:
     )
 
     spec = _field(args.field)
-    samples = _samples(args)
+    samples = _samples(args, CHECK_SAMPLE_CEILING)
     if args.checks == ["all"]:
         # example-3.6 is specific to GF(3); skip it elsewhere.
         ids = [c for c in CHECK_IDS if c != "example-3.6" or spec.p == 3]
@@ -321,7 +328,7 @@ def _cmd_render(args) -> int:
     from .svgfig import render_arrangement, render_asymptotic_pencil, render_pencil
 
     spec = _field(args.field)
-    samples = _samples(args)
+    samples = _samples(args, RENDER_SAMPLE_CEILING)
     if args.kind == "arrangement":
         if not args.pairs:
             raise ParseError("render --kind arrangement needs --pairs")

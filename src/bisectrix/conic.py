@@ -140,17 +140,9 @@ class Quadratic(FieldTuple):
         is g[j] f[i] == f[j] g[i] for every j (g[i] = 0 would force g = 0):
         exactly when the canonical forms are equal, without building either.
         """
-        spec = self.spec
-        if other.spec is not spec:
-            same_field(spec, other.spec)
-        fs, gs = self.raw, other.raw
-        i = 0
-        while fs[i] == 0:
-            i += 1
-        fi, gi = fs[i], gs[i]
-        cross = [gj * fi - fj * gi for fj, gj in zip(fs, gs)]
-        p = spec.p
-        return not any([x % p for x in cross] if p else cross)
+        if other.spec is not self.spec:
+            same_field(self.spec, other.spec)
+        return _same_up_to_scalar(self.spec, self.raw, other.raw)
 
     def __repr__(self) -> str:
         return f"Quadratic({','.join(map(str, self.raw))})"
@@ -159,6 +151,17 @@ class Quadratic(FieldTuple):
 def _quadratic(spec: FieldSpec, a, b, c, d, e, g) -> Quadratic:
     """The quadratic with the given raw, possibly unreduced, coefficients."""
     return _normalize_quadratic(_new(Quadratic), spec, a, b, c, d, e, g)
+
+
+def _same_up_to_scalar(spec: FieldSpec, fs, gs) -> bool:
+    """``Quadratic.same_up_to_scalar`` of a reduced raw tuple fs and a raw tuple gs."""
+    i = 0
+    while fs[i] == 0:
+        i += 1
+    fi, gi = fs[i], gs[i]
+    cross = [gj * fi - fj * gi for fj, gj in zip(fs, gs)]
+    p = spec.p
+    return not any([x % p for x in cross] if p else cross)
 
 
 def _disc(raw):
@@ -291,17 +294,15 @@ def classify(f: Quadratic) -> ConicClass:
 
 def center(f: Quadratic) -> ProjectivePoint:
     """The center of a hyperbola: the unique zero of the gradient."""
-    disc = _disc(f.raw)
-    if _root_count(f.spec, disc) != 2:
+    spec, disc = f.spec, _disc(f.raw)
+    if _root_count(spec, disc) != 2:
         raise ConicError("center is defined for hyperbolas only")
-    return _center(f, disc)
+    return _center(spec, f.raw, raw_inverse(spec, disc))
 
 
-def _center(f: Quadratic, disc) -> ProjectivePoint:
-    """The zero of the gradient, given the raw discriminant disc(f) != 0."""
-    spec = f.spec
-    a, b, c, d, e, _ = f.raw
-    k = raw_inverse(spec, disc)
+def _center(spec: FieldSpec, raw, k) -> ProjectivePoint:
+    """The zero of the gradient, given k = 1 / disc of the raw tuple (disc != 0)."""
+    a, b, c, d, e, _ = raw
     return _point(spec, (c * d + c * d - b * e) * k, (a * e + a * e - b * d) * k, 1)
 
 
@@ -335,10 +336,11 @@ class LinePair(Frozen):
     @classmethod
     def _crossing(cls, l1: Line, l2: Line, center: ProjectivePoint) -> "LinePair":
         """The crossing pair of two lines whose intersection is already known."""
-        pair = _new(cls)
+        pair = _new(cls)  # filled as Scalar is, without Frozen.__init__
         if l1.sort_key() > l2.sort_key():
             l1, l2 = l2, l1
-        Frozen.__init__(pair, l1, l2, CROSSING, center, None)
+        first, second, kind, ctr, mid = cls._setters
+        first(pair, l1), second(pair, l2), kind(pair, CROSSING), ctr(pair, center), mid(pair, None)
         return pair
 
     @property
@@ -356,10 +358,7 @@ class LinePair(Frozen):
 
     def product(self) -> Quadratic:
         """The product of the two linear forms, in canonical scaling."""
-        u1, v1, w1 = self.first.raw
-        u2, v2, w2 = self.second.raw
-        return _quadratic(self.first.spec, u1 * u2, u1 * v2 + u2 * v1, v1 * v2,
-                          u1 * w2 + u2 * w1, v1 * w2 + v2 * w1, w1 * w2)
+        return _quadratic(self.first.spec, *_line_product(self.first.raw, self.second.raw))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinePair):
@@ -374,6 +373,12 @@ class LinePair(Frozen):
 
     def sort_key(self):
         return (self.first.sort_key(), self.second.sort_key())
+
+
+def _line_product(r1, r2) -> tuple:
+    """The raw, unreduced, coefficients of the product of two raw linear forms."""
+    (u1, v1, w1), (u2, v2, w2) = r1, r2
+    return (u1 * u2, u1 * v2 + u2 * v1, v1 * v2, u1 * w2 + u2 * w1, v1 * w2 + v2 * w1, w1 * w2)
 
 
 def distinct_lines(pairs: Iterable[LinePair]) -> list[Line]:
@@ -425,7 +430,7 @@ def is_reducible(f: Quadratic) -> LinePair | None:
         return None
     directions = _form_roots(spec, *raw[:3])
     if len(directions) == 2:
-        return _crossing_pair(f, directions, _disc(raw))
+        return _crossing_pair(spec, raw, directions, raw_inverse(spec, _disc(raw)))
     if not directions:
         return None
     scale, u, v = _square_axis(raw, directions[0])
@@ -440,28 +445,27 @@ def is_reducible(f: Quadratic) -> LinePair | None:
     if not lines:
         return None
     pair = LinePair(lines[0], lines[-1])
-    if not pair.product().same_up_to_scalar(f):
+    if not _same_up_to_scalar(spec, raw, _line_product(pair.first.raw, pair.second.raw)):
         raise AssertionError("parallel factorization failed to reproduce input")
     return pair
 
 
-def _crossing_pair(f: Quadratic, directions, disc) -> LinePair:
-    """The two lines of f through its center, given det3(f) = 0.
+def _crossing_pair(spec: FieldSpec, raw, directions, k) -> LinePair:
+    """The two lines of the quadratic of raw tuple ``raw`` (a, b, c reduced), given det3 = 0.
 
     ``directions`` are the two raw roots [x : y] of the homogeneous part, as
-    ``_form_roots`` gives them, and ``disc`` is its raw discriminant; the
-    center is the zero of the gradient.
+    ``_form_roots`` gives them, and k = 1 / disc its raw discriminant's
+    inverse; the center is the zero of the gradient.
     """
-    spec = f.spec
-    ctr = _center(f, disc)
+    ctr = _center(spec, raw, k)
     cx, cy, _ = ctr.raw
     (x1, y1), (x2, _) = directions
     # [x : 1] gives X - xY = cx - x cy; [1 : 0], always first, gives Y = cy.
-    first = _line(spec, 1, -x1, x1 * cy - cx) if y1 else _line(spec, 0, 1, -cy)
-    pair = LinePair._crossing(first, _line(spec, 1, -x2, x2 * cy - cx), ctr)
-    if not pair.product().same_up_to_scalar(f):
+    l1 = _line(spec, 1, -x1, x1 * cy - cx) if y1 else _line(spec, 0, 1, -cy)
+    l2 = _line(spec, 1, -x2, x2 * cy - cx)
+    if not _same_up_to_scalar(spec, raw, _line_product(l1.raw, l2.raw)):
         raise AssertionError("crossing factorization failed to reproduce input")
-    return pair
+    return LinePair._crossing(l1, l2, ctr)
 
 
 # --- degenerations -----------------------------------------------------------
@@ -532,11 +536,13 @@ def degenerations(f: Quadratic) -> Degenerations:
     directions = _form_roots(spec, *raw[:3])
     if len(directions) == 2:
         # det3(f + t) = det3(f) - t disc / 4, so this shift makes det3 zero.
-        disc = _disc(raw)
-        shift = _det3_times_4(raw) * raw_inverse(spec, disc)
-        a, b, c, d, e, g = raw
-        pair = _crossing_pair(_quadratic(spec, a, b, c, d, e, g + shift), directions, disc)
-        return Degenerations(DEGEN_UNIQUE, pair, wrap(spec, shift), None)
+        k = raw_inverse(spec, _disc(raw))
+        shift = _det3_times_4(raw) * k
+        pair = _crossing_pair(spec, (*raw[:5], raw[5] + shift), directions, k)
+        out, at = _new(Degenerations), wrap(spec, shift)  # filled as Scalar is
+        put_kind, put_pair, put_shift, put_family = Degenerations._setters
+        put_kind(out, DEGEN_UNIQUE), put_pair(out, pair), put_shift(out, at), put_family(out, None)
+        return out
     if directions and raw_is_zero(spec, _det3_times_4(raw)):
         scale, u, v = _square_axis(raw, directions[0])
         m = raw[3] if u else raw[4]

@@ -37,7 +37,6 @@ from .conic import (
     PARALLEL,
     LinePair,
     Quadratic,
-    center,
     classify,
     degenerations,
     is_reducible,
@@ -246,6 +245,13 @@ def _infinity_directions(key: tuple[int, ...], p: int) -> int:
     return (a == 0) + sum((a * t * t + b * t + c) % p == 0 for t in range(p))
 
 
+def _int_center(key: tuple[int, ...], p: int) -> tuple[int, int, int]:
+    """A hyperbola's center, the zero of its gradient, as a raw affine point (x, y, 1)."""
+    a, b, c, d, e = key[:5]
+    k = pow(b * b - 4 * a * c, -1, p)
+    return ((2 * c * d - b * e) * k % p, (2 * a * e - b * d) * k % p, 1)
+
+
 def _through_points(keys: list[tuple[int, ...]], points, p: int) -> list[tuple[int, ...]]:
     """The keys of the quadratics that vanish at every affine int point (x, y)."""
     for x, y in points:
@@ -253,6 +259,22 @@ def _through_points(keys: list[tuple[int, ...]], points, p: int) -> list[tuple[i
         keys = [k for k in keys
                 if (k[0] * xx + k[1] * xy + k[2] * yy + k[3] * x + k[4] * y + k[5]) % p == 0]
     return keys
+
+
+def _through_vertices(keys: list[tuple[int, ...]], points, p: int) -> list[tuple[int, ...]]:
+    """``_through_points`` of four affine points, no three collinear.  Two of them
+    differ in y, and with (a, b, c, d) fixed, passing through both pins e, then g:
+    one candidate per head of ``keys[::p*p]`` (those keys end in e = g = 0)."""
+    two = [(s, t) for s, t in combinations(points, 2) if s[1] != t[1]]
+    assert two, "four points, no three collinear, do not all share one y"
+    (x1, y1), (x2, y2) = two[0]
+    k = pow(y1 - y2, -1, p)
+    found = []
+    for a, b, c, d, _, _ in keys[::p * p]:
+        q1 = a * x1 * x1 + b * x1 * y1 + c * y1 * y1 + d * x1
+        e = (a * x2 * x2 + b * x2 * y2 + c * y2 * y2 + d * x2 - q1) * k % p
+        found.append((a, b, c, d, e, -(q1 + e * y1) % p))
+    return _through_points(found, [v for v in points if v not in two[0]], p)
 
 
 def _net_keys(pencil: Pencil) -> list[tuple[int, ...]]:
@@ -277,10 +299,10 @@ class _Crossings:
     ``frames[i]`` is line i's parameterization t -> (bx + t dx, by + t dy)
     in ints, in ``enumerate_lines`` order, by the library's convention: base
     (0, -w/v), or (-w, 0) on a vertical line, and direction (-v, u).
-    A result is the crossing midpoint's parameter t >= 0, _INF for an
-    infinite midpoint, or _FREE when the line does not cross (it misses
-    the conic, or meets it without crossing): a member that is not
-    crossed imposes nothing, as in the arrangement engine's demands.
+    A midpoint is the crossing midpoint's parameter t >= 0, _INF for an
+    infinite one, or _FREE when the line does not cross (it misses the
+    conic, or meets it without crossing): a member that is not crossed
+    imposes nothing, as in the arrangement engine's demands.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -298,23 +320,32 @@ class _Crossings:
             self.is_square[x * x % p] = True
         self.half_inverse = [0] + [pow(2 * x, -1, p) for x in range(1, p)]
 
-    def mid(self, key: tuple[int, ...], i: int) -> int:
-        """Restrict the quadratic to line i as A t^2 + B t + C; midpoint -B/2A."""
-        a, b, c, d, e, g = key
-        bx, by, dx, dy = self.frames[i]
-        p = self.p
-        A = (a * dx * dx + b * dx * dy + c * dy * dy) % p
-        B = ((2 * a * bx + b * by + d) * dx + (b * bx + 2 * c * by + e) * dy) % p
-        if not A:
-            return _INF if B else _FREE
-        C = (a * bx * bx + b * bx * by + c * by * by + d * bx + e * by + g) % p
-        if not self.is_square[(B * B - 4 * A * C) % p]:
-            return _FREE
-        return -B * self.half_inverse[A] % p
-
     def crossings(self, keys: list[tuple[int, ...]], i: int) -> set[int]:
-        """The distinct midpoints of the quadratics that line i crosses."""
-        return {self.mid(key, i) for key in keys} - {_FREE}
+        """The distinct midpoints -B/2A of the quadratics that line i crosses,
+        restricted as A t^2 + B t + C.  Consecutive keys with one head (a, ..., e)
+        share A, B and C - g: a run computes them once and stops at its first
+        crossed key, or at once when its midpoint is already in the set."""
+        bx, by, dx, dy = self.frames[i]
+        p, is_square, out, head, done = self.p, self.is_square, set(), None, True
+        for key in keys:
+            if key[:5] != head:
+                head = key[:5]
+                a, b, c, d, e = head
+                A = (a * dx * dx + b * dx * dy + c * dy * dy) % p
+                B = ((2 * a * bx + b * by + d) * dx + (b * bx + 2 * c * by + e) * dy) % p
+                if not A:
+                    if B:
+                        out.add(_INF)
+                    done = True
+                    continue
+                mid = -B * self.half_inverse[A] % p
+                done = mid in out
+                # B^2 - 4AC with C = C0 + g.
+                disc = B * B - 4 * A * (a * bx * bx + b * bx * by + c * by * by + d * bx + e * by)
+            if not done and is_square[(disc - 4 * A * key[5]) % p]:
+                out.add(mid)
+                done = True
+        return out
 
     def midpoint(self, m: Midpoint, i: int) -> int:
         """A library midpoint on line i in the same words; undetermined is _FREE."""
@@ -331,9 +362,9 @@ _crossings = cache(_Crossings)
 
 def _rand_quadratic(rng: random.Random, spec: FieldSpec) -> Quadratic:
     while True:
-        coeffs = [spec.scalar(rng.randrange(spec.p)) for _ in range(6)]
-        if not (coeffs[0].is_zero and coeffs[1].is_zero and coeffs[2].is_zero):
-            return Quadratic(*coeffs)
+        coeffs = [rng.randrange(spec.p) for _ in range(6)]
+        if coeffs[0] or coeffs[1] or coeffs[2]:
+            return Quadratic.from_ints(spec, coeffs)
 
 
 def _rand_pencil(rng: random.Random, spec: FieldSpec) -> Pencil:
@@ -453,6 +484,14 @@ class _Plane:
                 out[i] = d if s == _FREE else _CONFLICT
         return out
 
+    def open_pairs(self, state: list[int]) -> list[int]:
+        """The pair ids, ascending, with neither line in conflict: ``extends``
+        rejects every other pair at its first test.  Doubles come first, then
+        pairs i < j in lexicographic order, as ``enumerate_line_pairs``."""
+        open_lines, pair_id = [i for i, s in enumerate(state) if s != _CONFLICT], self.pair_id
+        return [pair_id[i][i] for i in open_lines] + [
+            pair_id[i][j] for i, j in combinations(open_lines, 2)]
+
     def extends(self, state: list[int], lines: list[int], k: int) -> bool:
         """Whether adding pair k to the arrangement (state, lines) keeps it one.
 
@@ -531,49 +570,40 @@ def _check_prop_2_2(spec, policy, rng):
     elems = list(spec.elements())
     keys = quadratic_keys(spec)
     counts = {"unique": 0, "family": 0, "none": 0}
-    for key in keys:
-        # f + lam stays canonical: the leading 1 is in a, b or c.
-        head, g = key[:5], key[5]
-        brute = {}
-        for lam in range(p):
-            pair = table.get(head + ((g + lam) % p,))
-            if pair is not None:
-                brute[lam] = pair
-        n_inf = _infinity_directions(key, p)
-        f = Quadratic.from_ints(spec, key)
-        d = degenerations(f)
-        ok = True
+    # The p keys of one head (a, ..., e) are consecutive, g last, and f + lam
+    # stays canonical, as the leading 1 is in a, b or c: one head's shifts are
+    # looked up, and its directions at infinity, center and pairs read, once.
+    for h in range(0, len(keys), p):
+        head = keys[h][:5]
+        shifts = {g: pair for g in range(p) if (pair := table.get(head + (g,))) is not None}
+        pairs, n_inf = set(shifts.values()), _infinity_directions(head, p)
         if n_inf == 2:
-            ok = (
-                len(brute) == 1 and d.kind == DEGEN_UNIQUE
-                and next(iter(brute.values())) == d.pair
-                and d.pair.kind == CROSSING
-                and d.pair.center == center(f)
-                and next(iter(brute)) == d.shift.value
-            )
-            counts["unique"] += 1
-        elif n_inf == 1:
-            if brute:
-                midlines = {pair.midline for pair in brute.values()}
-                ok = (
-                    all(p.kind in (PARALLEL, DOUBLE) for p in brute.values())
-                    and len(midlines) == 1
-                    and d.kind == DEGEN_FAMILY
-                    and d.family.midline in midlines
-                    and {d.family.pair_at(r) for r in elems} == set(brute.values())
-                )
-                own = table.get(key)
-                if ok and own is not None:
-                    ok = own.midline in midlines
-                counts["family"] += 1
-            else:
-                ok = d.kind == DEGEN_NONE
-                counts["none"] += 1
+            kind, ctr = "unique", _int_center(head, p)
+            g0, pair0 = next(iter(shifts.items())) if len(shifts) == 1 else (None, None)
+        elif n_inf == 1 and shifts:
+            kind, midlines = "family", {pair.midline for pair in pairs}
+            parallel = len(midlines) == 1 and all(q.kind in (PARALLEL, DOUBLE) for q in pairs)
         else:
-            ok = not brute and d.kind == DEGEN_NONE
-            counts["none"] += 1
-        if not ok:
-            yield {"quadratic": format_quadratic_triple(f)}
+            kind = "none"
+        counts[kind] += p
+        for key in keys[h:h + p]:
+            f = Quadratic.from_ints(spec, key)
+            d = degenerations(f)
+            if kind == "unique":  # the one shift lam = g0 - g
+                ok = (
+                    pair0 is not None and d.kind == DEGEN_UNIQUE and pair0 == d.pair
+                    and d.pair.kind == CROSSING and d.pair.center.raw == ctr
+                    and (g0 - key[5]) % p == d.shift.value
+                )
+            elif kind == "family":
+                ok = (
+                    parallel and d.kind == DEGEN_FAMILY and d.family.midline in midlines
+                    and {d.family.pair_at(r) for r in elems} == pairs
+                )
+            else:
+                ok = (n_inf == 1 or not shifts) and d.kind == DEGEN_NONE
+            if not ok:
+                yield {"quadratic": format_quadratic_triple(f)}
     return [{"classes_checked": len(keys), **counts}]
 
 
@@ -899,15 +929,16 @@ def _check_prop_4_6(spec, policy, rng):
 @_check("lemma-5.2",
         "bisecting the generators equals being a component of a reducible member", count=100)
 def _check_lemma_5_2(spec, policy, rng):
-    lines = enumerate_lines(spec)
+    kernel = _crossings(spec)
     checked = 0
     for _ in range(policy.count):
         pencil = _rand_reducible_pencil(rng, spec)
         checked += 1
-        for line in lines:
-            by_roots = bisects_set(line, [pencil.f1, pencil.f2])
+        generators = [pencil.f1.key(), pencil.f2.key()]
+        for i, line in enumerate(kernel.lines):
+            bisects = len(kernel.crossings(generators, i)) <= 1
             by_algebra = pair_through_line(line, pencil)
-            ok = (by_roots is not None) == (by_algebra is not None)
+            ok = bisects == (by_algebra is not None)
             if ok and by_algebra is not None:
                 ok = (
                     by_algebra.pair.contains_line(line)
@@ -916,7 +947,7 @@ def _check_lemma_5_2(spec, policy, rng):
             if not ok:
                 yield {**_pencil_witness(pencil), "line": format_line_triple(line)}
                 break
-    return [{"pencils_checked": checked, "lines_each": len(lines)}]
+    return [{"pencils_checked": checked, "lines_each": len(kernel.lines)}]
 
 
 @_check("thm-5.4", "a bisector of the generators bisects every net member it crosses", count=100)
@@ -980,7 +1011,7 @@ def _check_cor_5_6(spec, policy, rng):
             continue
         checked += 1
         points = [(v.x.value, v.y.value) for v in vs]
-        through = _through_points(keys, points, spec.p)
+        through = _through_vertices(keys, points, spec.p)
         for i, line in enumerate(kernel.lines):
             m = bisects_quadrilateral(line, q)
             if m is None:
@@ -1067,14 +1098,15 @@ def _check_lemma_6_2(spec, policy, rng):
             continue
         # Any two pairs form an arrangement: each line sees only the other pair.
         state, lines = plane.state((k1, k2))
-        extenders = [k for k in range(len(pairs))
+        extenders = [k for k in plane.open_pairs(state)
                      if k != k1 and k != k2 and plane.extends(state, lines, k)]
         for k in extenders:
             pinned = False
             partner_lists = {}
             for i in plane.pair_lines[k]:
                 row = plane.pair_id[i]
-                partners = [j for j in range(nlines) if plane.extends(state, lines, row[j])]
+                partners = [j for j in range(nlines) if state[j] != _CONFLICT
+                            and plane.extends(state, lines, row[j])]
                 partner_lists[i] = partners
                 if len(partners) == 1:
                     if row[partners[0]] != k:
@@ -1242,7 +1274,7 @@ def _check_thm_6_3(spec, policy, rng):
                    "issue": "a member failed its own extension test"}
             continue
         member_set = set(members)
-        survivors = [k for k in range(len(plane.pairs))
+        survivors = [k for k in plane.open_pairs(state)
                      if k not in member_set and plane.extends(state, lines, k)]
         for k in survivors:
             pair = plane.pairs[k]

@@ -369,7 +369,9 @@ def _net_pairs(pencil: Pencil, cubic: DegeneracyCubic) -> tuple:
     Per direction: a nonzero shift-slope pins the unique shift zeroing the
     determinant; a vanishing slope with vanishing base means every shift
     does (the parallel families); otherwise no member.  Candidates are then
-    filtered for rationality over the ground field, on raw values.
+    filtered for rationality over the ground field, on raw values.  The
+    slope is -1/4 of the members' b^2 - 4ac: when -4 phi is a non-square
+    their homogeneous part has no root, and no shift factors.
     """
     spec, p, raw = pencil.spec, pencil.spec.p, cubic.raw
     out: list[tuple[NetCoords, LinePair]] = []
@@ -378,6 +380,8 @@ def _net_pairs(pencil: Pencil, cubic: DegeneracyCubic) -> tuple:
         phi, psi = _forms(raw, a, b)
         phi %= p
         if phi:
+            if raw_sqrt(spec, -4 * phi) is None:
+                continue
             shifts = [-psi * raw_inverse(spec, phi)]
         else:
             shifts = range(p) if psi % p == 0 else ()

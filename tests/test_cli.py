@@ -260,6 +260,48 @@ class TestErrors:
         assert run(argv) == (2, "")
         assert "--samples must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,ceiling", [
+        (["check", "--field", "F7", "lemma-3.2", "--samples", "1000000000"], "100,000"),
+        (["check", "--field", "F7", "all", "--samples", "100001"], "100,000"),
+        (["render", "--field", "Q", "--kind", "pencil", "--samples", "100000000",
+          "x*y", "x^2-y"], "1,000"),
+        (["render", "--field", "Q", "--kind", "apencil", "--samples", "1001",
+          "x*y", "x^2-y^2-4*x-2*y+3"], "1,000"),
+    ], ids=["check", "check-all", "render", "render-apencil"])
+    def test_samples_over_the_ceiling_is_exit_2(self, argv, ceiling, monkeypatch, capsys):
+        # The refusal comes before any work: the work itself would raise here.
+        from bisectrix import oracle, svgfig
+
+        def never(*args):
+            raise AssertionError("a refused count started work")
+
+        for module, name in ((oracle, "run_check"), (svgfig, "render_pencil"),
+                             (svgfig, "render_asymptotic_pencil")):
+            monkeypatch.setattr(module, name, never)
+        assert run(argv) == (2, "")
+        assert f"--samples must be <= {ceiling}" in capsys.readouterr().err
+
+    def test_samples_at_the_ceiling_are_accepted(self, monkeypatch):
+        from bisectrix import cli, oracle, svgfig
+
+        seen = []
+
+        def checked(check_id, spec, policy):
+            seen.append(policy.count)
+            return oracle.Report(check_id, spec.name, policy, "pass", [{}], 0.0)
+
+        def drawn(f1, f2, samples):
+            seen.append(samples)
+            return "<svg/>"
+
+        monkeypatch.setattr(oracle, "run_check", checked)
+        monkeypatch.setattr(svgfig, "render_pencil", drawn)
+        assert run(["check", "--field", "F7", "lemma-3.2", "--samples",
+                    str(cli.CHECK_SAMPLE_CEILING)])[0] == 0
+        assert run(["render", "--field", "Q", "--kind", "pencil", "--samples",
+                    str(cli.RENDER_SAMPLE_CEILING), "x*y", "x^2-y"])[0] == 0
+        assert seen == [100_000, 1_000]
+
     @pytest.mark.parametrize("check_id,size", [
         ("lemma-6.2", "10,302 engine lines"),
         ("prop-2.2", "53,070,753 line pairs"),

@@ -1,9 +1,10 @@
 """Byte identity of CLI output against the newest committed benchmark record.
 
-Each GF(3) check id runs in process through ``cli.dispatch``; its exit code
-and the sha256 of its stdout must equal the ``"F3 <id>"`` entry of the
-``check_digests`` of the highest-numbered ``BENCH_*.json`` at the repository
-root, the record ``tools/check_digests.py`` writes and compares.  The seed-0
+Each check id runs over GF(3) and GF(7) in process through ``cli.dispatch``;
+its exit code and the sha256 of its stdout must equal the ``"F<p> <id>"``
+entry of the ``check_digests`` of the highest-numbered ``BENCH_*.json`` at
+the repository root, the record ``tools/check_digests.py`` writes and
+compares.  The seed-0
 query rounds of ``bench/workloads.py`` must reproduce its ``queries_digest``:
 they reach the output over Q (cubics, involutions, family samples, net
 coordinates) that no GF(3) check prints.
@@ -38,18 +39,25 @@ RECORD = json.loads(NEWEST.read_text())
 DIGESTS = RECORD["check_digests"]["digests"]
 
 
-@pytest.mark.parametrize("check_id", CHECK_IDS)
-def test_f3_output_matches_the_record(check_id):
+def _check_digest(field: str, check_id: str) -> dict:
     buf = io.StringIO()
     old = sys.stdout
     sys.stdout = buf
     try:
-        code = dispatch(["check", "--field", "F3", check_id])
+        code = dispatch(["check", "--field", field, check_id])
     finally:
         sys.stdout = old
-    found = {"exit": code,
-             "stdout_sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest()}
-    assert found == DIGESTS[f"F3 {check_id}"], f"differs from {NEWEST.name}"
+    return {"exit": code, "stdout_sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest()}
+
+
+@pytest.mark.parametrize("check_id", CHECK_IDS)
+def test_f3_output_matches_the_record(check_id):
+    assert _check_digest("F3", check_id) == DIGESTS[f"F3 {check_id}"], f"differs from {NEWEST.name}"
+
+
+@pytest.mark.parametrize("check_id", [c for c in CHECK_IDS if c != "example-3.6"])
+def test_f7_output_matches_the_record(check_id):
+    assert _check_digest("F7", check_id) == DIGESTS[f"F7 {check_id}"], f"differs from {NEWEST.name}"
 
 
 def test_queries_output_matches_the_record():

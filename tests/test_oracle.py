@@ -13,11 +13,22 @@ from bisectrix.bisector import (
     classify_trivial_arrangement,
     is_bisector_arrangement,
 )
-from bisectrix.conic import CROSSING, DOUBLE, PARALLEL, LinePair, Quadratic, mid
+from bisectrix import conic
+from bisectrix.conic import (
+    CROSSING,
+    DOUBLE,
+    PARALLEL,
+    Degenerations,
+    LinePair,
+    Quadratic,
+    center,
+    mid,
+)
 from bisectrix.field import GF, rationals
-from bisectrix.geometry import AffineMap, Midpoint, _affine_map, intersect
+from bisectrix.geometry import AffineMap, Midpoint, ProjectivePoint, _affine_map, intersect
 from bisectrix.oracle import (
     _FREE,
+    _CONFLICT,
     _INF,
     OracleError,
     Policy,
@@ -25,14 +36,18 @@ from bisectrix.oracle import (
     _expanded_sets,
     _extension_candidates,
     _infinity_directions,
+    _int_center,
     _is_asymptotic_pencil,
     _maximal_orbits,
     _net_keys,
     _orbit,
     _plane,
     _rand_pencil,
+    _rand_quadrilateral,
+    _rand_reducible_pencil,
     _seeds,
     _through_points,
+    _through_vertices,
     enumerate_line_pairs,
     enumerate_lines,
     enumerate_quadratics,
@@ -41,7 +56,14 @@ from bisectrix.oracle import (
     reducible_table,
     run_check,
 )
-from bisectrix.pencil import DegeneracyCubic, NetCoords, _directions, net_member
+from bisectrix.pencil import (
+    AsymptoticPencil,
+    DegeneracyCubic,
+    NetCoords,
+    _directions,
+    net_member,
+)
+from bisectrix.quad import vertices
 from bisectrix.textforms import parse_quadratic
 
 F3 = GF(3)
@@ -236,6 +258,40 @@ class TestChecksCatchAWrongLibrary:
         monkeypatch.setattr(oracle, "bisects_quadrilateral", at_infinity)
         assert run_check("cor-5.6", F5, Policy.randomized(3)).verdict == "fail"
 
+    def test_prop_2_2_catches_a_wrong_center(self, monkeypatch):
+        # The center of the unique degeneration is compared with the oracle's own.
+        real = oracle.degenerations
+
+        def moved_center(f):
+            d = real(f)
+            if d.kind != "unique":
+                return d
+            x, y, _ = d.pair.center.raw
+            moved = ProjectivePoint(F5.scalar(x + 1), F5.scalar(y), F5.one)
+            wrong = LinePair._crossing(d.pair.first, d.pair.second, moved)
+            return Degenerations(d.kind, wrong, d.shift, d.family)
+
+        monkeypatch.setattr(oracle, "degenerations", moved_center)
+        report = run_check("prop-2.2", F5)
+        assert report.verdict == "fail" and len(report.witnesses) == 10
+
+    def test_lemma_5_2_catches_a_missing_pair(self, monkeypatch):
+        # The bisecting side is the oracle's kernel, so one line whose pair the
+        # library drops is a counterexample.
+        real, dropped = oracle.pair_through_line, []
+
+        def drops_one(line, pencil):
+            found = real(line, pencil)
+            if found is not None and not dropped:
+                dropped.append(line)
+                return None
+            return found
+
+        monkeypatch.setattr(oracle, "pair_through_line", drops_one)
+        report = run_check("lemma-5.2", F5, Policy.randomized(5))
+        assert len(dropped) == 1 and report.verdict == "fail"
+        assert len(report.witnesses) == 1
+
 
 def test_prop_4_3_checks_every_requested_instance():
     # Draws whose two direction pairs coincide are redrawn, not skipped.
@@ -350,7 +406,8 @@ class TestIntKernels:
                     want = _INF
                 else:
                     want = line.param_of(r.midpoint.point).value
-                assert kernel.mid(f.key(), i) == want, (f, line)
+                assert kernel.crossings([f.key()], i) == {want} - {_FREE}, (f, line)
+                assert _per_key_mid(kernel, f.key(), i) == want, (f, line)
                 if r.crosses:
                     assert kernel.midpoint(r.midpoint, i) == want
                 seen.add(min(want, 0))
@@ -389,6 +446,109 @@ class TestIntKernels:
             want = [net_member(pencil, NetCoords(c.alpha, c.beta, lam)).key()
                     for c in _directions(spec) for lam in spec.elements()]
             assert _net_keys(pencil) == want
+
+
+def _per_key_mid(kernel, key, i):
+    """One quadratic's midpoint on line i, per key: the restriction A t^2 + B t + C,
+    then -B/2A, _INF (A = 0 != B) or _FREE (no crossing)."""
+    a, b, c, d, e, g = key
+    bx, by, dx, dy = kernel.frames[i]
+    p = kernel.p
+    A = (a * dx * dx + b * dx * dy + c * dy * dy) % p
+    B = ((2 * a * bx + b * by + d) * dx + (b * bx + 2 * c * by + e) * dy) % p
+    if not A:
+        return _INF if B else _FREE
+    C = (a * bx * bx + b * bx * by + c * by * by + d * bx + e * by + g) % p
+    if not kernel.is_square[(B * B - 4 * A * C) % p]:
+        return _FREE
+    return -B * kernel.half_inverse[A] % p
+
+
+def _canonical(spec, key):
+    return Quadratic.from_ints(spec, key).canonical().key()
+
+
+class TestScanKernels:
+    """The oracle's shared-work scans against their per-key definitions."""
+
+    @pytest.mark.parametrize("spec", [F3, F5, F7], ids=["F3", "F5", "F7"])
+    def test_crossings_are_the_per_key_midpoints(self, spec):
+        kernel, keys, p = _crossings(spec), quadratic_keys(spec), spec.p
+        rng = random.Random(11)
+        heads = [key[:5] for key in rng.sample(keys, 12)]  # a small pool, so heads recur
+        for trial in range(60):
+            if trial % 3 == 0:  # no runs: scattered keys
+                chosen = rng.sample(keys, rng.randrange(1, 12))
+            elif trial % 3 == 1:  # runs of shifts, a head recurring after others
+                chosen = []
+                for _ in range(rng.randrange(1, 6)):
+                    head = rng.choice(heads)
+                    chosen += [head + (g,) for g in rng.sample(range(p), rng.randrange(1, p + 1))]
+            else:  # the net of a pencil, in the checkers' order
+                chosen = _net_keys(_rand_pencil(rng, spec))
+            for i in range(len(kernel.lines)):
+                want = {_per_key_mid(kernel, key, i) for key in chosen} - {_FREE}
+                assert kernel.crossings(chosen, i) == want, (chosen, i)
+
+    @pytest.mark.parametrize("spec", [F3, F5, F7], ids=["F3", "F5", "F7"])
+    def test_open_pairs_and_extends_are_the_full_scan(self, spec):
+        plane, rng = _plane(spec), random.Random(12)
+        for _ in range(40):
+            state, lines = plane.state(rng.sample(range(len(plane.pairs)), rng.randrange(1, 5)))
+            open_pairs = plane.open_pairs(state)
+            assert open_pairs == [k for k, (i, j) in enumerate(plane.pair_lines)
+                                  if state[i] != _CONFLICT and state[j] != _CONFLICT]
+            assert ([k for k in open_pairs if plane.extends(state, lines, k)]
+                    == [k for k in range(len(plane.pairs)) if plane.extends(state, lines, k)])
+
+    @pytest.mark.parametrize("spec,seeds", [(F5, range(10)), (F7, [0, 7])], ids=["F5", "F7"])
+    def test_two_vertex_index_is_the_vertex_filter(self, spec, seeds):
+        # Every quadrilateral cor-5.6 checks at these seeds, drawn as it draws them:
+        # the first 20 with four finite distinct vertices.
+        keys = quadratic_keys(spec)
+        for seed in seeds:
+            rng, kept = random.Random(seed), 0
+            while kept < 20:
+                vs = vertices(_rand_quadrilateral(rng, spec))
+                if any(v.is_infinite for v in vs) or len(set(vs)) != 4:
+                    continue
+                kept += 1
+                points = [(v.x.value, v.y.value) for v in vs]
+                assert (_through_vertices(keys, points, spec.p)
+                        == _through_points(keys, points, spec.p)), points
+
+    @pytest.mark.parametrize("spec", [F5, F7, GF(11)], ids=["F5", "F7", "F11"])
+    def test_net_pairs_are_the_brute_reducible_members(self, spec):
+        table, p, rng = reducible_table(spec), spec.p, random.Random(13)
+        directions = [(1, t) for t in range(p)] + [(0, 1)]  # as _net_keys
+        for n in range(30):
+            pencil = (_rand_pencil if n % 2 else _rand_reducible_pencil)(rng, spec)
+            brute = {}
+            for m, key in enumerate(_net_keys(pencil)):
+                pair = table.get(_canonical(spec, key))
+                if pair is not None and pair not in brute:
+                    brute[pair] = (*directions[m // p], m % p)
+            got = [(c.raw, pair) for c, pair in AsymptoticPencil(pencil).members()]
+            assert got == [(coords, pair) for pair, coords in brute.items()], pencil
+
+    def test_int_center_is_the_library_center(self):
+        seen = 0
+        for key in quadratic_keys(F7):
+            if _infinity_directions(key, 7) == 2:
+                seen += 1
+                assert _int_center(key, 7) == center(Quadratic.from_ints(F7, key)).raw, key
+        assert seen == 9604
+
+    def test_library_work_is_not_skipped(self, monkeypatch):
+        # prop-2.2 asks degenerations once per class and never center;
+        # lemma-5.2 asks pair_through_line once per line and pencil.
+        degens = _count_calls(monkeypatch, conic.degenerations)
+        centers = _count_calls(monkeypatch, conic.center)
+        through = _count_calls(monkeypatch, oracle.pair_through_line)
+        assert run_check("prop-2.2", F5).passed
+        assert (len(degens), len(centers)) == (3875, 0)
+        assert run_check("lemma-5.2", F5).passed
+        assert len(through) == 100 * 30
 
 
 def _expanded(spec):

@@ -31,6 +31,7 @@ from bisectrix.field import (
     FieldMismatchError,
     FieldSpec,
     rationals,
+    raw_inverse,
     raw_sqrt,
     square_root,
 )
@@ -212,7 +213,8 @@ class TestConstructionPaths:
             for obj in (pair.center, pair.first, pair.second):
                 _assert_canonical(obj, spec)
             shifted = f.add_constant(degenerations(f).shift)
-            assert _crossing_pair(shifted, _form_roots(spec, *f.raw[:3]), _disc(f.raw)) == pair
+            k = raw_inverse(spec, _disc(f.raw))
+            assert _crossing_pair(spec, shifted.raw, _form_roots(spec, *f.raw[:3]), k) == pair
         assert seen >= 10
 
 
