@@ -23,11 +23,11 @@ from .conic import (
     LinePair,
     Quadratic,
     _has_root,
+    _line_product,
     _mid_param,
     _restrict,
     distinct_lines,
     pairs_are_translates,
-    pullback,
 )
 from .field import (
     FieldSpec,
@@ -49,7 +49,6 @@ from .geometry import (
     _line,
     _point_at,
     intersect,
-    map_line_to_y0,
 )
 from .pencil import (
     AsymptoticPencil,
@@ -105,41 +104,38 @@ class PairThroughLine(Frozen):
 def pair_through_line(line: Line, pencil: Pencil) -> PairThroughLine | None:
     """The reducible net member with the line as a component, by linear algebra.
 
-    Normalize the line to Y = 0; a combination alpha f1 + beta f2 splits off
-    the factor Y after a constant shift exactly when its X^2 and X
-    coefficients vanish, which has a nonzero solution iff the 2x2
-    determinant of those coefficient rows is zero.  When both rows vanish
-    every direction qualifies; the smallest coordinates are returned with
-    the whole_family flag set.
-
-    Those rows are the generators restricted to the line, in a parameter
-    that differs from the line's own by a nonzero factor, so the
-    determinant is first tested on the raw restriction to the line and the generators
-    are pulled back only when it vanishes.
+    Restrict the generators to the line as A t^2 + B t + C.  A combination
+    alpha f1 + beta f2 splits off the line after a constant shift exactly
+    when its restriction is constant, A = B = 0, which has a nonzero
+    solution iff the determinant A1 B2 - A2 B1 is zero; the shift is then
+    minus the combination's C.  When both rows vanish every direction
+    qualifies; the smallest coordinates are returned with the whole_family
+    flag set.  The second line is the member divided by the canonical line.
     """
-    A1, B1, _ = _restrict(pencil.f1, line)
-    A2, B2, _ = _restrict(pencil.f2, line)
     spec = pencil.spec
+    A1, B1, C1 = _restrict(pencil.f1, line)
+    A2, B2, C2 = _restrict(pencil.f2, line)
     if not raw_is_zero(spec, A1 * B2 - A2 * B1):
         return None
-    to_y0 = map_line_to_y0(line)  # pull_line with it sends new-coordinate lines back
-    inv = to_y0.inverse()
-    g1, g2 = pullback(inv, pencil.f1).raw, pullback(inv, pencil.f2).raw
     whole_family = False
-    if g1[0] or g2[0]:
-        alpha, beta = g2[0], -g1[0]
-    elif g1[3] or g2[3]:
-        alpha, beta = g2[3], -g1[3]
+    if not (raw_is_zero(spec, A1) and raw_is_zero(spec, A2)):
+        alpha, beta = A2, -A1
+    elif not (raw_is_zero(spec, B1) and raw_is_zero(spec, B2)):
+        alpha, beta = B2, -B1
     else:
         alpha, beta = 1, 0
         whole_family = True
-    # member = Y * (b X + c Y + e) + g with a = d = 0.
-    _, b, c, _, e, g = [alpha * x + beta * y for x, y in zip(g1, g2)]
-    original_pair = LinePair(to_y0.pull_line(_line(spec, 0, 1, 0)),
-                             to_y0.pull_line(_line(spec, b, c, e)))
-    if not original_pair.contains_line(line):
-        raise AssertionError("normalization failed to send the line back to itself")
-    return PairThroughLine(_coords(spec, alpha, beta, -g), original_pair, whole_family)
+    shift = -(alpha * C1 + beta * C2)
+    member = [alpha * x + beta * y for x, y in zip(pencil.f1.raw, pencil.f2.raw)]
+    member[5] += shift
+    a, b, c, d, e, _ = member
+    u, v, w = line.raw
+    # (X + vY + w)(a X + (b - va) Y + (d - wa)), or (Y + w)(b X + c Y + (e - wc)).
+    other = (a, b - v * a, d - w * a) if u else (b, c, e - w * c)
+    if not all(raw_is_zero(spec, x - y) for x, y in zip(_line_product(line.raw, other), member)):
+        raise AssertionError("the member does not split off the line")
+    pair = LinePair(line, _line(spec, *other))
+    return PairThroughLine(_coords(spec, alpha, beta, shift), pair, whole_family)
 
 
 class ArrangementReport(Frozen):

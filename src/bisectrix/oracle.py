@@ -40,7 +40,6 @@ from .conic import (
     classify,
     degenerations,
     is_reducible,
-    meets,
     pullback,
     restrict_to_line,
 )
@@ -346,6 +345,16 @@ class _Crossings:
                 out.add(mid)
                 done = True
         return out
+
+    def meets(self, key: tuple[int, ...], i: int) -> bool:
+        """Whether line i meets the closure of the conic: A = 0, or B^2 - 4AC
+        is a square (with A = 0 it is B^2)."""
+        bx, by, dx, dy = self.frames[i]
+        a, b, c, d, e, g = key
+        A = a * dx * dx + b * dx * dy + c * dy * dy
+        B = (2 * a * bx + b * by + d) * dx + (b * bx + 2 * c * by + e) * dy
+        C = a * bx * bx + b * bx * by + c * by * by + d * bx + e * by + g
+        return self.is_square[(B * B - 4 * A * C) % self.p]
 
     def midpoint(self, m: Midpoint, i: int) -> int:
         """A library midpoint on line i in the same words; undetermined is _FREE."""
@@ -959,8 +968,9 @@ def _check_thm_5_4(spec, policy, rng):
         pencil = _rand_pencil(rng, spec)
         checked += 1
         members = _net_keys(pencil)
+        k1, k2 = pencil.f1.key(), pencil.f2.key()
         for i, line in enumerate(kernel.lines):
-            if not (meets(pencil.f1, line) and meets(pencil.f2, line)):
+            if not (kernel.meets(k1, i) and kernel.meets(k2, i)):
                 continue
             m = bisects_set(line, [pencil.f1, pencil.f2])
             if m is None:

@@ -26,6 +26,7 @@ from .conic import (
     LinePair,
     ParallelFamily,
     Quadratic,
+    _det3_times_4,
     _form_roots,
     _quadratic,
     classify,
@@ -175,21 +176,6 @@ def net_contains(pencil: Pencil, g: Quadratic) -> NetCoords | None:
 # --- the degeneracy cubic -----------------------------------------------------
 
 
-def _lin_mul(l1, l2):
-    """(p0 U + p1 V)(q0 U + q1 V) as quadratic coefficients."""
-    return (l1[0] * l2[0], l1[0] * l2[1] + l1[1] * l2[0], l1[1] * l2[1])
-
-
-def _quad_lin_mul(q, l):
-    """Quadratic times linear, as cubic coefficients."""
-    return (
-        q[0] * l[0],
-        q[0] * l[1] + q[1] * l[0],
-        q[1] * l[1] + q[2] * l[0],
-        q[2] * l[1],
-    )
-
-
 def _forms(raw, a, b) -> tuple:
     """(phi, psi), the cubic's shift slope and base, of its ``raw`` at the
     direction (a, b), unreduced: the one evaluator of the two forms."""
@@ -237,28 +223,29 @@ class DegeneracyCubic(FieldTuple):
 
 
 def degeneracy_cubic(pencil: Pencil) -> DegeneracyCubic:
-    # The entries of the symmetric member matrix, linear in (alpha, beta), as
-    # pairs of raw values; the forms below are expanded on those values.
+    # 4 det = (4ac - b^2) shift + 4acg + bde - ae^2 - cd^2 - gb^2 at the
+    # member alpha f1 + beta f2 + shift, whose coefficients are linear in
+    # (alpha, beta): expanded in closed form, then scaled by 1/4 once.  The
+    # alpha^3 and beta^3 coefficients are 4 det3 of f1 and of f2.
     spec = pencil.spec
-    f1, f2 = pencil.f1, pencil.f2
-    half = raw_inverse(spec, 2)
-    a1, b1, c1, d1, e1, g1 = f1.raw
-    a2, b2, c2, d2, e2, g2 = f2.raw
-    e00 = (a1, a2)
-    e01 = (b1 * half, b2 * half)
-    e02 = (d1 * half, d2 * half)
-    e11 = (c1, c2)
-    e12 = (e1 * half, e2 * half)
-    e22 = (g1, g2)
-
-    shift_coeff = [x - y for x, y in zip(_lin_mul(e00, e11), _lin_mul(e01, e01))]
-    # det = e00 e11 e22 + 2 e01 e02 e12 - e00 e12^2 - e11 e02^2 - e22 e01^2.
-    base = [0] * 4
-    for sign, l1, l2, l3 in ((1, e00, e11, e22), (2, e01, e02, e12), (-1, e00, e12, e12),
-                             (-1, e02, e02, e11), (-1, e01, e01, e22)):
-        for i, x in enumerate(_quad_lin_mul(_lin_mul(l1, l2), l3)):
-            base[i] += sign * x
-    return fill_reduced(_new(DegeneracyCubic), spec, *shift_coeff, *base)
+    r1, r2 = pencil.f1.raw, pencil.f2.raw
+    a1, b1, c1, d1, e1, g1 = r1
+    a2, b2, c2, d2, e2, g2 = r2
+    ac, bd = a1 * c2 + a2 * c1, b1 * d2 + b2 * d1
+    bb, dd, ee = b1 * b2, d1 * d2, e1 * e2
+    quarter = raw_inverse(spec, 4)
+    coeffs = (
+        4 * a1 * c1 - b1 * b1,
+        4 * ac - 2 * bb,
+        4 * a2 * c2 - b2 * b2,
+        _det3_times_4(r1),
+        4 * (a1 * c1 * g2 + ac * g1) + b1 * d1 * e2 + bd * e1
+        - a2 * e1 * e1 - c2 * d1 * d1 - g2 * b1 * b1 - 2 * (a1 * ee + c1 * dd + g1 * bb),
+        4 * (a2 * c2 * g1 + ac * g2) + b2 * d2 * e1 + bd * e2
+        - a1 * e2 * e2 - c1 * d2 * d2 - g1 * b2 * b2 - 2 * (a2 * ee + c2 * dd + g2 * bb),
+        _det3_times_4(r2),
+    )
+    return fill_reduced(_new(DegeneracyCubic), spec, *(x * quarter for x in coeffs))
 
 
 # --- hyperbola members --------------------------------------------------------

@@ -12,9 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bisector import bisects_set, pair_through_line
-from .conic import CROSSING, HYPERBOLA, LinePair, Quadratic, center, classify, is_reducible
+from .conic import CROSSING, LinePair, Quadratic, _disc, _root_count, center, is_reducible
 from .field import FieldSpec
-from .geometry import Line, ProjectivePoint
+from .geometry import Line, ProjectivePoint, _line
 from .pencil import NetCoords, Pencil, net_member
 
 SAMPLES_PER_BRANCH = 256
@@ -90,62 +90,62 @@ def _clip_line(u: float, v: float, w: float, box) -> tuple | None:
 
 
 def _conic_paths(f: Quadratic, box) -> list[list[tuple[float, float]]]:
-    """Polyline branches of the zero set inside the box, by axis sweeps."""
+    """Polyline branches of the zero set inside the box, by axis sweeps.
+
+    Sweeping X solves c Y^2 + (b X + e) Y + (a X^2 + d X + g) = 0 for Y, and
+    sweeping Y solves the same with the roles of X and Y swapped.  Along a
+    sweep the leading coefficient A is constant, so whether the equation is
+    linear is decided once per sweep.  A branch breaks where its root
+    disappears or jumps by more than an eighth of the box's perimeter.
+    """
     a, b, c, d, e, g = (float(x) for x in f.raw)
     x0, y0, width, height = box
+    jump = (width + height) / 8
+    n = SAMPLES_PER_BRANCH
     paths = []
-
-    def sweep(lo, size, solve):
-        branches = [[], []]
-        for i in range(SAMPLES_PER_BRANCH + 1):
-            t = lo + size * i / SAMPLES_PER_BRANCH
-            roots = solve(t)
-            for k in range(2):
-                pt = roots[k] if roots else None
-                branch = branches[k]
-                if pt is None:
-                    if branch:
-                        paths.append(branch)
-                        branches[k] = []
-                    continue
-                if branch and (abs(branch[-1][0] - pt[0]) + abs(branch[-1][1] - pt[1])
-                               > (width + height) / 8):
-                    paths.append(branch)
-                    branches[k] = [pt]
-                else:
-                    branch.append(pt)
-        for branch in branches:
-            if branch:
-                paths.append(branch)
-
-    def solve_y(x):
-        # c y^2 + (b x + e) y + (a x^2 + d x + g) = 0
-        A, B, C = c, b * x + e, a * x * x + d * x + g
-        return _solve_quadratic(A, B, C, x, horizontal=False)
-
-    def solve_x(y):
-        A, B, C = a, b * y + d, c * y * y + e * y + g
-        return _solve_quadratic(A, B, C, y, horizontal=True)
-
-    sweep(x0, width, solve_y)
-    sweep(y0, height, solve_x)
+    for lo, size, A, B1, B0, C2, C1, C0, swap in ((x0, width, c, b, e, a, d, g, False),
+                                                  (y0, height, a, b, d, c, e, g, True)):
+        linear = abs(A) < 1e-12
+        A2 = 2 * A
+        first, second = [], []
+        for i in range(n + 1):
+            t = lo + size * i / n
+            B = B1 * t + B0
+            C = C2 * t * t + C1 * t + C0
+            pt1 = pt2 = None
+            if linear:
+                if not abs(B) < 1e-12:
+                    r = -C / B
+                    pt1 = (r, t) if swap else (t, r)
+            else:
+                disc = B * B - 4 * A * C
+                if not disc < 0:
+                    s = disc ** 0.5
+                    r1, r2 = (-B + s) / A2, (-B - s) / A2
+                    pt1, pt2 = ((r1, t), (r2, t)) if swap else ((t, r1), (t, r2))
+            if pt1 is None:
+                if first:
+                    paths.append(first)
+                    first = []
+            elif first and abs(first[-1][0] - pt1[0]) + abs(first[-1][1] - pt1[1]) > jump:
+                paths.append(first)
+                first = [pt1]
+            else:
+                first.append(pt1)
+            if pt2 is None:
+                if second:
+                    paths.append(second)
+                    second = []
+            elif second and abs(second[-1][0] - pt2[0]) + abs(second[-1][1] - pt2[1]) > jump:
+                paths.append(second)
+                second = [pt2]
+            else:
+                second.append(pt2)
+        if first:
+            paths.append(first)
+        if second:
+            paths.append(second)
     return [p for p in paths if len(p) >= 2]
-
-
-def _solve_quadratic(A, B, C, t, horizontal):
-    def pt(root):
-        return (root, t) if horizontal else (t, root)
-
-    if abs(A) < 1e-12:
-        if abs(B) < 1e-12:
-            return None
-        r = -C / B
-        return [pt(r), None]
-    disc = B * B - 4 * A * C
-    if disc < 0:
-        return None
-    s = disc ** 0.5
-    return [pt((-B + s) / (2 * A)), pt((-B - s) / (2 * A))]
 
 
 def _emit(canvas: _Canvas) -> str:
@@ -160,7 +160,7 @@ def _emit(canvas: _Canvas) -> str:
     ]
     stroke = 0.004 * width
     for path in canvas.curves:
-        data = "M" + " L".join(f"{_fmt(x)} {_fmt(y)}" for x, y in path)
+        data = "M" + " L".join([f"{x:.4f} {y:.4f}" for x, y in path])
         parts.append(f'<path d="{data}" fill="none" stroke="#555555" '
                      f'stroke-width="{_fmt(stroke)}"/>')
     for u, v, w in canvas.lines:
@@ -214,24 +214,23 @@ def _sweep_bisector_pairs(pencil: Pencil, samples: int) -> list[LinePair]:
 
     For each sampled slope m there is (generically) a unique intercept k
     making Y = mX + k a component of a reducible net member: the component
-    condition is linear in k after restricting the generators.
+    condition is linear in k after restricting the generators.  Rendering is
+    over Q, so the sweep runs on the generators' raw Fractions.
     """
     spec = pencil.spec
-    f1, f2 = pencil.f1, pencil.f2
+    a1, b1, c1, d1, e1, _ = pencil.f1.raw
+    a2, b2, c2, d2, e2, _ = pencil.f2.raw
     out: list[LinePair] = []
     seen = set()
     for j in range(samples):
-        mval = Fraction(2 * j - (samples - 1), 4)
-        m = spec.scalar(mval)
-        a1 = f1.a + f1.b * m + f1.c * m * m
-        a2 = f2.a + f2.b * m + f2.c * m * m
-        den = a1 * (f2.b + 2 * f2.c * m) - a2 * (f1.b + 2 * f1.c * m)
-        num = a1 * (f2.d + f2.e * m) - a2 * (f1.d + f1.e * m)
-        if den.is_zero:
+        m = Fraction(2 * j - (samples - 1), 4)
+        r1 = a1 + b1 * m + c1 * m * m
+        r2 = a2 + b2 * m + c2 * m * m
+        den = r1 * (b2 + 2 * c2 * m) - r2 * (b1 + 2 * c1 * m)
+        if not den:
             continue
-        k = -num / den
-        line = Line(-m, spec.one, -k)
-        hit = pair_through_line(line, pencil)
+        num = r1 * (d2 + e2 * m) - r2 * (d1 + e1 * m)
+        hit = pair_through_line(_line(spec, -m, 1, num / den), pencil)
         if hit is None:
             continue
         if hit.pair not in seen:
@@ -254,19 +253,21 @@ def render_pencil(f1: Quadratic, f2: Quadratic, samples: int) -> str:
     members = [net_member(pencil, NetCoords(spec.one, spec.scalar(tval), spec.zero))
                for tval in coeffs[: max(samples - 1, 1)]]
     members.append(f2)
+    smooth = []
     for g in members:
         red = is_reducible(g)
-        if red is not None:
+        if red is None:
+            smooth.append(g)
+        else:
             for line in red.line_set():
                 canvas.lines.append(_line_floats(line))
             if red.kind == CROSSING:
                 canvas.anchor(red.center)
-        if classify(g).kind == HYPERBOLA:
+        if _root_count(spec, _disc(g.raw)) == 2:  # a hyperbola, as classify reads it
             canvas.anchor(center(g))
     box = canvas.bbox()
-    for g in members:
-        if is_reducible(g) is None:
-            canvas.curves.extend(_conic_paths(g, box))
+    for g in smooth:
+        canvas.curves.extend(_conic_paths(g, box))
     return _emit(canvas)
 
 

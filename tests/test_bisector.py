@@ -27,15 +27,18 @@ from bisectrix.conic import (
     LinePair,
     Quadratic,
     _mid_param,
+    linear_combination,
     mid,
+    pullback,
     restrict_to_line,
 )
 from bisectrix.field import GF, rationals, square_root
-from bisectrix.geometry import MID_UNDETERMINED, Line, Midpoint, ProjectivePoint
+from bisectrix.geometry import MID_UNDETERMINED, Line, Midpoint, ProjectivePoint, map_line_to_y0
 from bisectrix.pencil import (
     AsymptoticPencil,
     NetCoords,
     Pencil,
+    PencilError,
     TrivialPencilError,
     net_contains,
     net_member,
@@ -151,6 +154,35 @@ class TestRawMidpointRoute:
         assert mid(XY, line(0, 1, -1)) is CROSSES_AT_INFINITY is _mid_param(XY, line(0, 1, -1))
 
 
+def _as_triple(hit):
+    return None if hit is None else (hit.coords, hit.pair, hit.whole_family)
+
+
+def _through_y0(l, pencil):
+    """pair_through_line by the route through Y = 0: pull the generators back
+    to coordinates in which the line is Y = 0, solve on their X^2 and X rows,
+    and pull the cofactor line of the split member back."""
+    spec = pencil.spec
+    to_y0 = map_line_to_y0(l)
+    inv = to_y0.inverse()
+    g1, g2 = pullback(inv, pencil.f1), pullback(inv, pencil.f2)
+    if not (g1.a * g2.d - g2.a * g1.d).is_zero:
+        return None
+    whole_family = False
+    if not (g1.a.is_zero and g2.a.is_zero):
+        alpha, beta = g2.a, -g1.a
+    elif not (g1.d.is_zero and g2.d.is_zero):
+        alpha, beta = g2.d, -g1.d
+    else:
+        alpha, beta, whole_family = spec.one, spec.zero, True
+    h = linear_combination([(alpha, g1), (beta, g2)])
+    assert h.a.is_zero and h.d.is_zero
+    pair = LinePair(to_y0.pull_line(Line(spec.zero, spec.one, spec.zero)),
+                    to_y0.pull_line(Line(h.b, h.c, h.e)))
+    assert pair.contains_line(l)
+    return NetCoords(alpha, beta, -h.g), pair, whole_family
+
+
 class TestPairThroughLine:
     def test_x0(self):
         hit = pair_through_line(line(1, 0, 0), STANDARD)
@@ -188,23 +220,56 @@ class TestPairThroughLine:
 
     @pytest.mark.parametrize("spec", [F5, F7], ids=["F5", "F7"])
     def test_pretest_agrees_with_full_pullback(self, spec):
-        # The restriction pre-test returns None exactly when the X^2 / X
-        # determinant of the generators pulled back to Y = 0 is nonzero.
-        from bisectrix.conic import pullback
-        from bisectrix.geometry import map_line_to_y0
-        from bisectrix.oracle import _rand_pencil, enumerate_lines
+        # The whole result (coordinates, pair and whole_family) is the one of
+        # the route through Y = 0, on random pencils, pencils of line pairs
+        # (many hits) and pencils whose generators share a line (whole family).
+        from bisectrix.oracle import _rand_pair, _rand_pencil, _rand_reducible_pencil, enumerate_lines
 
         rng = random.Random(24)
-        verdicts = set()
-        for _ in range(4):
-            pencil = _rand_pencil(rng, spec)
+        pencils = [_rand_pencil(rng, spec) for _ in range(4)]
+        pencils += [_rand_reducible_pencil(rng, spec) for _ in range(4)]
+        while len(pencils) < 12:
+            shared, p1, p2 = _rand_pair(rng, spec).first, _rand_pair(rng, spec), _rand_pair(rng, spec)
+            try:
+                pencils.append(Pencil(LinePair(shared, p1.first).product(),
+                                      LinePair(shared, p2.second).product()))
+            except PencilError:  # dependent generators
+                continue
+        verdicts, families = set(), set()
+        for pencil in pencils:
             for l in enumerate_lines(spec):
-                inv = map_line_to_y0(l).inverse()
-                g1, g2 = pullback(inv, pencil.f1), pullback(inv, pencil.f2)
-                splits = (g1.a * g2.d - g2.a * g1.d).is_zero
-                assert (pair_through_line(l, pencil) is not None) == splits
-                verdicts.add(splits)
+                want = _through_y0(l, pencil)
+                assert _as_triple(pair_through_line(l, pencil)) == want
+                verdicts.add(want is not None)
+                if want is not None:
+                    families.add(want[2])
         assert verdicts == {True, False}
+        assert families == {True, False}
+
+    def test_agrees_with_full_pullback_over_q(self):
+        # Over Q, vertical and horizontal lines included: every small line
+        # against pencils of small line pairs, some of them sharing a line.
+        rng = random.Random(25)
+        lines = sorted({line(u, v, w) for u in range(-2, 3) for v in range(-2, 3)
+                        for w in range(-2, 3) if u or v}, key=Line.sort_key)
+        vertical = [l for l in lines if l.v.is_zero]
+        hits, families = set(), set()
+        for k in range(16):
+            ls = [rng.choice(lines) for _ in range(4)]
+            if k % 4 == 0:
+                ls[2] = ls[0] = rng.choice(vertical)
+            try:
+                pencil = Pencil(LinePair(ls[0], ls[1]).product(), LinePair(ls[2], ls[3]).product())
+            except PencilError:  # dependent generators
+                continue
+            for l in lines:
+                want = _through_y0(l, pencil)
+                assert _as_triple(pair_through_line(l, pencil)) == want
+                if want is not None:
+                    hits.add(l.v.is_zero)
+                    families.add(want[2])
+        assert hits == {True, False}
+        assert families == {True, False}
 
     def test_whole_family_flag(self):
         # Generators sharing Y = 0 as a component of every member's

@@ -491,6 +491,18 @@ class TestScanKernels:
                 assert kernel.crossings(chosen, i) == want, (chosen, i)
 
     @pytest.mark.parametrize("spec", [F3, F5, F7], ids=["F3", "F5", "F7"])
+    def test_meets_is_the_library_meets(self, spec):
+        kernel, keys = _crossings(spec), quadratic_keys(spec)
+        verdicts = set()
+        for key in random.Random(13).sample(keys, min(len(keys), 150)):
+            f = Quadratic.from_ints(spec, key)
+            for i, line in enumerate(kernel.lines):
+                verdict = kernel.meets(key, i)
+                assert verdict == conic.meets(f, line), (key, i)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("spec", [F3, F5, F7], ids=["F3", "F5", "F7"])
     def test_open_pairs_and_extends_are_the_full_scan(self, spec):
         plane, rng = _plane(spec), random.Random(12)
         for _ in range(40):
