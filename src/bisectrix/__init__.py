@@ -82,7 +82,6 @@ from .quad import (
     Quadrilateral,
     QuadrilateralError,
     bisects_quadrilateral,
-    diagonals,
     pencil_of,
     quadrilateral_of,
     validate,

@@ -2,8 +2,8 @@
 
 Output is JSON on stdout (exact scalars as strings, never floats), or a
 human-readable summary with --pretty.  Parse errors exit 2, domain errors
-exit 3, failed checks exit 1.  A check of several ids that refuses one on a
-size budget records it with verdict "refused", runs the rest and exits 3.
+exit 3, failed checks exit 1.  A check of several ids that refuses one past the
+oracle's size bound records it with verdict "refused", runs the rest and exits 3.
 """
 
 from __future__ import annotations

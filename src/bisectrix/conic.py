@@ -176,21 +176,6 @@ def _det3_times_4(raw):
     return (4 * a * c - b * b) * g + (b * e - c * d) * d - a * e * e
 
 
-def linear_combination(terms) -> Quadratic:
-    """Sum of (scalar, Quadratic) pairs, which must stay degree 2."""
-    spec = coeffs = None
-    for weight, q in terms:
-        if spec is None:
-            spec = weight.spec
-        if not (weight.spec is spec is q.spec):
-            same_field(spec, weight.spec)
-            same_field(spec, q.spec)
-        w = weight.value
-        contrib = [w * x for x in q.raw]
-        coeffs = contrib if coeffs is None else [x + y for x, y in zip(coeffs, contrib)]
-    return _quadratic(spec, *coeffs)
-
-
 def pullback(mapping: AffineMap, f: Quadratic) -> Quadratic:
     """The composite f(mapping(x, y)), expanded exactly.
 

@@ -173,11 +173,6 @@ class Line(FieldTuple):
         x, y, z = p.raw
         return raw_is_zero(spec, u * x + v * y + w * z)
 
-    def infinity_point(self) -> ProjectivePoint:
-        """The point at infinity of the line: [-v : u : 0]."""
-        u, v, _ = self.raw
-        return _point(self.spec, -v, u, 0)
-
     def is_parallel_to(self, other: "Line") -> bool:
         if other.spec is not self.spec:
             same_field(self.spec, other.spec)
@@ -366,10 +361,6 @@ class AffineMap(FieldTuple):
         m11, m12, m21, m22, t1, t2 = self.raw_in(p.spec)
         x, y, z = p.raw
         return _point(p.spec, m11 * x + m12 * y + t1 * z, m21 * x + m22 * y + t2 * z, z)
-
-    def apply_line(self, line: Line) -> Line:
-        """The image of a line under the map."""
-        return self.inverse().pull_line(line)
 
     def pull_line(self, line: Line) -> Line:
         """The preimage of a line: the line with equation line(self(x, y)) = 0."""

@@ -44,7 +44,7 @@ from .conic import (
     restrict_to_line,
 )
 from .field import FieldSpec, Frozen, InfiniteFieldError, square_root
-from .geometry import AffineMap, Line, Midpoint, ProjectivePoint
+from .geometry import AffineMap, Line, Midpoint, ProjectivePoint, _line
 from .pencil import (
     AsymptoticPencil,
     NetCoords,
@@ -77,7 +77,7 @@ class OracleError(ValueError):
 
 
 class BudgetError(OracleError):
-    """A check refused because one of its tables would pass a size budget."""
+    """A check refused because one of its tables would pass the size bound."""
 
 
 # check id -> (checker, description, default count or None for exhaustive),
@@ -158,17 +158,16 @@ def default_policy(check_id: str) -> Policy:
 
 # --- enumeration and tables ---------------------------------------------------
 
-# Size budgets: past them a structure would take minutes and gigabytes (at
-# GF(101) a 10,302 x 10,302 line table, about 10^10 quadratics), so its
-# builder refuses with BudgetError, which the CLI reports as exit 3.
-PLANE_LINE_BUDGET = 400        # lines of _Plane and _Crossings, prop-3.7 net members: p <= 19
-QUADRATIC_BUDGET = 200_000     # quadratic classes (p <= 11) or line pairs (p <= 23)
-SEARCH_PAIR_BUDGET = 500       # line pairs in the maximal-arrangement search: p <= 5
+# One size bound for every exhaustive structure: past p = 19 one would take
+# minutes and gigabytes (at GF(101) a 10,302 x 10,302 line table, about 10^10
+# quadratics), so its builder refuses with BudgetError, exit 3 in the CLI.
+FIELD_BOUND = 19
+EXPANDED_SET_LIMIT = 200_000  # maximal sets expanded, p^6 of them: GF(7) has 155,036
 
 
-def _within_budget(spec: FieldSpec, size: int, what: str, budget: int) -> None:
-    if size > budget:
-        raise BudgetError(f"{size:,} {what} over {spec.name} exceed the budget of {budget:,}")
+def _within_bound(spec: FieldSpec, size: int, what: str) -> None:
+    if spec.p > FIELD_BOUND:
+        raise BudgetError(f"{size:,} {what} over {spec.name}: past the bound p <= {FIELD_BOUND}")
 
 
 @cache
@@ -186,7 +185,7 @@ def enumerate_line_pairs(spec: FieldSpec) -> list[LinePair]:
     """All unordered pairs of lines, doubles included."""
     lines = enumerate_lines(spec)
     n = len(lines)
-    _within_budget(spec, n * (n + 1) // 2, "line pairs", QUADRATIC_BUDGET)
+    _within_bound(spec, n * (n + 1) // 2, "line pairs")
     pairs = [LinePair(l, l) for l in lines]
     return pairs + [LinePair(a, b) for a, b in combinations(lines, 2)]
 
@@ -202,23 +201,22 @@ def reducible_table(spec: FieldSpec) -> dict:
     return {pair.product().canonical().key(): pair for pair in enumerate_line_pairs(spec)}
 
 
-@cache
-def quadratic_keys(spec: FieldSpec) -> list[tuple[int, ...]]:
-    """Every quadratic over GF(p) up to scalar, as int tuples (a, b, c, d, e, g).
-
-    The first nonzero coefficient is 1, and it is one of a, b, c.  This is
-    the oracle's one quadratic enumeration; the brute-force scans read it
-    in ints, and only the quadratics handed to the library become objects.
-    """
+def _heads(spec: FieldSpec, length: int):
+    """The first ``length`` int coefficients (a, b, c, d, e, g) of every quadratic over
+    GF(p) up to scalar, each once, in order; the first nonzero is 1, in a, b or c.  The
+    oracle's one quadratic enumeration: only those handed to the library become objects."""
     if not spec.is_finite:
         raise InfiniteFieldError("cannot enumerate quadratics over an infinite field")
     p = spec.p
-    _within_budget(spec, p**5 + p**4 + p**3, "quadratic classes", QUADRATIC_BUDGET)
-    keys = []
-    for lead in range(3):
-        head = (0,) * lead + (1,)
-        keys += [head + tail for tail in product(range(p), repeat=5 - lead)]
-    return keys
+    _within_bound(spec, p**5 + p**4 + p**3, "quadratic classes")
+    return ((0,) * lead + (1,) + tail
+            for lead in range(3) for tail in product(range(p), repeat=length - 1 - lead))
+
+
+@cache
+def quadratic_keys(spec: FieldSpec) -> list[tuple[int, ...]]:
+    """Every quadratic over GF(p) up to scalar, as int tuples (a, b, c, d, e, g)."""
+    return list(_heads(spec, 6))
 
 
 def enumerate_quadratics(spec: FieldSpec) -> list[Quadratic]:
@@ -260,16 +258,17 @@ def _through_points(keys: list[tuple[int, ...]], points, p: int) -> list[tuple[i
     return keys
 
 
-def _through_vertices(keys: list[tuple[int, ...]], points, p: int) -> list[tuple[int, ...]]:
+def _through_vertices(spec: FieldSpec, points) -> list[tuple[int, ...]]:
     """``_through_points`` of four affine points, no three collinear.  Two of them
     differ in y, and with (a, b, c, d) fixed, passing through both pins e, then g:
-    one candidate per head of ``keys[::p*p]`` (those keys end in e = g = 0)."""
+    one candidate per head (a, b, c, d)."""
     two = [(s, t) for s, t in combinations(points, 2) if s[1] != t[1]]
     assert two, "four points, no three collinear, do not all share one y"
     (x1, y1), (x2, y2) = two[0]
+    p = spec.p
     k = pow(y1 - y2, -1, p)
     found = []
-    for a, b, c, d, _, _ in keys[::p * p]:
+    for a, b, c, d in _heads(spec, 4):
         q1 = a * x1 * x1 + b * x1 * y1 + c * y1 * y1 + d * x1
         e = (a * x2 * x2 + b * x2 * y2 + c * y2 * y2 + d * x2 - q1) * k % p
         found.append((a, b, c, d, e, -(q1 + e * y1) % p))
@@ -307,16 +306,11 @@ class _Crossings:
     def __init__(self, spec: FieldSpec):
         p = self.p = spec.p
         self.lines = enumerate_lines(spec)
-        _within_budget(spec, len(self.lines), "kernel lines", PLANE_LINE_BUDGET)
-        self.frames = []
-        for u, v, w in (line.raw for line in self.lines):
-            if v:
-                self.frames.append((0, -w * pow(v, -1, p) % p, -v % p, u))
-            else:
-                self.frames.append((-w % p, 0, 0, u))
-        self.is_square = [False] * p
-        for x in range(p):
-            self.is_square[x * x % p] = True
+        _within_bound(spec, len(self.lines), "kernel lines")
+        self.frames = [(0, -w * pow(v, -1, p) % p, -v % p, u) if v else (-w % p, 0, 0, u)
+                       for u, v, w in (line.raw for line in self.lines)]
+        squares = {x * x % p for x in range(p)}
+        self.is_square = [x in squares for x in range(p)]
         self.half_inverse = [0] + [pow(2 * x, -1, p) for x in range(1, p)]
 
     def crossings(self, keys: list[tuple[int, ...]], i: int) -> set[int]:
@@ -384,8 +378,10 @@ def _rand_pencil(rng: random.Random, spec: FieldSpec) -> Pencil:
 
 
 def _rand_line(rng: random.Random, spec: FieldSpec) -> Line:
-    lines = enumerate_lines(spec)
-    return lines[rng.randrange(len(lines))]
+    """A uniform line, drawn as ``enumerate_lines(spec)[r]`` without building the list."""
+    p = spec.p
+    r = rng.randrange(p * p + p)
+    return _line(spec, 1, r // p, r % p) if r < p * p else _line(spec, 0, 1, r - p * p)
 
 
 def _rand_pair(rng: random.Random, spec: FieldSpec) -> LinePair:
@@ -438,7 +434,7 @@ class _Plane:
     def __init__(self, spec: FieldSpec):
         self.spec, self.p = spec, spec.p
         self.lines = enumerate_lines(spec)
-        _within_budget(spec, len(self.lines), "engine lines", PLANE_LINE_BUDGET)
+        _within_bound(spec, len(self.lines), "engine lines")
         self.pairs = enumerate_line_pairs(spec)
         # Line j = (u, v, w) meets line i at t = -(u bx + v by + w) / (u dx + v dy).
         p, raws = self.p, [line.raw for line in self.lines]
@@ -467,10 +463,15 @@ class _Plane:
 
     def state(self, pair_ids) -> tuple[list[int], list[int]]:
         """The merged state of the pairs and their line ids, each once."""
-        state = [_FREE] * len(self.lines)
+        state, lines = [_FREE] * len(self.lines), []
         for k in pair_ids:
-            state = self.add(state, k)
-        return state, list(dict.fromkeys(i for k in pair_ids for i in self.pair_lines[k]))
+            state, lines = self.grow(state, lines, k)
+        return state, lines
+
+    def grow(self, state: list[int], lines: list[int], k: int) -> tuple[list[int], list[int]]:
+        """The state and line ids with pair k merged in."""
+        return self.add(state, k), lines + [i for i in dict.fromkeys(self.pair_lines[k])
+                                            if i not in lines]
 
     def demand(self, i: int, k: int) -> int:
         j1, j2 = self.pair_lines[k]
@@ -577,13 +578,11 @@ def _check_prop_2_2(spec, policy, rng):
     table = reducible_table(spec)
     p = spec.p
     elems = list(spec.elements())
-    keys = quadratic_keys(spec)
     counts = {"unique": 0, "family": 0, "none": 0}
-    # The p keys of one head (a, ..., e) are consecutive, g last, and f + lam
-    # stays canonical, as the leading 1 is in a, b or c: one head's shifts are
-    # looked up, and its directions at infinity, center and pairs read, once.
-    for h in range(0, len(keys), p):
-        head = keys[h][:5]
+    # The p classes of one head (a, ..., e) are its shifts g, and f + lam stays
+    # canonical, as the leading 1 is in a, b or c: one head's shifts are looked
+    # up, and its directions at infinity, center and pairs read, once.
+    for head in _heads(spec, 5):
         shifts = {g: pair for g in range(p) if (pair := table.get(head + (g,))) is not None}
         pairs, n_inf = set(shifts.values()), _infinity_directions(head, p)
         if n_inf == 2:
@@ -595,14 +594,14 @@ def _check_prop_2_2(spec, policy, rng):
         else:
             kind = "none"
         counts[kind] += p
-        for key in keys[h:h + p]:
-            f = Quadratic.from_ints(spec, key)
+        for g in range(p):
+            f = Quadratic.from_ints(spec, head + (g,))
             d = degenerations(f)
             if kind == "unique":  # the one shift lam = g0 - g
                 ok = (
                     pair0 is not None and d.kind == DEGEN_UNIQUE and pair0 == d.pair
                     and d.pair.kind == CROSSING and d.pair.center.raw == ctr
-                    and (g0 - key[5]) % p == d.shift.value
+                    and (g0 - g) % p == d.shift.value
                 )
             elif kind == "family":
                 ok = (
@@ -613,7 +612,7 @@ def _check_prop_2_2(spec, policy, rng):
                 ok = (n_inf == 1 or not shifts) and d.kind == DEGEN_NONE
             if not ok:
                 yield {"quadratic": format_quadratic_triple(f)}
-    return [{"classes_checked": len(keys), **counts}]
+    return [{"classes_checked": sum(counts.values()), **counts}]
 
 
 @_check("prop-3.4",
@@ -725,7 +724,7 @@ def _check_prop_3_7(spec, policy, rng):
     # Every pencil is checked on all its (p+1)·p net members, one per line,
     # on ints: det3 by 4·det3 over 4, the cubic by its raw coefficients.
     p = spec.p
-    _within_budget(spec, (p + 1) * p, "net members per pencil", PLANE_LINE_BUDGET)
+    _within_bound(spec, (p + 1) * p, "net members per pencil")
     quarter = pow(4, -1, p)
     directions = [(1, t) for t in range(p)] + [(0, 1)]  # as _net_keys
     for _ in range(policy.count):
@@ -1009,10 +1008,8 @@ def _check_cor_5_5(spec, policy, rng):
 @_check("cor-5.6",
         "a bisector of a quadrilateral bisects every conic through its vertices", count=20)
 def _check_cor_5_6(spec, policy, rng):
-    keys = quadratic_keys(spec)
     kernel = _crossings(spec)
-    checked = 0
-    attempts = 0
+    checked = attempts = 0
     while checked < policy.count and attempts < 100 * policy.count:
         attempts += 1
         q = _rand_quadrilateral(rng, spec)
@@ -1021,7 +1018,7 @@ def _check_cor_5_6(spec, policy, rng):
             continue
         checked += 1
         points = [(v.x.value, v.y.value) for v in vs]
-        through = _through_vertices(keys, points, spec.p)
+        through = _through_vertices(spec, points)
         for i, line in enumerate(kernel.lines):
             m = bisects_quadrilateral(line, q)
             if m is None:
@@ -1039,8 +1036,7 @@ def _check_cor_5_6(spec, policy, rng):
 
 @_check("cor-5.7", "the crossing involution is order 2 and member-independent", count=50)
 def _check_cor_5_7(spec, policy, rng):
-    done = 0
-    attempts = 0
+    done = attempts = 0
     while done < policy.count and attempts < 200 * policy.count:
         attempts += 1
         pencil = _rand_pencil(rng, spec)
@@ -1176,59 +1172,59 @@ def _seeds(plane: _Plane) -> list[tuple[int, int]]:
 
 
 def _maximal_orbits(spec: FieldSpec) -> list[tuple[tuple[int, ...], int]]:
-    """The AGL(2,p) orbits of maximal nontrivial bisector arrangements, as
-    sorted (canonical pair-id tuple, orbit size), none expanded.
+    """The AGL(2,p) orbits of maximal nontrivial bisector arrangements, as sorted
+    (canonical pair-id tuple, orbit size), none expanded.
 
-    Each ``_seeds`` {A, R} grows by every pair that keeps the arrangement
-    property until none does; a stack entry carries its merged per-line
-    state.  A maximal M holds a nontrivial {P, Q}; an affine g maps P to a
-    normal form A, some h fixing A maps gQ to its orbit's representative R,
-    and hgM, maximal as affine maps keep midpoints and triviality, holds
-    {A, R}.  Growth from a seed reaches every arrangement holding it (a
-    subset of one is one), so the sets found meet every maximal orbit.
-    With u[B] sending crossing pair B to A0 = {X=0, Y=0} (a BFS), the maps s u[B], s in
-    Stab(A0) and B in M, are those sending a pair of M to A0; |Stab(M)| of them reach
-    the least image, M's canonical form (two give one image exactly when they differ by
-    an element of Stab(M)), so M's orbit has |AGL(2,p)| / |Stab(M)| sets."""
-    if not spec.is_finite:
-        raise OracleError("the maximal-arrangement search needs a finite field")
-    p, n = spec.p, spec.p * spec.p + spec.p
-    _within_budget(spec, n * (n + 1) // 2, "search line pairs", SEARCH_PAIR_BUDGET)
+    A maximal M holds a nontrivial {P, Q}; an affine g maps P to a normal form A,
+    some h fixing A maps gQ to its orbit's representative R, and hgM (maximal, as
+    affine maps keep midpoints and triviality) holds the seed {A, R}.  Below each
+    ``_seeds`` entry, branch-and-exclude (the excluded set of Bron and Kerbosch,
+    Comm. ACM 16, 1973) finds every maximal set holding it: a node S with candidates
+    C (the pairs extending S, ascending) and excluded pairs X branches on the first
+    k in C into S + k, C and X filtered by ``extends``, and S with k moved to X.
+    Arrangements are hereditary, so S is maximal when C and X are empty, and an S ∪ C
+    that is an arrangement is the one maximal set below S unless an x in X extends it.
+    The s u, s in Stab(A0) = {(ax, by), (by, ax)}, u sending a crossing member of M
+    to A0 = {X=0, Y=0}, are the maps sending a pair of M to A0; |Stab(M)| of them
+    reach the least image, M's canonical form: its orbit has |AGL(2,p)| / |Stab(M)|."""
     plane = _plane(spec)
-    results, visited = set(), set()  # frozensets of pair ids
+    extends, grow, pair_lines = plane.extends, plane.grow, plane.pair_lines
+    results = set()  # sorted pair-id tuples
     for seed in _seeds(plane):
-        stack = [(frozenset(seed), *plane.state(seed), range(len(plane.pairs)))]
+        state, lines = plane.state(seed)
+        cands = [k for k in plane.open_pairs(state) if k not in seed and extends(state, lines, k)]
+        stack = [(seed, state, lines, cands, [])]
         while stack:
-            members, state, lines, cands = stack.pop()
-            if members in visited:
+            members, state, lines, cands, excluded = stack.pop()
+            whole = state, lines
+            for k in cands:  # is S ∪ C an arrangement?
+                if not extends(*whole, k):
+                    break
+                whole = grow(*whole, k)
+            else:
+                if not any(extends(*whole, x) for x in excluded):
+                    results.add(tuple(sorted(members + tuple(cands))))
                 continue
-            visited.add(members)
-            ext = tuple(k for k in cands if k not in members and plane.extends(state, lines, k))
-            if not ext:
-                results.add(members)
-                continue
-            for k in ext:
-                nxt = members | {k}
-                if nxt not in visited:
-                    grown = lines + [i for i in set(plane.pair_lines[k]) if i not in lines]
-                    stack.append((nxt, plane.add(state, k), grown, ext))
-    pair_id, pair_lines, a0 = plane.pair_id, plane.pair_lines, plane.normal_forms()[0]
-    (i0, j0), to_b, todo = pair_lines[a0], {a0: list(range(n))}, [a0]
-    for b in todo:  # grows while read: a BFS over the crossing pairs
-        for gen in plane.affine_generators():
-            image = pair_id[gen[to_b[b][i0]]][gen[to_b[b][j0]]]
-            if image not in to_b:
-                to_b[image] = [gen[x] for x in to_b[b]]
-                todo.append(image)
-    to_a0 = {b: sorted(range(n), key=g.__getitem__) for b, g in to_b.items()}  # inverses
+            stack.append((members, state, lines, cands[1:], excluded + cands[:1]))
+            state, lines = grow(state, lines, cands[0])
+            stack.append((members + (cands[0],), state, lines,
+                          [c for c in cands[1:] if extends(state, lines, c)],
+                          [x for x in excluded if extends(state, lines, x)]))
+    p, pair_id = spec.p, plane.pair_id
     stab = plane.permutations(*[m for a in range(1, p) for b in range(1, p)  # S0: (ax, by)
                                 for m in ((a, 0, 0, b, 0, 0), (0, b, a, 0, 0, 0))])  # (by, ax)
     orbits = {}
     for members in results:
         lines = [pair_lines[k] for k in members]
+        to_a0 = []  # pulling back by (L1, L2) takes X=0, Y=0 to L1, L2; inverted, to A0
+        for i, j in lines:
+            (u1, v1, w1), (u2, v2, w2) = plane.lines[i].raw, plane.lines[j].raw
+            if (u1 * v2 - u2 * v1) % p:
+                pulled = plane.permutations((u1, v1, u2, v2, w1, w2))[0]
+                to_a0.append(sorted(range(len(pulled)), key=pulled.__getitem__))
+        assert to_a0, "every maximal set holds a crossing pair"
         images = [tuple(sorted(pair_id[s[u[i]]][s[u[j]]] for i, j in lines))
-                  for u in (to_a0[b] for b in members if b in to_a0) for s in stab]
-        assert images, "every maximal set holds a crossing pair"
+                  for u in to_a0 for s in stab]
         best = min(images)
         orbits[best] = p * p * (p * p - 1) * (p * p - p) // images.count(best)
     return sorted(orbits.items())
@@ -1246,9 +1242,13 @@ def _expanded_sets(spec: FieldSpec, reps) -> list[list[LinePair]]:
 
 
 def exhaustive_maximal_arrangements(spec: FieldSpec) -> list[frozenset[LinePair]]:
-    """Every maximal nontrivial bisector arrangement over GF(p), sorted: the
-    expanded ``_maximal_orbits``.  GF(5) has 465 line pairs; GF(7) is refused."""
-    return [frozenset(s) for s in _expanded_sets(spec, [rep for rep, _ in _maximal_orbits(spec)])]
+    """Every maximal nontrivial bisector arrangement over GF(p), sorted: the expanded
+    ``_maximal_orbits``, refused past EXPANDED_SET_LIMIT sets before any is built."""
+    orbits = _maximal_orbits(spec)
+    if (total := sum(size for _, size in orbits)) > EXPANDED_SET_LIMIT:
+        raise BudgetError(f"{total:,} maximal arrangements over {spec.name} exceed "
+                          f"the expansion limit of {EXPANDED_SET_LIMIT:,}")
+    return [frozenset(s) for s in _expanded_sets(spec, [rep for rep, _ in orbits])]
 
 
 def _is_asymptotic_pencil(pairs: list[LinePair]) -> bool:

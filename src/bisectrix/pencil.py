@@ -200,19 +200,10 @@ class DegeneracyCubic(FieldTuple):
     _fill = fill_reduced
     shift_coeff, base = coordinates(0, 3), coordinates(3, 7)
 
-    def _at(self, alpha: Scalar, beta: Scalar) -> tuple:
+    def value(self, shift: Scalar, alpha: Scalar, beta: Scalar) -> Scalar:
         if beta.spec is not self.spec:
             same_field(self.spec, beta.spec)
-        return _forms(self.raw_in(alpha.spec), alpha.value, beta.value)
-
-    def shift_coeff_at(self, alpha: Scalar, beta: Scalar) -> Scalar:
-        return wrap(self.spec, self._at(alpha, beta)[0])
-
-    def base_at(self, alpha: Scalar, beta: Scalar) -> Scalar:
-        return wrap(self.spec, self._at(alpha, beta)[1])
-
-    def value(self, shift: Scalar, alpha: Scalar, beta: Scalar) -> Scalar:
-        phi, psi = self._at(alpha, beta)
+        phi, psi = _forms(self.raw_in(alpha.spec), alpha.value, beta.value)
         if shift.spec is not self.spec:
             same_field(self.spec, shift.spec)
         return wrap(self.spec, phi * shift.value + psi)

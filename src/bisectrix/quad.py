@@ -18,7 +18,7 @@ from .bisector import (
 )
 from .conic import CROSSING, DOUBLE, PARALLEL, LinePair
 from .field import Frozen
-from .geometry import GeometryError, Line, Midpoint, ProjectivePoint, intersect
+from .geometry import Line, Midpoint, ProjectivePoint, intersect
 from .pencil import (
     AsymptoticPencil,
     Pencil,
@@ -93,19 +93,6 @@ def vertices(q: Quadrilateral) -> list[ProjectivePoint]:
                 raise AssertionError("opposite-side pairs share no line")
             out.append(pt)
     return out
-
-
-def diagonals(q: Quadrilateral) -> tuple[Line, Line]:
-    """The lines joining the two pairs of opposite vertices."""
-    v = vertices(q)
-    out = []
-    for p1, p2 in ((v[0], v[3]), (v[1], v[2])):
-        if p1.is_infinite and p2.is_infinite:
-            raise GeometryError("diagonal through two infinite vertices is the line at infinity")
-        if p1 == p2:
-            raise GeometryError("coincident opposite vertices span no diagonal")
-        out.append(Line.through(p1, p2))
-    return out[0], out[1]
 
 
 def pencil_of(q: Quadrilateral) -> Pencil:

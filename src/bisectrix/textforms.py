@@ -33,23 +33,6 @@ def format_point(p: ProjectivePoint) -> str:
     return f"({p.x},{p.y})"
 
 
-def parse_point(spec: FieldSpec, text: str) -> ProjectivePoint:
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        parts = text[1:-1].split(",")
-        if len(parts) != 2:
-            raise ParseError(f"affine point needs two coordinates: {text!r}")
-        x, y = (parse_scalar(spec, s) for s in parts)
-        return ProjectivePoint.affine(x, y)
-    if text.startswith("[") and text.endswith("]"):
-        parts = text[1:-1].split(":")
-        if len(parts) != 3:
-            raise ParseError(f"projective point needs three coordinates: {text!r}")
-        x, y, z = (parse_scalar(spec, s) for s in parts)
-        return ProjectivePoint(x, y, z)
-    raise ParseError(f"point text must look like (x,y) or [x:y:z]: {text!r}")
-
-
 def format_line_triple(line: Line) -> str:
     return f"{line.u},{line.v},{line.w}"
 

@@ -27,7 +27,6 @@ from bisectrix.conic import (
     LinePair,
     Quadratic,
     _mid_param,
-    linear_combination,
     mid,
     pullback,
     restrict_to_line,
@@ -175,7 +174,8 @@ def _through_y0(l, pencil):
         alpha, beta = g2.d, -g1.d
     else:
         alpha, beta, whole_family = spec.one, spec.zero, True
-    h = linear_combination([(alpha, g1), (beta, g2)])
+    h = Quadratic.from_ints(spec, [alpha.value * x + beta.value * y
+                                   for x, y in zip(g1.raw, g2.raw)])
     assert h.a.is_zero and h.d.is_zero
     pair = LinePair(to_y0.pull_line(Line(spec.zero, spec.one, spec.zero)),
                     to_y0.pull_line(Line(h.b, h.c, h.e)))

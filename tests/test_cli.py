@@ -316,21 +316,27 @@ class TestErrors:
         assert err.startswith("domain error: ") and size in err
 
     def test_refusal_among_several_ids_keeps_the_rest(self, capsys):
-        # prop-2.2 passes its quadratic budget at F13; cor-5.7 still runs.
-        code, out = run(["check", "--field", "F13", "cor-5.7", "prop-2.2"])
+        # prop-2.2 is past the oracle's bound at F23; cor-5.7 still runs.
+        code, out = run(["check", "--field", "F23", "cor-5.7", "prop-2.2"])
         assert code == 3
         assert capsys.readouterr().err == ""
         passed, refused = json.loads(out)
         assert (passed["check"], passed["verdict"]) == ("cor-5.7", "pass")
         assert (refused["check"], refused["verdict"]) == ("prop-2.2", "refused")
-        assert refused["field"] == "F13"
-        assert refused["message"] == (
-            "402,051 quadratic classes over F13 exceed the budget of 200,000")
+        assert refused["field"] == "F23"
+        assert refused["message"] == "152,628 line pairs over F23: past the bound p <= 19"
 
-    def test_refusal_outranks_a_failed_check(self):
-        # lemma-6.2 fails on purpose at F13, seed 1; the refusal decides the exit.
-        assert run(["check", "--field", "F13", "--seed", "1", "lemma-6.2"])[0] == 1
-        code, out = run(["check", "--field", "F13", "--seed", "1", "lemma-6.2", "prop-2.2"])
+    def test_refusal_outranks_a_failed_check(self, monkeypatch):
+        # Every false claim needs the tables the bound refuses at F23, so a stub
+        # fails there; the refusal of prop-2.2 decides the exit.
+        from bisectrix import oracle
+
+        def failing(spec, policy, rng):
+            yield {"counterexample": spec.name}
+
+        monkeypatch.setitem(oracle._CHECKS, "lemma-6.2", (failing, "stub", 1))
+        assert run(["check", "--field", "F23", "lemma-6.2"])[0] == 1
+        code, out = run(["check", "--field", "F23", "lemma-6.2", "prop-2.2"])
         assert code == 3
         assert [r["verdict"] for r in json.loads(out)] == ["fail", "refused"]
 

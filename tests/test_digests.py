@@ -1,6 +1,6 @@
 """Byte identity of CLI output against the newest committed benchmark record.
 
-Each check id runs over GF(3) and GF(7) in process through ``cli.dispatch``;
+Each check id runs over GF(3), GF(5) and GF(7) in process through ``cli.dispatch``;
 its exit code and the sha256 of its stdout must equal the ``"F<p> <id>"``
 entry of the ``check_digests`` of the highest-numbered ``BENCH_*.json`` at
 the repository root, the record ``tools/check_digests.py`` writes and
@@ -53,6 +53,11 @@ def _check_digest(field: str, check_id: str) -> dict:
 @pytest.mark.parametrize("check_id", CHECK_IDS)
 def test_f3_output_matches_the_record(check_id):
     assert _check_digest("F3", check_id) == DIGESTS[f"F3 {check_id}"], f"differs from {NEWEST.name}"
+
+
+@pytest.mark.parametrize("check_id", CHECK_IDS)
+def test_f5_output_matches_the_record(check_id):
+    assert _check_digest("F5", check_id) == DIGESTS[f"F5 {check_id}"], f"differs from {NEWEST.name}"
 
 
 @pytest.mark.parametrize("check_id", [c for c in CHECK_IDS if c != "example-3.6"])

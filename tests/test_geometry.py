@@ -137,7 +137,8 @@ class TestAffineMap:
         shift = AffineMap.translation(Q.scalar(0), Q.scalar(1))
         # Preimage of Y=0 under (x, y) -> (x, y+1) is Y = -1.
         assert shift.pull_line(Y0) == qline(0, 1, 1)
-        assert shift.apply_line(qline(0, 1, 1)) == Y0
+        # The image of a line is its preimage under the inverse.
+        assert shift.inverse().pull_line(qline(0, 1, 1)) == Y0
 
 
 class TestMapLineToY0:
@@ -204,7 +205,7 @@ def test_line_parameterization_round_trip():
             p = line.point_at(Q.scalar(t))
             assert line.contains(p)
             assert line.param_of(p).value == t
-    assert X0.infinity_point() == ProjectivePoint.at_infinity(Q.scalar(0), Q.scalar(1))
+    assert X0.contains(ProjectivePoint.at_infinity(Q.scalar(0), Q.scalar(1)))
 
 
 # --- value-level kernels against Scalar-expression forms ---------------------
@@ -297,7 +298,7 @@ class TestValueKernels:
             assert l.contains(p) and l.param_of(p) == t
             q = ProjectivePoint(_value(rng, spec), _value(rng, spec), spec.one)
             assert l.contains(q) == (l.u * q.x + l.v * q.y + l.w * q.z).is_zero
-            assert l.contains(l.infinity_point())
+            assert l.contains(ProjectivePoint.at_infinity(*direction))
             _assert_canonical_values(spec, *base, *direction, p.x, p.y, l.param_of(p))
 
 

@@ -112,6 +112,28 @@ class TestEnumeration:
         assert parse_quadratic(F5, "x*y-1").canonical().key() not in table
 
 
+class TestRandomLine:
+    @pytest.mark.parametrize("spec", [F3, F5, F7], ids=["F3", "F5", "F7"])
+    def test_draw_r_is_the_r_th_enumerated_line(self, spec):
+        lines = enumerate_lines(spec)
+
+        class Draw:
+            def randrange(self, n):
+                assert n == len(lines)
+                return r
+
+        for r in range(len(lines)):
+            assert oracle._rand_line(Draw(), spec) == lines[r]
+
+    @pytest.mark.parametrize("check_id", ["lemma-4.5", "cor-5.7"])
+    def test_large_field_draws_without_the_line_list(self, check_id, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("enumerate_lines was called")
+
+        monkeypatch.setattr(oracle, "enumerate_lines", refuse)
+        assert run_check(check_id, GF(10007), Policy.randomized(2)).passed
+
+
 class TestReports:
     def test_json_shape_and_determinism(self):
         a = run_check("example-3.6", F3)
@@ -327,10 +349,36 @@ class TestKnownCounterexamples:
 
 
 class TestMaximalSearch:
-    def test_refusal_beyond_gf5(self):
-        # The search admits GF(5)'s 465 line pairs and refuses GF(7)'s 1,596.
-        with pytest.raises(OracleError, match="1,596"):
-            exhaustive_maximal_arrangements(F7)
+    def test_expansion_refused_beyond_gf7(self, monkeypatch, gf11_orbits):
+        # GF(7)'s 155,036 sets are under the limit and GF(11)'s 2,222,770 are
+        # over it, read off the orbit sizes before any set is built.
+        assert sum(size for _, size in gf11_orbits) > oracle.EXPANDED_SET_LIMIT > 155_036
+        monkeypatch.setattr(oracle, "_maximal_orbits", lambda spec: gf11_orbits)
+        monkeypatch.setattr(oracle, "_expanded_sets", None)
+        with pytest.raises(oracle.BudgetError, match="2,222,770 maximal arrangements over F11"):
+            exhaustive_maximal_arrangements(GF(11))
+
+    def test_the_bound_refuses_every_table_past_gf19(self):
+        # One bound, p <= 19, for every exhaustive structure.
+        F23 = GF(23)
+        for build in (oracle._Plane, oracle._Crossings, enumerate_line_pairs,
+                      reducible_table, quadratic_keys, oracle._maximal_orbits,
+                      lambda spec: oracle._heads(spec, 4)):
+            with pytest.raises(oracle.BudgetError, match="over F23: past the bound p <= 19"):
+                build(F23)
+        with pytest.raises(oracle.BudgetError, match="552 net members per pencil"):
+            run_check("prop-3.7-delta", F23, Policy.randomized(1))
+
+    def test_shortcut_needs_the_excluded_check(self):
+        # A copy of the search that reports S ∪ C even when an excluded pair
+        # extends it reports sets that are not maximal.
+        source = inspect.getsource(oracle._maximal_orbits)
+        guard = "if not any(extends(*whole, x) for x in excluded):"
+        assert source.count(guard) == 1
+        namespace = dict(vars(oracle))
+        exec(source.replace(guard, "if True:"), namespace)
+        mutant = namespace["_maximal_orbits"]
+        assert any(mutant(spec) != oracle._maximal_orbits(spec) for spec in (F3, F5))
 
     def test_found_sets_are_honest_arrangements(self):
         found = exhaustive_maximal_arrangements(F3)
@@ -526,8 +574,7 @@ class TestScanKernels:
                     continue
                 kept += 1
                 points = [(v.x.value, v.y.value) for v in vs]
-                assert (_through_vertices(keys, points, spec.p)
-                        == _through_points(keys, points, spec.p)), points
+                assert _through_vertices(spec, points) == _through_points(keys, points, spec.p), points
 
     @pytest.mark.parametrize("spec", [F5, F7, GF(11)], ids=["F5", "F7", "F11"])
     def test_net_pairs_are_the_brute_reducible_members(self, spec):
@@ -577,6 +624,11 @@ def gf5_orbits():
     return _expanded(F5)
 
 
+@pytest.fixture(scope="module")
+def gf11_orbits():
+    return _maximal_orbits(GF(11))
+
+
 def _plain_maximal_search(spec):
     """Every maximal set grown from every nontrivial two-pair seed, unreduced."""
     plane = _plane(spec)
@@ -614,7 +666,8 @@ def _closure(gens):
 
 
 def _image(g, pair):
-    return LinePair(g.apply_line(pair.first), g.apply_line(pair.second))
+    inverse = g.inverse()  # the image of a line is its preimage under the inverse
+    return LinePair(inverse.pull_line(pair.first), inverse.pull_line(pair.second))
 
 
 class TestAffineReduction:
@@ -815,13 +868,17 @@ class TestOrbitStabilizer:
     def test_same_partition_as_the_closure(self, spec):
         assert _expanded(spec) == _closure_orbits(spec)
 
-    def test_gf7_orbits(self, monkeypatch):
-        # The search refuses GF(7) by its budget only; lifted, it finds the
-        # 10 known orbits, 155,036 sets, without expanding one.
-        monkeypatch.setattr(oracle, "SEARCH_PAIR_BUDGET", 1596)
+    def test_gf7_orbits(self):
+        # The 10 known orbits, 155,036 sets, without expanding one.
         sizes = sorted(size for _, size in _maximal_orbits(F7))
         assert sizes == [392, 1372, 2352, 2744, 16464, 16464, 16464, 16464, 32928, 49392]
         assert sum(sizes) == 155_036
+
+    def test_gf11_orbits(self, gf11_orbits):
+        sizes = sorted(size for _, size in gf11_orbits)
+        assert sizes == [1452, 7986, 14520, 15972, 159720, 159720,
+                         266200, 266200, 532400, 798600]
+        assert sum(sizes) == 2_222_770
 
 
 class TestWitnessConfirmation:

