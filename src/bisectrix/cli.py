@@ -58,6 +58,9 @@ EXIT_DOMAIN = 3
 # figure); a larger count is a parse error, raised before any work starts.
 CHECK_SAMPLE_CEILING = 100_000
 RENDER_SAMPLE_CEILING = 1_000
+# The largest p whose GF(p) pencil report lists all its members, about p of
+# them; above it the report has the Q shape, "complete": false.
+PENCIL_MEMBER_CEILING = 1_000
 
 
 def _field(text: str):
@@ -164,8 +167,9 @@ def _cmd_pencil(args) -> int:
     spec = _field(args.field)
     pencil = _parse_pencil(spec, args)
     ap = AsymptoticPencil(pencil)
-    # Over GF(p) the report prints no degeneration, so none is computed.
-    hyperbolas = find_hyperbolas(pencil) if spec.is_finite else ap.hyperbolas()
+    complete = spec.is_finite and spec.p <= PENCIL_MEMBER_CEILING
+    # A complete report prints no degeneration, so none is computed.
+    hyperbolas = find_hyperbolas(pencil) if complete else ap.hyperbolas()
     payload = {
         "field": spec.name,
         "independent": are_independent(pencil.f1, pencil.f2),
@@ -182,15 +186,14 @@ def _cmd_pencil(args) -> int:
     }
     shared = ap.shared_line()
     payload["shared_line"] = None if shared is None else format_line_equation(shared)
-    if spec.is_finite:
+    if complete:
         payload["members"] = [_pair_record(c, p) for c, p in ap.members()]
-        payload["complete"] = True
     else:
         # The asymptote pair of the member at [alpha : beta : 0] is the
         # member at [alpha : beta : shift].
         payload["members"] = [_pair_record(NetCoords(c.alpha, c.beta, d.shift), d.pair)
                               for c, _, d in hyperbolas]
-        payload["complete"] = False
+    payload["complete"] = complete
     _emit(args, payload)
     return EXIT_OK
 

@@ -16,6 +16,7 @@ import random
 import time
 from functools import cache
 from itertools import combinations, product
+from math import isqrt
 
 from .bisector import (
     BisectorError,
@@ -377,16 +378,35 @@ def _rand_pencil(rng: random.Random, spec: FieldSpec) -> Pencil:
             return Pencil(f1, f2)
 
 
-def _rand_line(rng: random.Random, spec: FieldSpec) -> Line:
-    """A uniform line, drawn as ``enumerate_lines(spec)[r]`` without building the list."""
+def _nth_line(spec: FieldSpec, r: int) -> Line:
+    """``enumerate_lines(spec)[r]``, built without the list."""
     p = spec.p
-    r = rng.randrange(p * p + p)
     return _line(spec, 1, r // p, r % p) if r < p * p else _line(spec, 0, 1, r - p * p)
 
 
+def _rand_line(rng: random.Random, spec: FieldSpec) -> Line:
+    """A uniform line, drawn as ``enumerate_lines(spec)[r]``."""
+    p = spec.p
+    return _nth_line(spec, rng.randrange(p * p + p))
+
+
 def _rand_pair(rng: random.Random, spec: FieldSpec) -> LinePair:
-    pairs = enumerate_line_pairs(spec)
-    return pairs[rng.randrange(len(pairs))]
+    """A uniform line pair, drawn as ``enumerate_line_pairs(spec)[r]`` without
+    the list: the n doubles, then ``combinations`` order, whose row i (the
+    pairs (i, j) with j > i) starts at i (2n - i - 1) / 2."""
+    p = spec.p
+    n = p * p + p
+    r = rng.randrange(n * (n + 1) // 2)
+    if r < n:
+        i = j = r
+    else:
+        r -= n
+        # The root bound can overshoot the row by one.
+        i = (2 * n - 1 - isqrt((2 * n - 1) ** 2 - 8 * r)) // 2
+        if i * (2 * n - i - 1) // 2 > r:
+            i -= 1
+        j = r - i * (2 * n - i - 1) // 2 + i + 1
+    return LinePair(_nth_line(spec, i), _nth_line(spec, j))
 
 
 def _rand_reducible_pencil(rng: random.Random, spec: FieldSpec) -> Pencil:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from itertools import count
 
 from .conic import (
-    CROSSING,
     DEGEN_FAMILY,
     DEGEN_UNIQUE,
     HYPERBOLA,
@@ -26,14 +25,13 @@ from .conic import (
     LinePair,
     ParallelFamily,
     Quadratic,
+    _crossing_pair,
     _det3_times_4,
     _form_roots,
     _quadratic,
     classify,
     degenerations,
     is_reducible,
-    points_at_infinity,
-    pullback,
 )
 from .field import (
     FieldSpec,
@@ -50,7 +48,7 @@ from .field import (
     same_field,
     wrap,
 )
-from .geometry import Line, _affine_map
+from .geometry import Line, _line
 
 _new = object.__new__
 
@@ -330,28 +328,17 @@ def find_hyperbolas(pencil: Pencil) -> list[tuple[NetCoords, Quadratic]]:
     return found
 
 
-def _constructed_hyperbolas(pencil: Pencil) -> tuple:
-    """The ``find_hyperbolas`` members, each with its unique degeneration."""
-    out = []
-    for coords, h in find_hyperbolas(pencil):
-        d = degenerations(h)
-        if d.kind != DEGEN_UNIQUE:
-            raise AssertionError("hyperbola member must have a unique degeneration")
-        out.append((coords, h, d))
-    return tuple(out)
-
-
 def _net_pairs(pencil: Pencil, cubic: DegeneracyCubic) -> tuple:
     """The reducible net members over GF(p), as (coords, pair), each pair once.
 
-    Per direction: a nonzero shift-slope pins the unique shift zeroing the
-    determinant; a vanishing slope with vanishing base means every shift
-    does (the parallel families); otherwise no member.  Candidates are then
-    filtered for rationality over the ground field, on raw values.  The
-    slope is -1/4 of the members' b^2 - 4ac: when -4 phi is a non-square
-    their homogeneous part has no root, and no shift factors.
+    Per direction: a nonzero shift-slope phi pins the unique shift zeroing
+    the determinant, and as phi is -1/4 of the members' b^2 - 4ac, that
+    member is a crossing pair exactly when -4 phi is a square, factored from
+    its homogeneous part alone.  A vanishing slope with vanishing base means
+    every shift does (the parallel families), each tested by ``is_reducible``.
     """
     spec, p, raw = pencil.spec, pencil.spec.p, cubic.raw
+    r1, r2 = pencil.f1.raw, pencil.f2.raw
     out: list[tuple[NetCoords, LinePair]] = []
     seen: set[LinePair] = set()
     for a, b in [(1, t) for t in range(p)] + [(0, 1)]:  # as _directions
@@ -360,11 +347,16 @@ def _net_pairs(pencil: Pencil, cubic: DegeneracyCubic) -> tuple:
         if phi:
             if raw_sqrt(spec, -4 * phi) is None:
                 continue
-            shifts = [-psi * raw_inverse(spec, phi)]
+            shift = -psi * raw_inverse(spec, phi)
+            member = [(a * x + b * y) % p for x, y in zip(r1, r2)]
+            member[5] += shift
+            roots = _form_roots(spec, *member[:3])
+            found = [(shift, _crossing_pair(spec, member, roots, raw_inverse(spec, -4 * phi)))]
+        elif psi % p == 0:
+            found = [(shift, is_reducible(_net_member(pencil, a, b, shift))) for shift in range(p)]
         else:
-            shifts = range(p) if psi % p == 0 else ()
-        for shift in shifts:
-            pair = is_reducible(_net_member(pencil, a, b, shift))
+            continue
+        for shift, pair in found:
             if pair is not None and pair not in seen:
                 seen.add(pair)
                 out.append((_coords(spec, a, b, shift), pair))
@@ -378,27 +370,41 @@ def _directions(spec: FieldSpec):
     yield _coords(spec, 0, 1, 0)
 
 
+def _gradients_meet(spec: FieldSpec, r1, r2) -> bool:
+    """Whether the gradients of the raw quadratics r1, r2 have a common zero:
+    (2a, b; b, 2c)(x, y) = -(d, e) per quadratic, 4 rows of rank 2 when they
+    are independent, solved by two rows with a nonzero minor, tested by all."""
+    rows = []
+    for a, b, c, d, e, _ in (r1, r2):
+        rows += [(a + a, b, -d), (b, c + c, -e)]
+    for i, (u1, v1, w1) in enumerate(rows):
+        for u2, v2, w2 in rows[i + 1:]:
+            det = u1 * v2 - u2 * v1
+            if not raw_is_zero(spec, det):
+                k = raw_inverse(spec, det)
+                x, y = (w1 * v2 - w2 * v1) * k, (u1 * w2 - u2 * w1) * k
+                return all(raw_is_zero(spec, u * x + v * y - w) for u, v, w in rows)
+    raise AssertionError("independent quadratics must have rank-2 gradients")
+
+
 # --- asymptotic pencils -------------------------------------------------------
 
 
 class AsymptoticPencil(Frozen):
-    """The reducible members of the affine net of a pencil.
+    """The reducible members of the affine net of a pencil, over any field.
 
-    Over a finite field the members are materialized at construction; over
-    the rationals the set can be infinite and is represented intensionally
-    through membership predicates and the constructed hyperbolas, which are
-    built with the pencil and decide triviality, the shared line and the
-    quadrilateral.
+    ``pencil`` and its degeneracy ``cubic`` are set when it is built;
+    triviality and the shared line are closed forms on the generators' raw
+    values.  ``members()`` (finite fields; over Q the set can be infinite and
+    ``contains_pair`` decides membership) and ``hyperbolas()`` are computed on
+    first call and kept, each slot filled once through its own setter: a value
+    never changes once read, and two threads that race compute equal values.
     """
 
     __slots__ = ("pencil", "cubic", "_members", "_hyperbolas")
 
     def __init__(self, pencil: Pencil):
-        cubic = degeneracy_cubic(pencil)
-        if pencil.spec.is_finite:
-            super().__init__(pencil, cubic, _net_pairs(pencil, cubic), None)
-        else:
-            super().__init__(pencil, cubic, None, _constructed_hyperbolas(pencil))
+        super().__init__(pencil, degeneracy_cubic(pencil), None, None)
 
     @property
     def spec(self) -> FieldSpec:
@@ -407,20 +413,19 @@ class AsymptoticPencil(Frozen):
     def members(self) -> tuple[tuple[NetCoords, LinePair], ...]:
         """All reducible net members over a finite field, each pair once."""
         if self._members is None:
-            raise InfiniteFieldError(
-                "asymptotic pencils over Q are not materialized; "
-                "use the contains_pair membership predicate"
-            )
+            if not self.spec.is_finite:
+                raise InfiniteFieldError("asymptotic pencils over Q are not materialized; "
+                                         "use the contains_pair membership predicate")
+            self._setters[2](self, _net_pairs(self.pencil, self.cubic))
         return self._members
 
     def hyperbolas(self) -> tuple[tuple[NetCoords, Quadratic, Degenerations], ...]:
-        """(coords, hyperbola, degeneration) per ``find_hyperbolas`` member.
-
-        Stored over the rationals; over a finite field, where no decision
-        reads them, built on each call.
-        """
+        """(coords, hyperbola, degeneration) per ``find_hyperbolas`` member."""
         if self._hyperbolas is None:
-            return _constructed_hyperbolas(self.pencil)
+            found = tuple((c, h, degenerations(h)) for c, h in find_hyperbolas(self.pencil))
+            if any(d.kind != DEGEN_UNIQUE for _, _, d in found):
+                raise AssertionError("hyperbola member must have a unique degeneration")
+            self._setters[3](self, found)
         return self._hyperbolas
 
     def parallel_family(self) -> ParallelFamily | None:
@@ -453,83 +458,46 @@ class AsymptoticPencil(Frozen):
     def is_trivial(self) -> bool:
         """Whether every member is a degenerate hyperbola with one shared center.
 
-        Finite fields decide by enumeration; infinite fields by the
-        normal-form construction (both paths are cross-checked against each
-        other over GF(p) in the test suite).
+        A crossing member is singular at its center, so two with one center
+        make the generators' gradients meet, and where they meet every crossing
+        member has its center.  There a zero of the cubic's slope is a zero of
+        its base too, so the pencil is trivial exactly when it has no parallel
+        family.  Without a common zero two crossing members have two centers,
+        and Cor 3.5 gives two when |k| > 3; over GF(3) the pencil is trivial
+        when exactly one of its 4 directions has -4 phi a nonzero square.
         """
-        if self.spec.is_finite:
-            members = self.members()
-            centers = {pair.center for _, pair in members if pair.kind == CROSSING}
-            if len(centers) != 1:
-                return False
-            return all(pair.kind == CROSSING for _, pair in members)
-        return self.is_trivial_by_construction()
-
-    def is_trivial_by_construction(self) -> bool:
-        """Enumeration-free triviality decision, valid when |k| > 3.
-
-        Two distinct asymptote-pair centers settle it.  With a shared
-        center, normalize the first pair to the coordinate axes and test
-        whether the pencil contains a double line (aX + bY)(cX + dY) vs XY:
-        it does exactly when b = 0, d = 0, or ac/bd is a square, and a
-        double line or parallel pair is precisely what a trivial pencil
-        must not have.
-        """
-        hyps = self.hyperbolas()
-        if len(hyps) < 2:
-            raise PencilError("the construction needs two hyperbolas (|k| > 3)")
-        pairs = [d.pair for _, _, d in hyps]
-        if pairs[0].center != pairs[1].center:
+        if _gradients_meet(self.spec, self.pencil.f1.raw, self.pencil.f2.raw):
+            return self.parallel_family() is None
+        if self.spec.p != 3 or self.parallel_family() is not None:
             return False
-        if pairs[0].line_set() & pairs[1].line_set():
-            return False  # shared component forces a parallel pair in the net
-        (x1, y1, _), (x2, y2, _) = [d.raw for d in points_at_infinity(hyps[0][1])]
-        cx, cy, _ = pairs[0].center.raw
-        # (x, y) -> center + x d1 + y d2 sends the axes onto the first pair.
-        axes = _affine_map(self.spec, x1, x2, y1, y2, cx, cy)
-        factored = is_reducible(pullback(axes, pairs[1].product()))
-        if factored is None:
-            raise AssertionError("a transformed line pair must stay reducible")
-        (a, b, w1), (c, d, w2) = [line.raw for line in factored.lines()]
-        if w1 or w2:
-            raise AssertionError("normalized pair must pass through the origin")
-        if b == 0 or d == 0:
-            return False
-        return raw_sqrt(self.spec, a * c * raw_inverse(self.spec, b * d)) is None
+        # Over GF(3), -4 phi = -phi, and the one nonzero square is 1.
+        raw = self.cubic.raw
+        return sum(-_forms(raw, a, b)[0] % 3 == 1 for a, b in ((1, 0), (1, 1), (1, 2), (0, 1))) == 1
 
     def shared_line(self) -> Line | None:
-        """The line shared by all hyperbola members, when two members share one."""
-        if self.spec.is_finite:
-            counts: dict[Line, int] = {}
-            for _, pair in self.members():
-                for line in pair.line_set():
-                    counts[line] = counts.get(line, 0) + 1
-            shared = [line for line, n in counts.items() if n >= 2]
-            if not shared:
-                return None
-            return min(shared, key=Line.sort_key)
-        return self.shared_line_by_construction()
+        """The line of every crossing member, when two members share one.
 
-    def shared_line_by_construction(self) -> Line | None:
-        """Enumeration-free shared-line decision, valid when |k| > 3.
-
-        Two members sharing a line forces every hyperbola member through
-        it, so checking the two constructed asymptote pairs suffices.
+        Two members through a line have independent directions, so it is
+        shared exactly when both generators are constant along it.  Its
+        direction d is a common root of the homogeneous parts, at most one by
+        independence, and f(P + t d) = f(P) + t grad f(P).d: the line is the
+        zero line of each linear form grad f_i.d, constant along d.  A form
+        vanishing identically imposes nothing, a nonzero constant one rules
+        sharing out, and two lines must agree.
         """
-        hyps = self.hyperbolas()
-        if len(hyps) < 2:
-            return None
-        (_, h1, d1), (_, h2, d2) = hyps
-        common = d1.pair.line_set() & d2.pair.line_set()
-        if not common:
-            return None
-        (line,) = common
-        # Verify against a third member: the sum of the two exact
-        # degenerations is again a net member divisible by the line.
-        check = is_reducible(h1.add_constant(d1.shift) + h2.add_constant(d2.shift))
-        if check is None or not check.contains_line(line):
-            raise AssertionError("shared line failed third-member verification")
-        return line
+        spec, r1, r2 = self.spec, self.pencil.f1.raw, self.pencil.f2.raw
+        for x, y in _form_roots(spec, *r1[:3]):
+            if raw_is_zero(spec, (r2[0] * x + r2[1] * y) * x + r2[2] * y * y):
+                forms = [((a + a) * x + b * y, b * x + (c + c) * y, d * x + e * y)
+                         for a, b, c, d, e, _ in (r1, r2)]
+                forms = [f for f in forms if not all(raw_is_zero(spec, v) for v in f)]
+                # Not both vanish, by independence; one left is compared with itself.
+                (u, v, w), (u2, v2, w2) = forms[0], forms[-1]
+                if (raw_is_zero(spec, u) and raw_is_zero(spec, v)) or not (
+                        raw_is_zero(spec, u * w2 - u2 * w) and raw_is_zero(spec, v * w2 - v2 * w)):
+                    return None
+                return _line(spec, u, v, w)
+        return None
 
 
 def nets_equal(p1: Pencil, p2: Pencil) -> bool:

@@ -144,6 +144,44 @@ class TestRationalRoute:
         assert json.loads(out)["coordinates"] == {"alpha": "1", "beta": "0", "lambda": "0"}
 
 
+class TestLargeFields:
+    """Above the member ceiling a GF(p) pencil report has the Q shape, and
+    neither query enumerates the net's p + 1 directions."""
+
+    @pytest.mark.parametrize("field", ["F1000003", "F1000000007"])
+    @pytest.mark.parametrize("argv", [
+        ["pencil", "x*y-1", "x^2-y"],
+        ["field-membership", "--pair", "1,0,0;0,1,0", "x*y-1", "x^2-y"],
+    ], ids=["pencil", "field-membership"])
+    def test_query_finishes_without_members(self, field, argv, monkeypatch):
+        from bisectrix import pencil
+
+        def never(*args):
+            raise AssertionError("the net's members were enumerated")
+
+        monkeypatch.setattr(pencil, "_net_pairs", never)
+        start = time.perf_counter()
+        code, out = run([argv[0], "--field", field, *argv[1:]])
+        assert code == 0 and time.perf_counter() - start < 1.0
+        payload = json.loads(out)
+        if argv[0] == "pencil":
+            assert not payload["complete"] and not payload["trivial"]
+            assert [m["lambda"] for m in payload["members"]] == ["1", "2"]
+        else:
+            assert payload["nontrivial"] and payload["contains"]
+
+    def test_ceiling_bounds_the_complete_report(self):
+        from bisectrix.cli import PENCIL_MEMBER_CEILING
+
+        assert PENCIL_MEMBER_CEILING >= 101  # the largest prime of the query mix
+        below = json.loads(run(["pencil", "--field", "F997", "x*y-1", "x^2-y"])[1])
+        above = json.loads(run(["pencil", "--field", "F1009", "x*y-1", "x^2-y"])[1])
+        assert 997 <= PENCIL_MEMBER_CEILING < 1009
+        assert below["complete"] and len(below["members"]) > 2
+        assert not above["complete"] and len(above["members"]) == 2
+        assert below["hyperbolas"][0] == {"alpha": "1", "beta": "0", "member": "x*y+996"}
+
+
 class TestBisect:
     def test_line_mode(self):
         code, out = run(["bisect", "--field", "Q", "--line", "1,0,0",

@@ -133,6 +133,27 @@ class TestRandomLine:
         monkeypatch.setattr(oracle, "enumerate_lines", refuse)
         assert run_check(check_id, GF(10007), Policy.randomized(2)).passed
 
+    @pytest.mark.parametrize("spec", [F3, F5], ids=["F3", "F5"])
+    def test_draw_r_is_the_r_th_enumerated_pair(self, spec):
+        pairs = enumerate_line_pairs(spec)
+
+        class Draw:
+            def randrange(self, n):
+                assert n == len(pairs)
+                return r
+
+        for r in range(len(pairs)):
+            drawn = oracle._rand_pair(Draw(), spec)
+            assert drawn == pairs[r] and drawn.lines() == pairs[r].lines()
+
+    @pytest.mark.parametrize("check_id", ["lemma-5.2", "cor-5.5", "cor-5.6"])
+    def test_pair_draws_without_the_pair_list(self, check_id, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("enumerate_line_pairs was called")
+
+        monkeypatch.setattr(oracle, "enumerate_line_pairs", refuse)
+        assert run_check(check_id, GF(19), Policy.randomized(2)).passed
+
 
 class TestReports:
     def test_json_shape_and_determinism(self):

@@ -268,6 +268,34 @@ class TestAsymptoticMembers:
         assert ap.members() is members and len(ap.members()) == 8
         assert ap.is_trivial() == trivial
 
+    def test_racing_threads_read_equal_members(self):
+        # The members are a fill-once cache: threads that race to fill it
+        # compute equal tuples, and every later read returns one of them.
+        import sys
+        import threading
+
+        rng = random.Random(22)
+        aps = [AsymptoticPencil(Pencil(*_random_pencil(rng, GF(11)))) for _ in range(20)]
+        want = [pencil_module._net_pairs(ap.pencil, ap.cubic) for ap in aps]
+        seen = []
+
+        def read():
+            seen.append([ap.members() for ap in aps])
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 8 and all(got == want for got in seen)
+        assert [ap.members() for ap in aps] == want
+
     @pytest.mark.parametrize("spec", [F3, F5, F7, GF(11)], ids=["F3", "F5", "F7", "F11"])
     def test_members_match_the_scalar_route(self, spec):
         # Per direction [1 : t], then [0 : 1]: the shift -psi/phi by Scalar
@@ -366,42 +394,138 @@ class TestTriviality:
             assert by_enum == (only_crossing and len(centers) == 1)
 
 
-class TestConstructionPathsAgainstEnumeration:
-    """The rational-field decision procedures, replayed over GF(p).
+def _trivial_by_enumeration(ap):
+    """Triviality read off the materialized members: one center, all crossing."""
+    members = ap.members()
+    centers = {pair.center for _, pair in members if pair.kind == CROSSING}
+    return len(centers) == 1 and all(pair.kind == CROSSING for _, pair in members)
 
-    Over the rationals the asymptotic pencil cannot be materialized, so
-    triviality and shared lines are decided by normal-form constructions.
-    The same code runs over finite fields, where exhaustive enumeration
-    gives an independent verdict to compare against.
+
+def _shared_line_by_enumeration(ap):
+    """The least line lying in two materialized members, if any."""
+    counts = {}
+    for _, pair in ap.members():
+        for ln in pair.line_set():
+            counts[ln] = counts.get(ln, 0) + 1
+    shared = [ln for ln, n in counts.items() if n >= 2]
+    return min(shared, key=Line.sort_key) if shared else None
+
+
+def _trivial_by_normal_form(ap):
+    """The former rational triviality route, valid when |k| > 3.
+
+    Two distinct asymptote-pair centers settle it.  With a shared center,
+    normalize the first pair to the coordinate axes: the pencil contains a
+    double line (aX + bY)(cX + dY) vs XY exactly when b = 0, d = 0 or ac/bd
+    is a square, and a trivial pencil has no double line or parallel pair.
+    """
+    from bisectrix.conic import is_reducible, points_at_infinity
+    from bisectrix.field import raw_inverse, raw_sqrt
+
+    hyps = ap.hyperbolas()
+    pairs = [d.pair for _, _, d in hyps]
+    if pairs[0].center != pairs[1].center:
+        return False
+    if pairs[0].line_set() & pairs[1].line_set():
+        return False
+    (x1, y1, _), (x2, y2, _) = [d.raw for d in points_at_infinity(hyps[0][1])]
+    cx, cy, _ = pairs[0].center.raw
+    axes = _affine_map(ap.spec, x1, x2, y1, y2, cx, cy)
+    factored = is_reducible(pullback(axes, pairs[1].product()))
+    (a, b, w1), (c, d, w2) = [ln.raw for ln in factored.lines()]
+    assert not (w1 or w2)
+    if b == 0 or d == 0:
+        return False
+    return raw_sqrt(ap.spec, a * c * raw_inverse(ap.spec, b * d)) is None
+
+
+def _shared_line_by_normal_form(ap):
+    """The former rational shared-line route: the line common to the two
+    constructed asymptote pairs, if they share one."""
+    (_, _, d1), (_, _, d2) = ap.hyperbolas()
+    common = d1.pair.line_set() & d2.pair.line_set()
+    return next(iter(common)) if common else None
+
+
+def _centered_quadratic(rng, spec, px, py):
+    """A random quadratic h(X - px, Y - py) + g, its gradient zero at (px, py)."""
+    while True:
+        a, b, c, g = (_value(rng, spec) for _ in range(4))
+        if a or b or c:
+            break
+    return Quadratic(a, b, c, -2 * a * px - b * py, -b * px - 2 * c * py,
+                     a * px * px + b * px * py + c * py * py + g)
+
+
+def _linear(rng, spec):
+    while True:
+        u, v, w = (_value(rng, spec) for _ in range(3))
+        if u or v:
+            return u, v, w
+
+
+def _line_times(ln, rng, spec):
+    """A random quadratic ln * m + c, constant along the line ln."""
+    (u, v, w), (s, t, r) = ln, _linear(rng, spec)
+    return Quadratic(u * s, u * t + v * s, v * t, u * r + w * s, v * r + w * t,
+                     w * r + _value(rng, spec))
+
+
+def _mixed_pencil(rng, spec, k):
+    """A random pencil, one whose gradients share a zero, or one whose
+    generators are constant along a shared line, as k runs mod 3."""
+    while True:
+        if k % 3 == 0:
+            f1, f2 = _any_quadratic(rng, spec), _any_quadratic(rng, spec)
+        elif k % 3 == 1:
+            px, py = _value(rng, spec), _value(rng, spec)
+            f1, f2 = (_centered_quadratic(rng, spec, px, py) for _ in range(2))
+        else:
+            ln = _linear(rng, spec)
+            f1, f2 = (_line_times(ln, rng, spec) for _ in range(2))
+        if are_independent(f1, f2):
+            return Pencil(f1, f2)
+
+
+class TestConstructionPathsAgainstEnumeration:
+    """The closed forms for triviality and the shared line, against
+    enumeration over GF(p) and against the normal-form construction over Q.
+
+    A third of the pencils are random, a third share a gradient zero (the
+    trivial candidates) and a third share a line; each field must show at
+    least 20 trivial and 20 shared instances.
     """
 
     def test_triviality_construction_matches_enumeration(self):
         rng = random.Random(15)
-        for spec in (F5, F7, GF(11)):
-            for _ in range(40):
-                ap = AsymptoticPencil(Pencil(*_random_pencil(rng, spec)))
-                assert ap.is_trivial_by_construction() == ap.is_trivial()
+        for spec in (F3, F5, F7, GF(11)):
+            trivial = 0
+            for k in range(210):
+                ap = AsymptoticPencil(_mixed_pencil(rng, spec, k))
+                assert ap.is_trivial() == _trivial_by_enumeration(ap), ap.pencil
+                trivial += ap.is_trivial()
+            assert trivial >= 20, spec
 
     def test_shared_line_construction_matches_enumeration(self):
         rng = random.Random(16)
-        for spec in (F5, F7):
-            hits = 0
-            for k in range(60):
-                if k % 2 == 0:
-                    # Bias toward shared-line pencils.
-                    lines = list(_three_lines(rng, spec))
-                    f1 = LinePair(lines[0], lines[1]).product()
-                    f2 = LinePair(lines[0], lines[2]).product()
-                    if not are_independent(f1, f2):
-                        continue
-                    pencil = Pencil(f1, f2)
-                else:
-                    pencil = Pencil(*_random_pencil(rng, spec))
-                ap = AsymptoticPencil(pencil)
-                by_enum = ap.shared_line()
-                assert ap.shared_line_by_construction() == by_enum
-                hits += by_enum is not None
-            assert hits >= 20
+        for spec in (F3, F5, F7, GF(11)):
+            shared = 0
+            for k in range(210):
+                ap = AsymptoticPencil(_mixed_pencil(rng, spec, k))
+                assert ap.shared_line() == _shared_line_by_enumeration(ap), ap.pencil
+                shared += ap.shared_line() is not None
+            assert shared >= 20, spec
+
+    def test_rational_closed_forms_match_the_normal_form_construction(self):
+        rng = random.Random(17)
+        trivial = shared = 0
+        for k in range(150):
+            ap = AsymptoticPencil(_mixed_pencil(rng, Q, k))
+            assert ap.is_trivial() == _trivial_by_normal_form(ap), ap.pencil
+            assert ap.shared_line() == _shared_line_by_normal_form(ap), ap.pencil
+            trivial += ap.is_trivial()
+            shared += ap.shared_line() is not None
+        assert trivial >= 20 and shared >= 20
 
 
 class TestStoredConstruction:
@@ -432,11 +556,13 @@ class TestStoredConstruction:
         for _ in range(10):
             AsymptoticPencil(Pencil(*_random_pencil(rng, F7)))
         assert calls == []
-        # Over Q the construction runs once, when the pencil is built.
+        # Over Q it runs once, on first use: the closed forms read none of it.
         ap = AsymptoticPencil(Pencil(quad("x*y-1"), quad("x^2-y")))
         ap.is_trivial()
         ap.shared_line()
+        assert calls == []
         ap.degenerate_hyperbola_pairs()
+        ap.hyperbolas()
         assert len(calls) == 1
 
 
